@@ -225,10 +225,10 @@ def _fill_memory(
 ) -> tuple[HarmonyMemory, list[tuple[np.ndarray, Solution]]]:
     """Seed the memory with distinct transformed vectors.
 
-    Random bias draws come first; once duplicates dominate, sweep the whole
-    pattern space for anything new (small instances only).  The memory
-    shrinks, with a log note, when the transform cannot produce enough
-    distinct vectors.
+    Random bias draws come first, until ``DUPLICATE_DRAW_LIMIT`` duplicate
+    draws have been spent; then, on small instances only, sweep the whole
+    pattern space for anything new.  The memory shrinks, with a log note
+    saying which of the two ran out, when they leave it short.
     """
     width = len(instance.facilities)
     root_index = instance.facility_index[instance.root]
@@ -256,7 +256,8 @@ def _fill_memory(
         totals.append(solution.total)
         evaluated.append((vector, solution))
 
-    if len(rows) < target and free_bits <= EXHAUSTIVE_FILL_BITS:
+    swept = len(rows) < target and free_bits <= EXHAUSTIVE_FILL_BITS
+    if swept:
         positions = [i for i in range(width) if i != root_index]
         for bits in product((0, 1), repeat=free_bits):
             if len(rows) >= target:
@@ -276,11 +277,17 @@ def _fill_memory(
             evaluated.append((vector, solution))
 
     if len(rows) < target:
+        if swept:
+            rest = f"a sweep of all {2**free_bits} root-open patterns found no more"
+        else:
+            rest = f"{free_bits} free bits are too many to sweep"
         logger.warning(
-            "memory reduced to %d rows (%d requested): fewer distinct "
-            "candidate vectors exist",
+            "memory reduced to %d rows (%d requested): the random fill "
+            "stopped after %d duplicate draws and %s",
             len(rows),
             params.hms,
+            misses,
+            rest,
         )
     memory = HarmonyMemory(np.array(rows, dtype=np.uint8), np.array(totals))
     return memory, evaluated

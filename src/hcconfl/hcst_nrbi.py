@@ -12,8 +12,12 @@ limit:
   order and connecting each one either through a freshly computed path into
   the current tree or through its phase-1 route, whichever is cheaper.
 
-All candidate scans run in sorted node order and ties are broken by cost,
-then fewer hops, then smallest id pair, so results are deterministic.
+Ties are broken by cost, then fewer hops, then smallest id pair, so
+results are deterministic.  Both phases read whole hop-table rows at once:
+phase 1 keeps the best known connection to every node and refreshes it only
+from the nodes whose label the last insertion set or lowered; phase 2
+prices every tree node for a facility with one gather over the stacked
+tables of ``HopTableCache``.
 """
 
 from __future__ import annotations
@@ -80,9 +84,15 @@ def _edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _insert_phase1_path(state: NrbiState, path: list[int]) -> None:
+def _insert_phase1_path(state: NrbiState, path: list[int]) -> list[int]:
+    """Add ``path`` to the partial structure; return the nodes it relabeled.
+
+    A node is relabeled when it is new or the path reaches it in fewer hops
+    than its label.
+    """
     base = state.hops_from_root[path[0]]
     prev = path[0]
+    relabeled: list[int] = []
     for pos in range(1, len(path)):
         node = path[pos]
         label = base + pos
@@ -90,17 +100,20 @@ def _insert_phase1_path(state: NrbiState, path: list[int]) -> None:
             state.partial_nodes.add(node)
             state.hops_from_root[node] = label
             state.parent[node] = prev
+            relabeled.append(node)
         elif label < state.hops_from_root[node]:
             # cheaper-in-hops route found later; relabel so the stored walk
             # to the root never exceeds the label
             state.hops_from_root[node] = label
             state.parent[node] = prev
+            relabeled.append(node)
         state.partial_edges.add(_edge(prev, node))
         if node in state.remaining:
             state.remaining.discard(node)
             state.insertion_epoch[node] = len(state.insertion_epoch) + 1
             state.insertion_path[node] = tuple(path[: pos + 1])
         prev = node
+    return relabeled
 
 
 def nrbi_phase1(
@@ -108,7 +121,16 @@ def nrbi_phase1(
     open_facilities: Iterable[int],
     cache: HopTableCache | None = None,
 ) -> NrbiState:
-    """Grow the partial structure until every open facility is attached."""
+    """Grow the partial structure until every open facility is attached.
+
+    Each round attaches the lexicographically smallest (cost, hops, u, v)
+    path from a partial node ``u`` within its remaining hop budget to a
+    missing facility ``v``.  ``best_*`` hold, per node, the smallest
+    (cost, hops, u) seen so far and are refreshed only from relabeled
+    nodes.  That is exact: a relabel only raises ``u``'s budget, table rows
+    never increase with the budget, and an equal cost keeps the same fewest
+    hops, so a stale entry never beats the fresh one.
+    """
     if cache is None:
         cache = HopTableCache(instance)
     hops = instance.hop_limit
@@ -120,35 +142,36 @@ def nrbi_phase1(
     state.hops_from_root[root] = 0
     state.remaining = {f for f in open_facilities if f != root}
 
+    best_cost = np.full(instance.num_nodes + 1, np.inf)
+    best_hops = np.zeros(instance.num_nodes + 1, dtype=cache.first.dtype)
+    best_from = np.zeros(instance.num_nodes + 1, dtype=np.int64)
+    relabeled = [root]
     while state.remaining:
-        targets = np.fromiter(sorted(state.remaining), dtype=np.int64)
-        best_cost = math.inf
-        budgets: list[tuple[int, int]] = []
-        for u in sorted(state.partial_nodes):
+        for u in relabeled:
             budget = hops - state.hops_from_root[u]
             if budget < 1:
                 continue
-            budgets.append((u, budget))
-            row = cache.table(u).dist[budget]
-            low = float(row[targets].min())
-            if low < best_cost:
-                best_cost = low
-        if not math.isfinite(best_cost):
-            raise TreeInfeasibleError(min(state.remaining), hops)
-        best: tuple[int, int, int] | None = None  # (hops, u, v)
-        for u, budget in budgets:
             table = cache.table(u)
-            row = table.dist[budget]
-            for v in targets[row[targets] == best_cost]:
-                v = int(v)
-                cand = (table.min_hops(v, budget), u, v)
-                if best is None or cand < best:
-                    best = cand
-        assert best is not None
-        _, u_star, v_star = best
+            cost = table.dist[budget]
+            fewest = table.first[budget]
+            better = (cost < best_cost) | (
+                (cost == best_cost)
+                & ((fewest < best_hops) | ((fewest == best_hops) & (u < best_from)))
+            )
+            np.copyto(best_cost, cost, where=better)
+            np.copyto(best_hops, fewest, where=better)
+            best_from[better] = u
+        targets = np.fromiter(sorted(state.remaining), dtype=np.int64)
+        pick = np.lexsort(
+            (targets, best_from[targets], best_hops[targets], best_cost[targets])
+        )[0]
+        if not math.isfinite(best_cost[targets[pick]]):
+            raise TreeInfeasibleError(min(state.remaining), hops)
+        v_star = int(targets[pick])
+        u_star = int(best_from[v_star])
         path = extract_path(cache.table(u_star), v_star, hops - state.hops_from_root[u_star])
         assert path is not None
-        _insert_phase1_path(state, path)
+        relabeled = _insert_phase1_path(state, path)
     return state
 
 
@@ -210,20 +233,16 @@ def nrbi_phase2(
     instance: Instance,
     state: NrbiState,
     cache: HopTableCache | None = None,
-    phase1_cost_mode: str = "insertion-path",
 ) -> SteinerTree:
     """Assemble the final tree from the phase-1 structure.
 
     Required nodes are processed from the newest insertion epoch to the
     oldest.  Each is attached either via the cheapest fresh hop-feasible
-    path from a current tree node, or via its phase-1 route when that is no
-    more expensive.  ``phase1_cost_mode`` picks the cost the phase-1 side
-    contributes to that comparison: the recorded insertion path
-    ("insertion-path", default) or the surviving parent-walk segment
-    ("tree-path").
+    path from a current tree node, or via its phase-1 route when its
+    recorded insertion path costs no more than that.  Tree nodes, depths
+    and labels also sit in arrays that ``attach`` appends to, so all fresh
+    candidates of a facility come from one gather over the table store.
     """
-    if phase1_cost_mode not in ("insertion-path", "tree-path"):
-        raise ValueError(f"unknown phase1_cost_mode {phase1_cost_mode!r}")
     if cache is None:
         cache = HopTableCache(instance)
     hops = instance.hop_limit
@@ -232,14 +251,26 @@ def nrbi_phase2(
     depth = {root: 0}
     parent: dict[int, int] = {}
     edges: set[tuple[int, int]] = set()
+    # tree nodes in attach order, their depths and phase-1 labels (the
+    # depth for nodes phase 1 never reached)
+    members = np.zeros(instance.num_nodes, dtype=np.int64)
+    member_depth = np.zeros(instance.num_nodes, dtype=np.int64)
+    member_label = np.zeros(instance.num_nodes, dtype=np.int64)
+    members[0] = root
+    size = 1
 
     def attach(path: list[int]) -> None:
+        nonlocal size
         prev = path[0]
         for node in path[1:]:
             tree_nodes.add(node)
             depth[node] = depth[prev] + 1
             parent[node] = prev
             edges.add(_edge(prev, node))
+            members[size] = node
+            member_depth[size] = depth[node]
+            member_label[size] = state.hops_from_root.get(node, depth[node])
+            size += 1
             prev = node
 
     order = sorted(state.insertion_epoch, key=lambda v: -state.insertion_epoch[v])
@@ -249,38 +280,29 @@ def nrbi_phase2(
         bound = state.hops_from_root[v]
 
         # cheapest fresh connection from any current tree node
-        fresh: list[tuple[float, int, int]] = []  # (cost, hops, u)
-        for u in sorted(tree_nodes):
-            label = state.hops_from_root.get(u, depth[u])
-            budget = min(bound - label, hops - depth[u])
-            if budget < 1:
-                continue
-            table = cache.table(u)
-            cost = table.cost(v, budget)
-            if math.isfinite(cost):
-                min_h = table.min_hops(v, budget)
-                assert min_h is not None
-                fresh.append((cost, min_h, u))
-        fresh.sort()
+        budgets = np.minimum(bound - member_label[:size], hops - member_depth[:size])
+        usable = budgets >= 1
+        us = members[:size][usable]
+        budgets = budgets[usable]
+        slots = cache.slots(us)
+        costs = cache.dist[slots, budgets, v]
+        fewest = cache.first[slots, budgets, v]
         fresh_pick: tuple[float, list[int]] | None = None
-        for cost, _, u in fresh:
-            label = state.hops_from_root.get(u, depth[u])
-            budget = min(bound - label, hops - depth[u])
-            path = extract_path(cache.table(u), v, budget)
+        for k in np.lexsort((us, fewest, costs)):
+            if not math.isfinite(costs[k]):
+                break
+            path = extract_path(cache.table(int(us[k])), v, int(budgets[k]))
             assert path is not None
             cut = max(i for i, x in enumerate(path) if x in tree_nodes)
             suffix = path[cut:]
             if depth[suffix[0]] + len(suffix) - 1 <= hops:
-                fresh_pick = (cost, suffix)
+                fresh_pick = (float(costs[k]), suffix)
                 break
 
         # phase-1 route: the surviving parent-walk segment into the tree
         chain = _parent_chain(state, v, tree_nodes)
         chain_ok = depth[chain[0]] + len(chain) - 1 <= hops
-        if phase1_cost_mode == "insertion-path":
-            phase1_cost = instance.path_cost(state.insertion_path[v])
-        else:
-            phase1_cost = instance.path_cost(chain)
+        phase1_cost = instance.path_cost(state.insertion_path[v])
 
         if fresh_pick is not None and (not chain_ok or fresh_pick[0] < phase1_cost):
             attach(fresh_pick[1])
@@ -306,10 +328,9 @@ def nrbi(
     instance: Instance,
     open_facilities: Iterable[int],
     cache: HopTableCache | None = None,
-    phase1_cost_mode: str = "insertion-path",
 ) -> SteinerTree:
     """Build a hop-feasible tree spanning root plus ``open_facilities``."""
     if cache is None:
         cache = HopTableCache(instance)
     state = nrbi_phase1(instance, open_facilities, cache)
-    return nrbi_phase2(instance, state, cache, phase1_cost_mode=phase1_cost_mode)
+    return nrbi_phase2(instance, state, cache)

@@ -5,12 +5,16 @@ walk from the source to ``v`` using at most ``h`` edges, computed by a
 Bellman-Ford sweep over hop levels.  Rows are nonincreasing in ``h``.  Ties
 between equal-cost paths are broken toward fewer hops, then toward the
 smaller predecessor id, which makes extracted paths deterministic.
+
+``HopTableCache`` builds tables lazily and also stacks every table it built
+into ``(slots, H+1, n+1)`` arrays, so the tree heuristic can read many
+sources at once with one gather.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,12 +28,15 @@ class HopDistanceTable:
     ``dist`` has shape (hop_limit + 1, num_nodes + 1); column 0 is unused so
     node ids index directly.  ``pred[h][v]`` is the predecessor of ``v`` on
     the chosen cheapest walk of at most ``h`` edges (0 = none).
+    ``first[h][v]`` is the fewest edges that reach ``dist[h][v]``, i.e. the
+    first hop level holding that value (0 while it is still inf).
     """
 
     source: int
     hop_limit: int
     dist: np.ndarray
     pred: np.ndarray
+    first: np.ndarray
 
     def cost(self, node: int, hop_budget: int | None = None) -> float:
         """Cheapest cost to ``node`` within ``hop_budget`` edges (inf if none)."""
@@ -46,12 +53,9 @@ class HopDistanceTable:
         h = self.hop_limit if hop_budget is None else min(hop_budget, self.hop_limit)
         if h < 0:
             return None
-        target = self.dist[h, node]
-        if not math.isfinite(target):
+        if not math.isfinite(self.dist[h, node]):
             return None
-        col = self.dist[: h + 1, node]
-        # carried-over entries are bit-identical copies, so == is exact here
-        return int(np.argmax(col == target))
+        return int(self.first[h, node])
 
 
 def hop_bellman_ford(
@@ -88,9 +92,22 @@ def hop_bellman_ford(
         cur_pred[upd] = src[picks[better]]
         dist[h] = cur
         pred[h] = cur_pred
-    dist.setflags(write=False)
-    pred.setflags(write=False)
-    return HopDistanceTable(source=source, hop_limit=hops, dist=dist, pred=pred)
+    # rows never increase and carried-over entries are bit-identical copies,
+    # so a value equal to the level below was first reached there
+    first = np.zeros((hops + 1, n + 1), dtype=_hop_dtype(hops))
+    for h in range(1, hops + 1):
+        first[h] = np.where(dist[h] == dist[h - 1], first[h - 1], h)
+    for arr in (dist, pred, first):
+        arr.setflags(write=False)
+    return HopDistanceTable(
+        source=source, hop_limit=hops, dist=dist, pred=pred, first=first
+    )
+
+
+def _hop_dtype(hop_limit: int) -> np.dtype:
+    """Smallest signed integer type holding hop counts 0..``hop_limit``."""
+    # a signed type holds +h whenever it holds -(h + 1)
+    return np.min_scalar_type(-hop_limit - 1)
 
 
 def extract_path(
@@ -118,16 +135,59 @@ def extract_path(
 
 
 class HopTableCache:
-    """Lazy per-source table cache for the lifetime of one solver run."""
+    """Lazy per-source table cache for the lifetime of one solver run.
+
+    Every table built lives in a stacked store: ``dist[k]`` and ``first[k]``
+    hold the table of the source whose ``slot`` entry is ``k`` (-1 = not
+    built yet), and the table's own ``dist``/``first`` are views of them.
+    The store grows with the number of sources built, not with the node
+    count, and is reallocated when it fills, so read ``dist``/``first``
+    again after anything that may build a table.
+    """
 
     def __init__(self, instance: Instance, hop_limit: int | None = None):
         self.instance = instance
         self.hop_limit = instance.hop_limit if hop_limit is None else hop_limit
         self._tables: dict[int, HopDistanceTable] = {}
+        shape = (self.hop_limit + 1, instance.num_nodes + 1)
+        self.dist = np.empty((0, *shape))
+        self.first = np.empty((0, *shape), dtype=_hop_dtype(self.hop_limit))
+        self.slot = np.full(instance.num_nodes + 1, -1, dtype=np.int64)
 
     def table(self, source: int) -> HopDistanceTable:
         tab = self._tables.get(source)
         if tab is None:
-            tab = hop_bellman_ford(self.instance, source, self.hop_limit)
-            self._tables[source] = tab
+            built = hop_bellman_ford(self.instance, source, self.hop_limit)
+            k = len(self._tables)
+            if k == len(self.dist):
+                self._grow(k + max(8, k // 2))
+            self.dist[k] = built.dist
+            self.first[k] = built.first
+            self.slot[source] = k
+            tab = self._tables[source] = self._view(built, k)
         return tab
+
+    def slots(self, sources: np.ndarray) -> np.ndarray:
+        """Store slots of ``sources``, building any table not built yet."""
+        for source in sources[self.slot[sources] < 0]:
+            self.table(int(source))
+        return self.slot[sources]
+
+    def _view(self, tab: HopDistanceTable, k: int) -> HopDistanceTable:
+        """``tab`` reading its distances and min-hops from store slot ``k``."""
+        dist, first = self.dist[k], self.first[k]
+        dist.setflags(write=False)
+        first.setflags(write=False)
+        return replace(tab, dist=dist, first=first)
+
+    def _grow(self, capacity: int) -> None:
+        for name in ("dist", "first"):
+            old = getattr(self, name)
+            new = np.empty((capacity, *old.shape[1:]), dtype=old.dtype)
+            new[: len(old)] = old
+            setattr(self, name, new)
+        # re-point every table at the new store so the old one is freed
+        self._tables = {
+            source: self._view(tab, self.slot[source])
+            for source, tab in self._tables.items()
+        }

@@ -180,8 +180,17 @@ class Instance:
         )
 
     def opening_cost_array(self) -> np.ndarray:
-        """Opening costs in ``facilities`` order."""
-        return np.array([self.opening_costs[f] for f in self.facilities])
+        """Opening costs in ``facilities`` order (read-only, built on first use).
+
+        Built on first use, not in ``__post_init__``, so constructing an
+        instance pays nothing for it.
+        """
+        opening = self.__dict__.get("_opening_cost_array")
+        if opening is None:
+            opening = np.array([self.opening_costs[f] for f in self.facilities])
+            opening.setflags(write=False)
+            object.__setattr__(self, "_opening_cost_array", opening)
+        return opening
 
     def path_cost(self, path: Iterable[int]) -> float:
         """Total edge cost along a node path."""

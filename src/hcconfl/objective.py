@@ -66,10 +66,10 @@ def as_open_set(instance: Instance, vector: Iterable[int] | np.ndarray) -> set[i
     """Normalize a facility vector (0/1 array in facility order, or ids)."""
     arr = np.asarray(vector)
     if arr.dtype != object and arr.ndim == 1 and len(arr) == len(instance.facilities):
-        if arr.dtype == bool or set(np.unique(arr)).issubset({0, 1}):
-            return {f for f, bit in zip(instance.facilities, arr) if bit}
+        if ((arr == 0) | (arr == 1)).all():
+            return {instance.facilities[i] for i in np.flatnonzero(arr)}
     ids = set(int(f) for f in vector)  # type: ignore[arg-type]
-    unknown = ids - set(instance.facilities)
+    unknown = [f for f in ids if f not in instance.facility_index]
     if unknown:
         raise ValueError(f"unknown facility id {min(unknown)}")
     return ids
@@ -126,19 +126,15 @@ def evaluate(
     instance: Instance,
     open_facilities: Iterable[int] | np.ndarray,
     cache: HopTableCache | None = None,
-    phase1_cost_mode: str = "insertion-path",
 ) -> Solution:
     """Evaluate a facility vector; infeasible vectors get an inf solution."""
     opened = as_open_set(instance, open_facilities)
     opened.add(instance.root)
-    unknown = opened - set(instance.facilities)
-    if unknown:
-        raise ValueError(f"not a facility: {min(unknown)}")
     if cache is None:
         cache = HopTableCache(instance)
 
     try:
-        tree = nrbi(instance, opened, cache, phase1_cost_mode=phase1_cost_mode)
+        tree = nrbi(instance, opened, cache)
     except TreeInfeasibleError:
         return infeasible_solution(opened)
 

@@ -72,6 +72,37 @@ def random_tiny_instance(
     )
 
 
+def random_graph_instance(
+    rng: random.Random, num_nodes: int, num_edges: int, hop_limit: int
+) -> Instance:
+    """A connected random graph too large for the oracle, for tree tests.
+
+    A random spanning tree plus extra edges, integer costs 1-10 (so equal
+    costs are common), a fifth of the nodes as facilities, no customers.
+    """
+    order = list(range(1, num_nodes + 1))
+    rng.shuffle(order)
+    edges: dict[tuple[int, int], float] = {}
+    for i in range(1, num_nodes):
+        u, v = order[i], order[rng.randrange(i)]
+        edges[(min(u, v), max(u, v))] = float(rng.randint(1, 10))
+    while len(edges) < num_edges:
+        u, v = rng.sample(range(1, num_nodes + 1), 2)
+        edges.setdefault((min(u, v), max(u, v)), float(rng.randint(1, 10)))
+    facilities = tuple(sorted(rng.sample(range(1, num_nodes + 1), num_nodes // 5)))
+    return Instance(
+        name=f"graph{num_nodes}",
+        num_nodes=num_nodes,
+        core_edges=tuple((u, v, c) for (u, v), c in sorted(edges.items())),
+        facilities=facilities,
+        root=rng.choice(facilities),
+        customers=(),
+        opening_costs={f: 0.0 for f in facilities},
+        assignment_costs=np.zeros((len(facilities), 0)),
+        hop_limit=hop_limit,
+    )
+
+
 def naive_assignment(instance: Instance, open_ids) -> tuple[dict[str, int], float]:
     """Cheapest open facility per customer, ties to the smallest id."""
     assign: dict[str, int] = {}
@@ -158,3 +189,148 @@ def tree_is_valid(instance: Instance, tree, required) -> bool:
         return False
     total = sum(instance.edge_cost(u, v) for u, v in edges)
     return math.isclose(total, tree.cost, abs_tol=1e-9)
+
+
+def _reference_min_hops(table, node: int, budget: int) -> int:
+    """Fewest edges realizing ``dist[budget][node]``, straight from the column."""
+    col = table.dist[: budget + 1, node]
+    return int(np.argmax(col == col[budget]))
+
+
+def reference_nrbi(instance: Instance, open_facilities):
+    """The two-phase tree heuristic as plain loops, for differential tests.
+
+    Phase 1 rescans every partial node in every round; phase 2 prices every
+    tree node for each facility one at a time.  Tie-breaks are those of
+    ``hcconfl.nrbi``: cost, then fewer hops, then the smallest node ids.
+    Returns ``(edges, depth, parent, cost)`` and raises the package's
+    ``TreeInfeasibleError`` naming the same facility.
+    """
+    from hcconfl import TreeInfeasibleError, extract_path, hop_bellman_ford
+
+    hops = instance.hop_limit
+    root = instance.root
+    tables: dict = {}
+
+    def table(u: int):
+        if u not in tables:
+            tables[u] = hop_bellman_ford(instance, u)
+        return tables[u]
+
+    def edge(u: int, v: int) -> tuple[int, int]:
+        return (min(u, v), max(u, v))
+
+    # phase 1
+    partial = {root}
+    label = {root: 0}
+    parent1: dict[int, int] = {}
+    epoch: dict[int, int] = {}
+    insertion_path: dict[int, tuple[int, ...]] = {}
+    remaining = {f for f in open_facilities if f != root}
+    while remaining:
+        targets = sorted(remaining)
+        best_cost = math.inf
+        for u in sorted(partial):
+            budget = hops - label[u]
+            if budget < 1:
+                continue
+            for v in targets:
+                best_cost = min(best_cost, float(table(u).dist[budget, v]))
+        if not math.isfinite(best_cost):
+            raise TreeInfeasibleError(min(remaining), hops)
+        best = None
+        for u in sorted(partial):
+            budget = hops - label[u]
+            if budget < 1:
+                continue
+            for v in targets:
+                if float(table(u).dist[budget, v]) == best_cost:
+                    cand = (_reference_min_hops(table(u), v, budget), u, v)
+                    if best is None or cand < best:
+                        best = cand
+        _, u_star, v_star = best
+        path = extract_path(table(u_star), v_star, hops - label[u_star])
+        base = label[path[0]]
+        for pos in range(1, len(path)):
+            node, prev = path[pos], path[pos - 1]
+            if node not in partial or base + pos < label[node]:
+                partial.add(node)
+                label[node] = base + pos
+                parent1[node] = prev
+            if node in remaining:
+                remaining.discard(node)
+                epoch[node] = len(epoch) + 1
+                insertion_path[node] = tuple(path[: pos + 1])
+
+    # phase 2
+    tree_nodes = {root}
+    depth = {root: 0}
+    parent: dict[int, int] = {}
+    edges: set[tuple[int, int]] = set()
+
+    def attach(path) -> None:
+        for prev, node in zip(path, path[1:]):
+            tree_nodes.add(node)
+            depth[node] = depth[prev] + 1
+            parent[node] = prev
+            edges.add(edge(prev, node))
+
+    def parent_tree():
+        nodes = {root}
+        tree_edges = set()
+        up: dict[int, int] = {}
+        for v in epoch:
+            x = v
+            while x not in nodes:
+                nodes.add(x)
+                tree_edges.add(edge(parent1[x], x))
+                up[x] = parent1[x]
+                x = parent1[x]
+        down = {root: 0}
+        for v in nodes:
+            trail = []
+            x = v
+            while x not in down:
+                trail.append(x)
+                x = up[x]
+            for y in reversed(trail):
+                down[y] = down[up[y]] + 1
+        cost = sum(instance.edge_cost(u, v) for u, v in sorted(tree_edges))
+        return frozenset(tree_edges), down, up, float(cost)
+
+    for v in sorted(epoch, key=lambda x: -epoch[x]):
+        if v in tree_nodes:
+            continue
+        bound = label[v]
+        fresh = []
+        for u in sorted(tree_nodes):
+            budget = min(bound - label.get(u, depth[u]), hops - depth[u])
+            if budget < 1:
+                continue
+            cost = float(table(u).dist[budget, v])
+            if math.isfinite(cost):
+                fresh.append((cost, _reference_min_hops(table(u), v, budget), u, budget))
+        fresh.sort()
+        fresh_pick = None
+        for cost, _, u, budget in fresh:
+            path = extract_path(table(u), v, budget)
+            cut = max(i for i, x in enumerate(path) if x in tree_nodes)
+            suffix = path[cut:]
+            if depth[suffix[0]] + len(suffix) - 1 <= hops:
+                fresh_pick = (cost, suffix)
+                break
+        chain = [v]
+        while chain[-1] not in tree_nodes:
+            chain.append(parent1[chain[-1]])
+        chain.reverse()
+        chain_ok = depth[chain[0]] + len(chain) - 1 <= hops
+        phase1_cost = instance.path_cost(insertion_path[v])
+        if fresh_pick is not None and (not chain_ok or fresh_pick[0] < phase1_cost):
+            attach(fresh_pick[1])
+        elif chain_ok:
+            attach(chain)
+        else:
+            return parent_tree()
+
+    cost = sum(instance.edge_cost(u, v) for u, v in sorted(edges))
+    return frozenset(edges), depth, parent, float(cost)

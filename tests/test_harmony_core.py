@@ -1,3 +1,4 @@
+import logging
 import random
 
 import numpy as np
@@ -7,6 +8,7 @@ from hcconfl import (
     HarmonyMemory,
     HarmonyParams,
     HopTableCache,
+    Instance,
     evaluate,
     exact_solve,
     hs_solve,
@@ -16,7 +18,11 @@ from hcconfl import (
     update_bias,
     validate,
 )
-from hcconfl.harmony_core import _fill_memory, reachable_open_mask
+from hcconfl.harmony_core import (
+    DUPLICATE_DRAW_LIMIT,
+    _fill_memory,
+    reachable_open_mask,
+)
 
 from corpus_util import random_tiny_instance
 
@@ -156,6 +162,41 @@ def test_fill_memory_exhausts_small_pattern_space(tiny1):
     assert len(evaluated) == 4
     assert list(memory.totals) == sorted(memory.totals)
     assert memory.totals[0] == 10.0
+
+
+def test_fill_memory_warning_says_what_ran_out(tiny1, caplog):
+    line = Instance(
+        name="line22",
+        num_nodes=22,
+        core_edges=tuple((i, i + 1, 1.0) for i in range(1, 22)),
+        facilities=tuple(range(1, 23)),
+        root=1,
+        customers=(),
+        opening_costs={f: 1.0 for f in range(1, 23)},
+        assignment_costs=np.zeros((22, 0)),
+        hop_limit=3,
+    )
+    for inst, rest in (
+        (tiny1, "a sweep of all 4 root-open patterns found no more"),
+        (line, "21 free bits are too many to sweep"),
+    ):
+        root_only = np.zeros(len(inst.facilities), dtype=np.uint8)
+        root_only[inst.facility_index[inst.root]] = 1
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="hcconfl.harmony_core"):
+            memory, _ = _fill_memory(
+                inst,
+                HarmonyParams(hms=10),
+                np.random.default_rng(1),
+                init_bias(inst),
+                lambda v: root_only,
+                lambda v: evaluate(inst, v),
+            )
+        assert len(memory) == 1
+        assert caplog.messages == [
+            "memory reduced to 1 rows (10 requested): the random fill stopped "
+            f"after {DUPLICATE_DRAW_LIMIT + 1} duplicate draws and {rest}"
+        ]
 
 
 def test_hs_finds_fixture_optimum(tiny1):

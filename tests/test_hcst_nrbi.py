@@ -1,12 +1,18 @@
 import random
 
+import numpy as np
 import pytest
 
-from hcconfl import TreeInfeasibleError, exact_hcst, nrbi
+from hcconfl import Instance, TreeInfeasibleError, exact_hcst, nrbi
 from hcconfl.hcst_nrbi import nrbi_phase1, nrbi_phase2
 from hcconfl.hop_paths import HopTableCache
 
-from corpus_util import random_tiny_instance, tree_is_valid
+from corpus_util import (
+    random_graph_instance,
+    random_tiny_instance,
+    reference_nrbi,
+    tree_is_valid,
+)
 
 
 def test_phase1_trace_on_fixture(tiny1):
@@ -74,18 +80,27 @@ def test_trees_always_valid_and_near_oracle():
     assert gap_hits < total * 0.2
 
 
-def test_both_phase1_cost_modes_give_valid_trees():
-    rng = random.Random(11)
-    for _ in range(120):
-        inst = random_tiny_instance(rng)
-        opens = set(inst.facilities)
-        try:
-            recorded = nrbi(inst, opens, phase1_cost_mode="insertion-path")
-            routed = nrbi(inst, opens, phase1_cost_mode="tree-path")
-        except TreeInfeasibleError:
-            continue
-        assert tree_is_valid(inst, recorded, opens)
-        assert tree_is_valid(inst, routed, opens)
+def test_phase2_tie_goes_to_the_smaller_tree_node():
+    edges = (
+        (1, 3, 6.0), (1, 4, 10.0), (1, 5, 2.0), (1, 8, 5.0), (2, 4, 8.0), (3, 6, 9.0),
+        (4, 5, 8.0), (4, 6, 9.0), (4, 7, 2.0), (4, 8, 10.0), (5, 7, 3.0), (7, 8, 2.0),
+    )
+    facilities = (1, 2, 3, 5, 6, 7, 8)
+    inst = Instance(
+        name="tie",
+        num_nodes=8,
+        core_edges=edges,
+        facilities=facilities,
+        root=1,
+        customers=(),
+        opening_costs={f: 0.0 for f in facilities},
+        assignment_costs=np.zeros((len(facilities), 0)),
+        hop_limit=2,
+    )
+    tree = nrbi(inst, set(facilities))
+    # phase 2 reaches 7 from tree nodes 4 and 8 alike: cost 2, one hop
+    assert tree.parent[7] == 4
+    assert (tree.edges, tree.depth, tree.parent, tree.cost) == reference_nrbi(inst, facilities)
 
 
 def test_shared_cache_and_fresh_cache_agree(tiny1):
@@ -107,3 +122,33 @@ def test_deterministic_across_runs():
             continue
         assert first.edges == second.edges
         assert first.depth == second.depth
+
+
+def _outcome(build):
+    """(edges, depth, parent, cost) of a tree, or the facility named infeasible."""
+    try:
+        tree = build()
+    except TreeInfeasibleError as err:
+        return ("infeasible", err.facility)
+    if isinstance(tree, tuple):
+        return tree
+    return (tree.edges, tree.depth, tree.parent, tree.cost)
+
+
+def test_matches_plain_loop_reference():
+    rng = random.Random(2468)
+    # (instance, open sets drawn, share of facilities open in each)
+    cases = [(random_tiny_instance(rng, max_facilities=6, max_hop=4), 3, 0.7) for _ in range(400)]
+    for nodes, edges, hops in ((40, 60, 3), (50, 90, 4), (60, 100, 5), (80, 120, 6)):
+        cases.append((random_graph_instance(rng, nodes, edges, hops), 5, 0.6))
+    checked = infeasible = 0
+    for inst, draws, share in cases:
+        cache = HopTableCache(inst)  # shared across calls, as in the solvers
+        for _ in range(draws):
+            opens = {f for f in inst.facilities if rng.random() < share}
+            got = _outcome(lambda: nrbi(inst, opens, cache))
+            assert got == _outcome(lambda: reference_nrbi(inst, opens))
+            checked += 1
+            infeasible += got[0] == "infeasible"
+    assert checked >= 1000
+    assert 0 < infeasible < checked / 2

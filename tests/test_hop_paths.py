@@ -6,7 +6,12 @@ import pytest
 
 from hcconfl import HopTableCache, extract_path, hop_bellman_ford
 
-from corpus_util import naive_cheapest_paths, naive_hop_costs, random_tiny_instance
+from corpus_util import (
+    naive_cheapest_paths,
+    naive_hop_costs,
+    random_graph_instance,
+    random_tiny_instance,
+)
 
 
 def test_fixture_table_values(tiny1):
@@ -112,3 +117,35 @@ def test_cache_reuses_tables(tiny1):
     cache = HopTableCache(tiny1)
     assert cache.table(1) is cache.table(1)
     assert cache.table(2).source == 2
+
+
+def test_min_hop_table_is_first_level_holding_the_value():
+    rng = random.Random(4711)
+    for _ in range(300):
+        inst = random_tiny_instance(rng, max_nodes=10)
+        hops = rng.randint(0, 6)
+        table = hop_bellman_ford(inst, rng.randint(1, inst.num_nodes), hop_limit=hops)
+        for b in range(hops + 1):
+            for v in range(inst.num_nodes + 1):
+                col = table.dist[: b + 1, v]
+                assert table.first[b, v] == np.argmax(col == col[b])
+
+
+def test_cache_store_stacks_every_built_table():
+    inst = random_graph_instance(random.Random(5), 30, 45, 4)
+    cache = HopTableCache(inst)
+    built = [7, 3, 30, 1, 12, 9, 22, 18, 5, 14, 27]  # more than one growth
+    slots = cache.slots(np.array(built[:4]))
+    for source in built[4:]:
+        cache.table(source)
+    assert list(slots) == list(cache.slot[built[:4]])
+    for source in built:
+        k = cache.slot[source]
+        fresh = hop_bellman_ford(inst, source)
+        assert (cache.dist[k] == fresh.dist).all()
+        assert (cache.first[k] == fresh.first).all()
+        tab = cache.table(source)
+        assert (tab.dist == fresh.dist).all() and (tab.pred == fresh.pred).all()
+        assert not tab.dist.flags.writeable and not tab.first.flags.writeable
+    assert (np.delete(cache.slot, [0, *built]) == -1).all()
+    assert len(cache.dist) < inst.num_nodes

@@ -102,6 +102,8 @@ def test_merge_instances_matches_tiny_fixture(tiny1):
     assert merged.root == 1
     assert merged.customers == ("c1", "c2")
     assert merged.opening_costs == {1: 1.0, 2: 3.0, 3: 2.0}
+    assert list(merged.opening_cost_array()) == [1.0, 3.0, 2.0]
+    assert not merged.opening_cost_array().flags.writeable
     assert np.array_equal(merged.assignment_costs, tiny1.assignment_costs)
     assert merged.core_edges == tiny1.core_edges
 

@@ -68,6 +68,18 @@ def test_as_open_set_rejects_unknown_ids(tiny1):
         evaluate(tiny1, [4])  # node 4 is not a facility
 
 
+def test_id_list_as_long_as_the_facility_list(tiny1):
+    # tiny1's facilities are (1, 2, 3): a length-3 sequence of only 0/1
+    # values is a vector in facility order, anything else is a list of ids
+    assert as_open_set(tiny1, [1, 1, 0]) == {1, 2}
+    assert as_open_set(tiny1, [1.0, 0.0, 1.0]) == {1, 3}
+    assert as_open_set(tiny1, np.array([False, True, True])) == {2, 3}
+    assert as_open_set(tiny1, [3, 1, 1]) == {1, 3}
+    assert as_open_set(tiny1, [1, 2, 3]) == {1, 2, 3}
+    with pytest.raises(ValueError, match="unknown facility id 0"):
+        as_open_set(tiny1, [1, 0, 2])
+
+
 def test_infeasible_hop_limit_gives_inf_total(tiny1):
     import dataclasses
 
