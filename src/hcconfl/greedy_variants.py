@@ -23,10 +23,11 @@ from .harmony_core import (
     HarmonyParams,
     RunStats,
     SolveResult,
+    Transform,
     harmony_solve,
     init_bias,
-    reachable_open_mask,
     repair_vector,
+    root_path_costs,
 )
 from .hop_paths import HopTableCache
 from .instance_model import Instance
@@ -48,15 +49,6 @@ class GreedyParams:
     top_k: int = 18
     sample_count: int = 1500
     greedy_limit: int = 18
-
-
-def _root_path_costs(instance: Instance, cache: HopTableCache) -> np.ndarray:
-    """Cheapest hop-feasible root-to-facility path cost, per facility."""
-    table = cache.table(instance.root)
-    costs = np.empty(len(instance.facilities))
-    for i, f in enumerate(instance.facilities):
-        costs[i] = 0.0 if f == instance.root else table.cost(f)
-    return costs
 
 
 def closing_scores(
@@ -96,7 +88,6 @@ def closing_scores(
 def greedy_close(
     instance: Instance,
     open_facilities,
-    cache: HopTableCache | None = None,
     max_open: int = 6,
     root_paths: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -104,13 +95,13 @@ def greedy_close(
 
     A facility closes while that is estimated to pay for itself, or while
     the open count still exceeds ``max_open``.  The root never closes.
-    Ties pick the smallest facility id.
+    Ties pick the smallest facility id.  ``root_paths`` is
+    :func:`root_path_costs`, computed here when not given.
     """
     if max_open < 1:
         raise ValueError("max_open must be >= 1")
-    cache = cache or HopTableCache(instance)
     if root_paths is None:
-        root_paths = _root_path_costs(instance, cache)
+        root_paths = root_path_costs(instance, HopTableCache(instance))
     open_set = as_open_set(instance, open_facilities) | {instance.root}
     open_ids = sorted(open_set)
     while len(open_ids) > 1:
@@ -126,29 +117,33 @@ def greedy_close(
     return vector
 
 
+def _repair_and_close(
+    instance: Instance, cache: HopTableCache, max_open: int
+) -> Transform:
+    """Reachability repair followed by :func:`greedy_close`."""
+    root_paths = root_path_costs(instance, cache)
+    reach = np.isfinite(root_paths)
+
+    def transform(vector: np.ndarray) -> np.ndarray:
+        repaired = repair_vector(instance, vector, reach)
+        return greedy_close(
+            instance, repaired, max_open=max_open, root_paths=root_paths
+        )
+
+    return transform
+
+
 def ghs_solve(
     instance: Instance,
     params: HarmonyParams | None = None,
     greedy: GreedyParams | None = None,
-    seed: int | None = None,
+    seed: int = 1,
 ) -> SolveResult:
     """Harmony search that greedily closes facilities before evaluating."""
     params = params or HarmonyParams(hms=150)
     greedy = greedy or GreedyParams()
     cache = HopTableCache(instance)
-    reach = reachable_open_mask(instance, cache)
-    root_paths = _root_path_costs(instance, cache)
-
-    def transform(vector: np.ndarray) -> np.ndarray:
-        repaired = repair_vector(instance, vector, reach)
-        return greedy_close(
-            instance,
-            repaired,
-            cache,
-            max_open=greedy.max_open,
-            root_paths=root_paths,
-        )
-
+    transform = _repair_and_close(instance, cache, greedy.max_open)
     return harmony_solve(
         instance, params=params, seed=seed, transform=transform, cache=cache
     )
@@ -176,22 +171,14 @@ def hybrid_solve(
     effective_k = min(greedy.top_k, len(instance.facilities))
     rng = np.random.default_rng(seed)
     cache = HopTableCache(instance)
-    reach = reachable_open_mask(instance, cache)
-    root_paths = _root_path_costs(instance, cache)
+    close = _repair_and_close(instance, cache, greedy.greedy_limit)
     bias = init_bias(instance)
     stats = RunStats()
 
     counts = np.zeros(len(instance.facilities))
     draws = rng.random((greedy.sample_count, len(instance.facilities))) < bias
     for row in draws.astype(np.uint8):
-        repaired = repair_vector(instance, row, reach)
-        counts += greedy_close(
-            instance,
-            repaired,
-            cache,
-            max_open=greedy.greedy_limit,
-            root_paths=root_paths,
-        )
+        counts += close(row)
 
     root = instance.root
     ranked = sorted(

@@ -38,19 +38,13 @@ class HarmonyParams:
     """Knobs of the harmony loop.
 
     The recall rate starts at ``hmcr_start`` and ramps linearly to 1.0
-    over ``hmcr_ramp_iters`` iterations.  ``par``/``bw`` are retained for
-    completeness; with binary variables a pitch adjustment is a bit flip,
-    and both default to 0 (inactive).  ``seed`` is used when the solver
-    call does not pass one explicitly.
+    over ``hmcr_ramp_iters`` iterations.
     """
 
     hms: int = 50
     hmcr_start: float = 0.96
     hmcr_ramp_iters: int = 5000
-    par: float = 0.0
-    bw: float = 0.0
     max_no_improve: int = 1000
-    seed: int = 1
 
     def __post_init__(self) -> None:
         if self.hms < 2:
@@ -59,10 +53,6 @@ class HarmonyParams:
             raise ValueError("hmcr_start must be in (0, 1]")
         if self.hmcr_ramp_iters < 1:
             raise ValueError("hmcr_ramp_iters must be >= 1")
-        if not 0.0 <= self.par < 1.0:
-            raise ValueError("par must be in [0, 1)")
-        if self.par > self.hmcr_start:
-            raise ValueError("par must not exceed hmcr_start")
         if self.max_no_improve < 1:
             raise ValueError("max_no_improve must be >= 1")
 
@@ -126,13 +116,14 @@ class HarmonyMemory:
         return self.vectors.mean(axis=0)
 
 
-def reachable_open_mask(instance: Instance, cache: HopTableCache) -> np.ndarray:
-    """True per facility when the root can reach it within the hop limit."""
+def root_path_costs(instance: Instance, cache: HopTableCache) -> np.ndarray:
+    """Cheapest hop-feasible root-to-facility path cost, per facility.
+
+    The entry is inf where the root cannot reach the facility within the
+    hop limit, and 0 for the root itself.
+    """
     table = cache.table(instance.root)
-    mask = np.zeros(len(instance.facilities), dtype=bool)
-    for i, f in enumerate(instance.facilities):
-        mask[i] = f == instance.root or np.isfinite(table.cost(f))
-    return mask
+    return table.dist[table.hop_limit, np.asarray(instance.facilities)]
 
 
 def init_bias(instance: Instance) -> np.ndarray:
@@ -189,30 +180,20 @@ def improvise(
     memory: HarmonyMemory,
     bias: np.ndarray,
     hmcr: float,
-    par: float = 0.0,
-    bw: float = 0.0,
-    root_index: int = 0,
 ) -> np.ndarray:
     """Draw one candidate vector bit by bit.
 
-    All four random arrays are drawn every call so the stream consumed
-    from ``rng`` does not depend on the parameter values.  ``bw`` has no
-    magnitude role for binary bits (an adjustment is a flip) but keeps its
-    slot in the signature.
+    Each bit is recalled, with probability ``hmcr``, from a random memory
+    row, and otherwise drawn from ``bias``.  The root bit is not forced:
+    every memory row holds it open, its bias is 1, and every transform
+    opens it again.
     """
-    del bw
     width = memory.vectors.shape[1]
     recall = rng.random(width) < hmcr
     rows = rng.integers(0, len(memory), size=width)
-    adjust = rng.random(width) < par
-    rng.random(width)  # direction draw; a binary adjustment is always a flip
     from_memory = memory.vectors[rows, np.arange(width)]
     random_bits = (rng.random(width) < bias).astype(np.uint8)
-    vector = np.where(recall, from_memory, random_bits).astype(np.uint8)
-    flip = recall & adjust
-    vector[flip] ^= 1
-    vector[root_index] = 1
-    return vector
+    return np.where(recall, from_memory, random_bits).astype(np.uint8)
 
 
 def _fill_memory(
@@ -237,46 +218,32 @@ def _fill_memory(
     if free_bits <= 30:
         target = min(target, 2**free_bits)
 
-    rows: list[np.ndarray] = []
     evaluated: list[tuple[np.ndarray, Solution]] = []
-    totals: list[float] = []
     seen: set[bytes] = set()
-    misses = 0
-    while len(rows) < target and misses <= DUPLICATE_DRAW_LIMIT:
-        vector = (rng.random(width) < bias).astype(np.uint8)
-        vector[root_index] = 1
+
+    def keep(vector: np.ndarray) -> bool:
+        """Transform, evaluate and keep ``vector``; False if seen before."""
         vector = transform(vector)
         key = vector.tobytes()
         if key in seen:
-            misses += 1
-            continue
+            return False
         seen.add(key)
-        solution = evaluator(vector)
-        rows.append(vector)
-        totals.append(solution.total)
-        evaluated.append((vector, solution))
+        evaluated.append((vector, evaluator(vector)))
+        return True
 
-    swept = len(rows) < target and free_bits <= EXHAUSTIVE_FILL_BITS
+    misses = 0
+    while len(evaluated) < target and misses < DUPLICATE_DRAW_LIMIT:
+        if not keep((rng.random(width) < bias).astype(np.uint8)):
+            misses += 1
+
+    swept = len(evaluated) < target and free_bits <= EXHAUSTIVE_FILL_BITS
     if swept:
-        positions = [i for i in range(width) if i != root_index]
         for bits in product((0, 1), repeat=free_bits):
-            if len(rows) >= target:
+            if len(evaluated) >= target:
                 break
-            vector = np.zeros(width, dtype=np.uint8)
-            vector[root_index] = 1
-            for pos, bit in zip(positions, bits):
-                vector[pos] = bit
-            vector = transform(vector)
-            key = vector.tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            solution = evaluator(vector)
-            rows.append(vector)
-            totals.append(solution.total)
-            evaluated.append((vector, solution))
+            keep(np.insert(np.array(bits, dtype=np.uint8), root_index, 1))
 
-    if len(rows) < target:
+    if len(evaluated) < target:
         if swept:
             rest = f"a sweep of all {2**free_bits} root-open patterns found no more"
         else:
@@ -284,36 +251,38 @@ def _fill_memory(
         logger.warning(
             "memory reduced to %d rows (%d requested): the random fill "
             "stopped after %d duplicate draws and %s",
-            len(rows),
+            len(evaluated),
             params.hms,
             misses,
             rest,
         )
-    memory = HarmonyMemory(np.array(rows, dtype=np.uint8), np.array(totals))
+    memory = HarmonyMemory(
+        np.array([vector for vector, _ in evaluated], dtype=np.uint8),
+        np.array([solution.total for _, solution in evaluated]),
+    )
     return memory, evaluated
 
 
 def harmony_solve(
     instance: Instance,
     params: HarmonyParams | None = None,
-    seed: int | None = None,
+    seed: int = 1,
     transform: Transform | None = None,
     cache: HopTableCache | None = None,
 ) -> SolveResult:
     """Run the harmony loop until improvement stalls.
 
     ``transform`` maps an improvised vector to the vector actually
-    evaluated and stored; the default repairs reachability only.  A
-    ``seed`` argument overrides ``params.seed``.
+    evaluated and stored, and keeps the root open; the default repairs
+    reachability only.
     """
     params = params or HarmonyParams()
     start = time.perf_counter()
-    rng = np.random.default_rng(params.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     cache = cache or HopTableCache(instance)
-    reach = reachable_open_mask(instance, cache)
-    root_index = instance.facility_index[instance.root]
 
     if transform is None:
+        reach = np.isfinite(root_path_costs(instance, cache))
         transform = lambda vec: repair_vector(instance, vec, reach)  # noqa: E731
 
     stats = RunStats()
@@ -326,9 +295,7 @@ def harmony_solve(
     memory, evaluated = _fill_memory(
         instance, params, rng, static_bias, transform, evaluator
     )
-    best_vector, best_solution = min(
-        evaluated, key=lambda pair: pair[1].total
-    )
+    best_solution = min((solution for _, solution in evaluated), key=lambda s: s.total)
     stats.incumbent_history.append((0, best_solution.total))
     bias = update_bias(instance, static_bias, memory)
 
@@ -336,16 +303,7 @@ def harmony_solve(
     iteration = 0
     while no_improve < params.max_no_improve:
         iteration += 1
-        vector = improvise(
-            rng,
-            memory,
-            bias,
-            hmcr=params.hmcr(iteration),
-            par=params.par,
-            bw=params.bw,
-            root_index=root_index,
-        )
-        vector = transform(vector)
+        vector = transform(improvise(rng, memory, bias, params.hmcr(iteration)))
         improved = False
         if not memory.contains(vector):
             solution = evaluator(vector)
@@ -354,7 +312,6 @@ def harmony_solve(
                 bias = update_bias(instance, static_bias, memory)
             if solution.total < best_solution.total - COST_TOL:
                 best_solution = solution
-                best_vector = vector
                 improved = True
                 stats.incumbent_history.append((iteration, solution.total))
         no_improve = 0 if improved else no_improve + 1
@@ -367,12 +324,11 @@ def harmony_solve(
             raise RuntimeError(
                 f"internal error: best solution violates {problems[0].constraint}"
             )
-    del best_vector
     return SolveResult(solution=best_solution, stats=stats)
 
 
 def hs_solve(
-    instance: Instance, params: HarmonyParams | None = None, seed: int | None = None
+    instance: Instance, params: HarmonyParams | None = None, seed: int = 1
 ) -> SolveResult:
     """Plain harmony search over repaired opening vectors."""
     return harmony_solve(instance, params=params, seed=seed)

@@ -76,9 +76,6 @@ class SteinerTree:
     parent: dict[int, int]  # absent for the root
     cost: float
 
-    def contains(self, nodes: Iterable[int]) -> bool:
-        return all(v in self.nodes for v in nodes)
-
 
 def _edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)

@@ -45,9 +45,6 @@ class HopDistanceTable:
             return math.inf
         return float(self.dist[h, node])
 
-    def reachable(self, node: int, hop_budget: int | None = None) -> bool:
-        return math.isfinite(self.cost(node, hop_budget))
-
     def min_hops(self, node: int, hop_budget: int | None = None) -> int | None:
         """Fewest edges realizing ``cost(node, hop_budget)``; None if unreachable."""
         h = self.hop_limit if hop_budget is None else min(hop_budget, self.hop_limit)

@@ -109,8 +109,8 @@ class Instance:
         object.__setattr__(
             self, "customer_index", {c: i for i, c in enumerate(self.customers)}
         )
-        self._check_connected()
         self._build_adjacency()
+        self._check_connected()
 
     # -- derived structure -------------------------------------------------
 
@@ -119,15 +119,12 @@ class Instance:
         return frozenset(range(1, self.num_nodes + 1))
 
     def _check_connected(self) -> None:
-        adj: dict[int, list[int]] = {v: [] for v in range(1, self.num_nodes + 1)}
-        for u, v, _ in self.core_edges:
-            adj[u].append(v)
-            adj[v].append(u)
+        adj = self._adjacency  # type: ignore[attr-defined]
         seen = {1}
         stack = [1]
         while stack:
             x = stack.pop()
-            for y in adj[x]:
+            for y, _ in adj[x]:
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
@@ -448,6 +445,7 @@ def parse_tiny(text: str, name: str = "tiny") -> Instance:
     """
     header: list[int] | None = None
     edges: list[tuple[int, int, float]] = []
+    edge_keys: set[tuple[int, int]] = set()
     openings: dict[int, float] = {}
     assign: dict[tuple[int, str], float] = {}
     f_lines: list[int] = []
@@ -478,8 +476,9 @@ def parse_tiny(text: str, name: str = "tiny") -> Instance:
             except ValueError:
                 raise fail(lineno, "bad edge line") from None
             key = _canon_edge(u, v)
-            if any(_canon_edge(a, b) == key for a, b, _ in edges):
+            if key in edge_keys:
                 raise fail(lineno, f"duplicate edge ({u},{v})")
+            edge_keys.add(key)
             edges.append((key[0], key[1], cost))
         elif kind == "f":
             if len(parts) != 3:

@@ -265,10 +265,11 @@ def test_solver_csv_byte_for_byte_reproducible(capsys, tmp_path):
 
 
 def test_greedy_closing_trace_on_fixture(tiny1):
-    from hcconfl.greedy_variants import _root_path_costs, closing_scores
+    from hcconfl.greedy_variants import closing_scores
+    from hcconfl.harmony_core import root_path_costs
 
     cache = HopTableCache(tiny1)
-    scores = closing_scores(tiny1, [1, 2, 3], _root_path_costs(tiny1, cache))
+    scores = closing_scores(tiny1, [1, 2, 3], root_path_costs(tiny1, cache))
     assert scores[1] == pytest.approx(-2.0)
     assert scores[2] == pytest.approx(2.0)
     vec = greedy_close(tiny1, {1, 2, 3}, max_open=2)

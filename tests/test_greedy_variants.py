@@ -15,14 +15,15 @@ from hcconfl import (
     hybrid_solve,
     validate,
 )
-from hcconfl.greedy_variants import _root_path_costs, closing_scores
+from hcconfl.greedy_variants import closing_scores
+from hcconfl.harmony_core import root_path_costs
 
 from corpus_util import naive_hop_costs, random_tiny_instance
 
 
 def test_closing_scores_fixture_trace(tiny1):
     cache = HopTableCache(tiny1)
-    paths = _root_path_costs(tiny1, cache)
+    paths = root_path_costs(tiny1, cache)
     scores = closing_scores(tiny1, [1, 2, 3], paths)
     assert scores[0] == math.inf  # root never closes
     # facility 2 serves a (regret 4-1=3), opening 3, root path 2

@@ -1,4 +1,5 @@
 import logging
+import math
 import random
 
 import numpy as np
@@ -21,7 +22,7 @@ from hcconfl import (
 from hcconfl.harmony_core import (
     DUPLICATE_DRAW_LIMIT,
     _fill_memory,
-    reachable_open_mask,
+    root_path_costs,
 )
 
 from corpus_util import random_tiny_instance
@@ -92,8 +93,9 @@ def test_repair_vector_closes_unreachable(tiny1):
 
     one_hop = dataclasses.replace(tiny1, hop_limit=1)
     cache = HopTableCache(one_hop)
-    mask = reachable_open_mask(one_hop, cache)
-    assert list(mask) == [True, True, False]  # node 3 is two hops out
+    paths = root_path_costs(one_hop, cache)
+    assert list(paths) == [0.0, 2.0, math.inf]  # node 3 is two hops out
+    mask = np.isfinite(paths)
     repaired = repair_vector(one_hop, np.array([0, 1, 1], dtype=np.uint8), mask)
     assert list(repaired) == [1, 1, 0]
 
@@ -103,7 +105,7 @@ def test_improvise_recall_one_copies_memory_rows(tiny1):
         np.array([[1, 0, 1]], dtype=np.uint8), np.array([10.0])
     )
     rng = np.random.default_rng(0)
-    vec = improvise(rng, memory, init_bias(tiny1), hmcr=1.0, root_index=0)
+    vec = improvise(rng, memory, init_bias(tiny1), hmcr=1.0)
     assert list(vec) == [1, 0, 1]
 
 
@@ -112,28 +114,10 @@ def test_improvise_recall_zero_follows_bias_extremes(tiny1):
         np.array([[1, 0, 0]], dtype=np.uint8), np.array([10.0])
     )
     rng = np.random.default_rng(0)
-    ones = improvise(
-        rng, memory, np.array([1.0, 1.0, 1.0]), hmcr=0.0, root_index=0
-    )
+    ones = improvise(rng, memory, np.array([1.0, 1.0, 1.0]), hmcr=0.0)
     assert list(ones) == [1, 1, 1]
-    zeros = improvise(
-        rng, memory, np.array([0.0, 0.0, 0.0]), hmcr=0.0, root_index=0
-    )
-    assert list(zeros) == [1, 0, 0]  # root still forced open
-
-
-def test_improvise_consumes_fixed_random_stream(tiny1):
-    memory = HarmonyMemory(
-        np.array([[1, 0, 1], [1, 1, 0]], dtype=np.uint8),
-        np.array([10.0, 11.0]),
-    )
-    bias = init_bias(tiny1)
-    draws_a = np.random.default_rng(7)
-    draws_b = np.random.default_rng(7)
-    improvise(draws_a, memory, bias, hmcr=0.3, par=0.0, root_index=0)
-    improvise(draws_b, memory, bias, hmcr=0.9, par=0.5, root_index=0)
-    # identical stream position afterwards regardless of parameters
-    assert draws_a.random() == draws_b.random()
+    zeros = improvise(rng, memory, np.array([0.0, 0.0, 0.0]), hmcr=0.0)
+    assert list(zeros) == [0, 0, 0]
 
 
 def test_hmcr_ramps_to_one():
@@ -146,7 +130,7 @@ def test_hmcr_ramps_to_one():
 
 def test_fill_memory_exhausts_small_pattern_space(tiny1):
     cache = HopTableCache(tiny1)
-    reach = reachable_open_mask(tiny1, cache)
+    reach = np.isfinite(root_path_costs(tiny1, cache))
     rng = np.random.default_rng(3)
     params = HarmonyParams(hms=50)
     memory, evaluated = _fill_memory(
@@ -195,7 +179,7 @@ def test_fill_memory_warning_says_what_ran_out(tiny1, caplog):
         assert len(memory) == 1
         assert caplog.messages == [
             "memory reduced to 1 rows (10 requested): the random fill stopped "
-            f"after {DUPLICATE_DRAW_LIMIT + 1} duplicate draws and {rest}"
+            f"after {DUPLICATE_DRAW_LIMIT} duplicate draws and {rest}"
         ]
 
 
@@ -242,17 +226,7 @@ def test_params_validate_their_ranges():
         HarmonyParams(hms=1)
     with pytest.raises(ValueError, match="hmcr_start"):
         HarmonyParams(hmcr_start=0.0)
-    with pytest.raises(ValueError, match="par"):
-        HarmonyParams(par=1.0)
-    with pytest.raises(ValueError, match="par"):
-        HarmonyParams(hmcr_start=0.3, par=0.4)
+    with pytest.raises(ValueError, match="hmcr_ramp_iters"):
+        HarmonyParams(hmcr_ramp_iters=0)
     with pytest.raises(ValueError, match="max_no_improve"):
         HarmonyParams(max_no_improve=0)
-
-
-def test_params_seed_used_when_no_argument(tiny1):
-    params = HarmonyParams(max_no_improve=60, seed=9)
-    by_field = hs_solve(tiny1, params)
-    by_argument = hs_solve(tiny1, HarmonyParams(max_no_improve=60), seed=9)
-    assert by_field.solution.total == by_argument.solution.total
-    assert by_field.stats.incumbent_history == by_argument.stats.incumbent_history

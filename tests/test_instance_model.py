@@ -108,6 +108,17 @@ def test_merge_instances_matches_tiny_fixture(tiny1):
     assert merged.core_edges == tiny1.core_edges
 
 
+def test_merge_ignores_stp_terminals():
+    # terminals 4 and 3 play no part: facilities are nodes 1..m, root 1
+    with_terminals = parse_stp(STP_TEXT + "2\n4\n3\n")
+    merged = merge_instances(with_terminals, parse_uflp(UFLP_BEASLEY), hop_limit=2)
+    assert merged.facilities == (1, 2, 3)
+    assert merged.root == 1
+    assert merged == merge_instances(
+        parse_stp(STP_TEXT), parse_uflp(UFLP_BEASLEY), hop_limit=2
+    )
+
+
 def test_merge_rejects_too_many_facilities():
     uflp = parse_uflp("5 1\n" + "0 1.0\n" * 5 + "1 " + "2.0 " * 5 + "\n")
     with pytest.raises(MergeError):
