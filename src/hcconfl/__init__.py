@@ -42,10 +42,8 @@ from .objective import (
     validate,
 )
 from .oracle import (
-    ExactTree,
     HcstOracle,
     OracleLimitError,
-    OracleLimits,
     exact_hcst,
     exact_hcst_edge_subsets,
     exact_solve,
@@ -55,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CostBreakdown",
-    "ExactTree",
     "GreedyParams",
     "HarmonyMemory",
     "HarmonyParams",
@@ -66,7 +63,6 @@ __all__ = [
     "MergeError",
     "NrbiState",
     "OracleLimitError",
-    "OracleLimits",
     "ParseError",
     "RunStats",
     "SolveResult",

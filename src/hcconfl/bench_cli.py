@@ -82,12 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--out", type=Path, help="write CSV here instead of stdout")
     run.add_argument(
-        "--no-validate",
-        dest="validate",
-        action="store_false",
-        help="skip the constraint check on each result",
-    )
-    run.add_argument(
         "--zero-time",
         action="store_true",
         help="report cpu_seconds as 0.000 for byte-identical output",
@@ -181,13 +175,12 @@ def run_once(instance: Instance, label: str, args: argparse.Namespace, seed: int
 
     if not solution.feasible:
         raise RuntimeError(f"{label}: no feasible solution found")
-    if args.validate:
-        problems = validate(instance, solution)
-        if problems:
-            raise RuntimeError(
-                f"{label}: solution violates {problems[0].constraint}: "
-                f"{problems[0].message}"
-            )
+    problems = validate(instance, solution)
+    if problems:
+        raise RuntimeError(
+            f"{label}: solution violates {problems[0].constraint}: "
+            f"{problems[0].message}"
+        )
     return RunRow(
         instance=label,
         algo=args.algo,

@@ -47,17 +47,14 @@ class TreeInfeasibleError(ValueError):
 class NrbiState:
     """Phase-1 output: partial structure plus bookkeeping labels.
 
-    ``hops_from_root`` upper-bounds the hops needed to reach each partial
-    node from the root; ``insertion_epoch`` numbers the required nodes in
-    the order phase 1 attached them (root excluded).  ``parent`` retains,
-    for every partial node, the predecessor on its cheapest known root walk;
+    The keys of ``hops_from_root`` are the partial nodes; each value
+    upper-bounds the hops needed to reach that node from the root.
+    ``insertion_epoch`` numbers the required nodes in the order phase 1
+    attached them (root excluded).  ``parent`` retains, for every partial
+    node but the root, the predecessor on its cheapest known root walk;
     following it always terminates at the root within the hop limit.
     """
 
-    root: int
-    hop_limit: int
-    partial_nodes: set[int] = field(default_factory=set)
-    partial_edges: set[tuple[int, int]] = field(default_factory=set)
     hops_from_root: dict[int, int] = field(default_factory=dict)
     insertion_epoch: dict[int, int] = field(default_factory=dict)
     remaining: set[int] = field(default_factory=set)
@@ -81,6 +78,24 @@ def _edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def tree_from_parents(
+    instance: Instance, root: int, parent: dict[int, int], depth: dict[int, int]
+) -> SteinerTree:
+    """The tree on the keys of ``depth`` whose edges are the ``parent`` links.
+
+    Its cost is the sum of its edge costs taken in sorted edge order.
+    """
+    edges = frozenset(_edge(p, v) for v, p in parent.items())
+    return SteinerTree(
+        root=root,
+        nodes=frozenset(depth),
+        edges=edges,
+        depth=depth,
+        parent=parent,
+        cost=float(sum(instance.edge_cost(u, v) for u, v in sorted(edges))),
+    )
+
+
 def _insert_phase1_path(state: NrbiState, path: list[int]) -> list[int]:
     """Add ``path`` to the partial structure; return the nodes it relabeled.
 
@@ -93,8 +108,7 @@ def _insert_phase1_path(state: NrbiState, path: list[int]) -> list[int]:
     for pos in range(1, len(path)):
         node = path[pos]
         label = base + pos
-        if node not in state.partial_nodes:
-            state.partial_nodes.add(node)
+        if node not in state.hops_from_root:
             state.hops_from_root[node] = label
             state.parent[node] = prev
             relabeled.append(node)
@@ -104,7 +118,6 @@ def _insert_phase1_path(state: NrbiState, path: list[int]) -> list[int]:
             state.hops_from_root[node] = label
             state.parent[node] = prev
             relabeled.append(node)
-        state.partial_edges.add(_edge(prev, node))
         if node in state.remaining:
             state.remaining.discard(node)
             state.insertion_epoch[node] = len(state.insertion_epoch) + 1
@@ -134,8 +147,7 @@ def nrbi_phase1(
     if cache.hop_limit < hops:
         raise ValueError("hop table cache is shallower than the instance hop limit")
     root = instance.root
-    state = NrbiState(root=root, hop_limit=hops)
-    state.partial_nodes.add(root)
+    state = NrbiState()
     state.hops_from_root[root] = 0
     state.remaining = {f for f in open_facilities if f != root}
 
@@ -172,8 +184,8 @@ def nrbi_phase1(
     return state
 
 
-def _parent_chain(state: NrbiState, node: int, stop: set[int]) -> list[int]:
-    """Walk phase-1 parents from ``node`` until a node in ``stop``; root-first."""
+def _parent_chain(state: NrbiState, node: int, stop: dict[int, int]) -> list[int]:
+    """Walk phase-1 parents from ``node`` until a key of ``stop``; root-first."""
     chain = [node]
     while chain[-1] not in stop:
         chain.append(state.parent[chain[-1]])
@@ -189,18 +201,14 @@ def _parent_tree(instance: Instance, state: NrbiState) -> SteinerTree:
     regular phase-2 attachment cannot place a node without breaking the
     limit, which requires a rather contorted graph.
     """
-    nodes = {state.root}
-    edges: set[tuple[int, int]] = set()
+    root = instance.root
     parent: dict[int, int] = {}
     for v in state.insertion_epoch:
         x = v
-        while x not in nodes:
-            p = state.parent[x]
-            nodes.add(x)
-            edges.add(_edge(p, x))
-            parent[x] = p
-            x = p
-    depth = {state.root: 0}
+        while x != root and x not in parent:
+            parent[x] = state.parent[x]
+            x = parent[x]
+    depth = {root: 0}
 
     def resolve(x: int) -> int:
         trail = []
@@ -213,17 +221,9 @@ def _parent_tree(instance: Instance, state: NrbiState) -> SteinerTree:
             depth[y] = d
         return d
 
-    for v in nodes:
+    for v in parent:
         resolve(v)
-    cost = sum(instance.edge_cost(u, v) for u, v in sorted(edges))
-    return SteinerTree(
-        root=state.root,
-        nodes=frozenset(nodes),
-        edges=frozenset(edges),
-        depth=depth,
-        parent=parent,
-        cost=float(cost),
-    )
+    return tree_from_parents(instance, root, parent, depth)
 
 
 def nrbi_phase2(
@@ -243,11 +243,9 @@ def nrbi_phase2(
     if cache is None:
         cache = HopTableCache(instance)
     hops = instance.hop_limit
-    root = state.root
-    tree_nodes = {root}
-    depth = {root: 0}
+    root = instance.root
+    depth = {root: 0}  # its keys are the tree's nodes
     parent: dict[int, int] = {}
-    edges: set[tuple[int, int]] = set()
     # tree nodes in attach order, their depths and phase-1 labels (the
     # depth for nodes phase 1 never reached)
     members = np.zeros(instance.num_nodes, dtype=np.int64)
@@ -260,10 +258,8 @@ def nrbi_phase2(
         nonlocal size
         prev = path[0]
         for node in path[1:]:
-            tree_nodes.add(node)
             depth[node] = depth[prev] + 1
             parent[node] = prev
-            edges.add(_edge(prev, node))
             members[size] = node
             member_depth[size] = depth[node]
             member_label[size] = state.hops_from_root.get(node, depth[node])
@@ -272,7 +268,7 @@ def nrbi_phase2(
 
     order = sorted(state.insertion_epoch, key=lambda v: -state.insertion_epoch[v])
     for v in order:
-        if v in tree_nodes:
+        if v in depth:
             continue
         bound = state.hops_from_root[v]
 
@@ -290,14 +286,14 @@ def nrbi_phase2(
                 break
             path = extract_path(cache.table(int(us[k])), v, int(budgets[k]))
             assert path is not None
-            cut = max(i for i, x in enumerate(path) if x in tree_nodes)
+            cut = max(i for i, x in enumerate(path) if x in depth)
             suffix = path[cut:]
             if depth[suffix[0]] + len(suffix) - 1 <= hops:
                 fresh_pick = (float(costs[k]), suffix)
                 break
 
         # phase-1 route: the surviving parent-walk segment into the tree
-        chain = _parent_chain(state, v, tree_nodes)
+        chain = _parent_chain(state, v, depth)
         chain_ok = depth[chain[0]] + len(chain) - 1 <= hops
         phase1_cost = instance.path_cost(state.insertion_path[v])
 
@@ -310,15 +306,7 @@ def nrbi_phase2(
             # the raw phase-1 parent tree, which always does
             return _parent_tree(instance, state)
 
-    cost = sum(instance.edge_cost(u, v) for u, v in sorted(edges))
-    return SteinerTree(
-        root=root,
-        nodes=frozenset(tree_nodes),
-        edges=frozenset(edges),
-        depth=depth,
-        parent=parent,
-        cost=float(cost),
-    )
+    return tree_from_parents(instance, root, parent, depth)
 
 
 def nrbi(

@@ -16,12 +16,13 @@ they break so tests can pinpoint them.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .hcst_nrbi import SteinerTree, TreeInfeasibleError, nrbi
+from .hcst_nrbi import SteinerTree, TreeInfeasibleError, nrbi, tree_from_parents
 from .hop_paths import HopTableCache
 from .instance_model import Instance
 
@@ -87,39 +88,16 @@ def infeasible_solution(open_facilities: Iterable[int]) -> Solution:
 
 def _prune_tree(instance: Instance, tree: SteinerTree, keep: set[int]) -> SteinerTree:
     """Repeatedly drop leaves outside ``keep`` (the root never leaves)."""
-    nodes = set(tree.nodes)
-    edges = set(tree.edges)
-    degree: dict[int, int] = {v: 0 for v in nodes}
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
     parent = dict(tree.parent)
-    stack = sorted(
-        v for v in nodes if degree[v] <= 1 and v != tree.root and v not in keep
-    )
+    children = Counter(parent.values())
+    stack = [v for v in parent if children[v] == 0 and v not in keep]
     while stack:
-        leaf = stack.pop()
-        if leaf not in nodes or degree[leaf] > 1:
-            continue
-        nodes.discard(leaf)
-        p = parent.pop(leaf, None)
-        if p is None:  # isolated non-root node; nothing to unlink
-            continue
-        edges.discard((min(leaf, p), max(leaf, p)))
-        degree[p] -= 1
-        degree.pop(leaf)
-        if degree[p] == 1 and p != tree.root and p not in keep:
+        p = parent.pop(stack.pop())
+        children[p] -= 1
+        if children[p] == 0 and p != tree.root and p not in keep:
             stack.append(p)
-    depth = {v: tree.depth[v] for v in nodes}
-    cost = sum(instance.edge_cost(u, v) for u, v in sorted(edges))
-    return SteinerTree(
-        root=tree.root,
-        nodes=frozenset(nodes),
-        edges=frozenset(edges),
-        depth=depth,
-        parent=parent,
-        cost=float(cost),
-    )
+    depth = {v: d for v, d in tree.depth.items() if v in parent or v == tree.root}
+    return tree_from_parents(instance, tree.root, parent, depth)
 
 
 def evaluate(

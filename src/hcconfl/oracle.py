@@ -1,8 +1,9 @@
 """Exhaustive exact baselines for small instances.
 
 These act as the ground truth the heuristics are measured against, so they
-share no graph machinery with the rest of the package.  Two enumeration
-strategies cover the size envelope:
+share no search with the rest of the package; the trees they return are
+built by ``tree_from_parents``, like every tree in the package.  Two
+enumeration strategies cover the size envelope:
 
 * depth-profile enumeration: every assignment of "excluded or depth 1..H"
   to the non-root nodes is scored by giving each included node its cheapest
@@ -20,50 +21,31 @@ each other on random instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable
 
 import numpy as np
 
-from .hcst_nrbi import SteinerTree
+from .hcst_nrbi import SteinerTree, tree_from_parents
 from .instance_model import Instance
 from .objective import CostBreakdown, Solution
 
 PROFILE_ROW_CAP = 300_000
+MAX_CORE_EDGES = 20  # edge-subset enumeration
+MAX_FACILITIES = 12  # facility-subset enumeration in exact_solve
 
 
 class OracleLimitError(ValueError):
     """Instance exceeds the size envelope the oracle is willing to handle."""
 
 
-@dataclass(frozen=True)
-class OracleLimits:
-    max_core_edges: int = 20
-    max_facilities: int = 12
-
-
-@dataclass(frozen=True)
-class ExactTree:
-    """Optimal hop-feasible tree for one required-node set."""
-
-    cost: float
-    edges: tuple[tuple[int, int], ...]
-    depth: dict[int, int]
-
-
-def _tree_from_edges(
-    root: int, edges: Iterable[tuple[int, int]], depth: dict[int, int]
-) -> tuple[frozenset[int], dict[int, int]]:
-    """Node set and parent map implied by oriented-by-depth edges."""
-    nodes = {root}
-    parent: dict[int, int] = {}
-    for u, v in edges:
-        child, par = (u, v) if depth[u] > depth[v] else (v, u)
-        nodes.add(child)
-        nodes.add(par)
-        parent[child] = par
-    return frozenset(nodes), parent
+def _required_nodes(instance: Instance, required: Iterable[int]) -> list[int]:
+    """Sorted non-root nodes of ``required``; each must be a core node."""
+    needed = sorted(set(required) - {instance.root})
+    for v in needed:
+        if not (1 <= v <= instance.num_nodes):
+            raise ValueError(f"required node {v} is not a core node")
+    return needed
 
 
 class HcstOracle:
@@ -71,32 +53,18 @@ class HcstOracle:
 
     Precomputes once, then answers any required-node subset.  Choose the
     profile strategy when its row count stays under the cap, otherwise
-    enumerate edge subsets (guarded by ``limits.max_core_edges``).
+    enumerate edge subsets (guarded by ``MAX_CORE_EDGES``).
     """
 
-    def __init__(
-        self,
-        instance: Instance,
-        hop_limit: int | None = None,
-        limits: OracleLimits | None = None,
-    ):
+    def __init__(self, instance: Instance):
         self.instance = instance
-        self.hops = instance.hop_limit if hop_limit is None else hop_limit
-        self.limits = limits or OracleLimits()
-        if self.hops < 1:
-            raise ValueError("hop limit must be >= 1")
         n = instance.num_nodes
-        profile_rows = (self.hops + 1) ** (n - 1) if n > 1 else 1
+        profile_rows = (instance.hop_limit + 1) ** (n - 1) if n > 1 else 1
         self._by_profile = profile_rows <= PROFILE_ROW_CAP
-        if not self._by_profile and len(instance.core_edges) > self.limits.max_core_edges:
-            raise OracleLimitError(
-                f"{len(instance.core_edges)} core edges exceed the oracle limit "
-                f"of {self.limits.max_core_edges}"
-            )
         if self._by_profile:
             self._build_profiles()
         else:
-            self._build_edge_subsets()
+            self._table = _subset_table(instance)
 
     # -- depth-profile strategy -------------------------------------------
 
@@ -105,7 +73,7 @@ class HcstOracle:
         n = inst.num_nodes
         root = inst.root
         others = [v for v in range(1, n + 1) if v != root]
-        domain = [-1] + list(range(1, self.hops + 1))
+        domain = [-1] + list(range(1, inst.hop_limit + 1))
         rows = np.array(list(product(domain, repeat=len(others))), dtype=np.int8)
         rows = rows.reshape(-1, len(others))
         levels = np.zeros((rows.shape[0], n + 1), dtype=np.int8)
@@ -130,7 +98,7 @@ class HcstOracle:
         self._totals = total
         self._parents = parent_pick
 
-    def _solve_profiles(self, needed: list[int]) -> ExactTree | None:
+    def _solve_profiles(self, needed: list[int]) -> SteinerTree | None:
         mask = np.isfinite(self._totals)
         for v in needed:
             mask &= self._levels[:, v] >= 1
@@ -140,164 +108,145 @@ class HcstOracle:
         idx = int(np.argmin(costs))  # first minimum: canonical profile order
         if not math.isfinite(costs[idx]):
             return None
-        root = self.instance.root
-        depth = {root: 0}
-        edges: list[tuple[int, int]] = []
-        for v in range(1, self.instance.num_nodes + 1):
-            lvl = int(self._levels[idx, v])
-            if v == root or lvl < 1:
-                continue
-            depth[v] = lvl
-            u = int(self._parents[idx, v])
-            edges.append((min(u, v), max(u, v)))
-        return ExactTree(cost=float(costs[idx]), edges=tuple(sorted(edges)), depth=depth)
-
-    # -- edge-subset strategy -----------------------------------------------
-
-    def _build_edge_subsets(self) -> None:
-        inst = self.instance
-        root = inst.root
-        hops = self.hops
-        edge_list = inst.core_edges
-        bit = {v: 1 << v for v in range(1, inst.num_nodes + 1)}
-        masks = [bit[u] | bit[v] for u, v, _ in edge_list]
-        # best (cost, edge index tuple) per spanned node mask
-        table: dict[int, tuple[float, tuple[int, ...]]] = {bit[root]: (0.0, ())}
-        max_edges = min(inst.num_nodes - 1, len(edge_list))
-        for k in range(1, max_edges + 1):
-            for combo in combinations(range(len(edge_list)), k):
-                node_mask = 0
-                for i in combo:
-                    node_mask |= masks[i]
-                if node_mask.bit_count() != k + 1 or not node_mask & bit[root]:
-                    continue
-                depth_ok, cost = self._check_tree(combo, node_mask, bit)
-                if not depth_ok:
-                    continue
-                prev = table.get(node_mask)
-                if prev is None or cost < prev[0]:
-                    table[node_mask] = (cost, combo)
-        self._subset_table = table
-        self._bit = bit
-
-    def _check_tree(
-        self, combo: tuple[int, ...], node_mask: int, bit: dict[int, int]
-    ) -> tuple[bool, float]:
-        """BFS from the root over the edge subset: connected within hops?"""
-        inst = self.instance
-        adj: dict[int, list[int]] = {}
-        cost = 0.0
-        for i in combo:
-            u, v, w = inst.core_edges[i]
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-            cost += w
-        seen_mask = bit[inst.root]
-        frontier = [inst.root]
-        level = 0
-        while frontier and level < self.hops:
-            level += 1
-            nxt = []
-            for x in frontier:
-                for y in adj.get(x, ()):
-                    if not seen_mask & bit[y]:
-                        seen_mask |= bit[y]
-                        nxt.append(y)
-            frontier = nxt
-        return seen_mask == node_mask | bit[inst.root], cost
-
-    def _solve_edge_subsets(self, needed: list[int]) -> ExactTree | None:
-        req_mask = self._bit[self.instance.root]
-        for v in needed:
-            req_mask |= self._bit[v]
-        best: tuple[float, tuple[int, ...]] | None = None
-        for node_mask, (cost, combo) in self._subset_table.items():
-            if node_mask & req_mask == req_mask:
-                if best is None or cost < best[0]:
-                    best = (cost, combo)
-        if best is None:
-            return None
-        edges = tuple(
-            sorted((u, v) for u, v, _ in (self.instance.core_edges[i] for i in best[1]))
-        )
-        # recover depths by BFS from the root
-        adj: dict[int, list[int]] = {}
-        for u, v in edges:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
+        levels = self._levels[idx]
+        nodes = np.flatnonzero(levels >= 1).tolist()  # the root sits at level 0
         depth = {self.instance.root: 0}
-        frontier = [self.instance.root]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in adj.get(x, ()):
-                    if y not in depth:
-                        depth[y] = depth[x] + 1
-                        nxt.append(y)
-            frontier = nxt
-        return ExactTree(cost=float(best[0]), edges=edges, depth=depth)
+        depth.update(zip(nodes, levels[nodes].tolist()))
+        parent = dict(zip(nodes, self._parents[idx, nodes].tolist()))
+        return tree_from_parents(self.instance, self.instance.root, parent, depth)
 
     # -- public -------------------------------------------------------------
 
-    def solve(self, required: Iterable[int]) -> ExactTree | None:
+    def solve(self, required: Iterable[int]) -> SteinerTree | None:
         """Cheapest hop-feasible tree spanning root plus ``required``."""
-        needed = sorted(set(required) - {self.instance.root})
-        for v in needed:
-            if not (1 <= v <= self.instance.num_nodes):
-                raise ValueError(f"required node {v} is not a core node")
+        needed = _required_nodes(self.instance, required)
         if self._by_profile:
             return self._solve_profiles(needed)
-        return self._solve_edge_subsets(needed)
+        return _subset_tree(self.instance, self._table, needed)
 
 
-def exact_hcst(
+# -- edge-subset strategy -----------------------------------------------------
+
+
+def _subset_table(instance: Instance) -> dict[int, tuple[float, tuple[int, ...]]]:
+    """Cheapest hop-feasible edge subset (cost, edge indices) per node mask."""
+    edge_list = instance.core_edges
+    if len(edge_list) > MAX_CORE_EDGES:
+        raise OracleLimitError(
+            f"{len(edge_list)} core edges exceed the oracle limit of {MAX_CORE_EDGES}"
+        )
+    root_bit = 1 << instance.root
+    masks = [1 << u | 1 << v for u, v, _ in edge_list]
+    table: dict[int, tuple[float, tuple[int, ...]]] = {root_bit: (0.0, ())}
+    max_edges = min(instance.num_nodes - 1, len(edge_list))
+    for k in range(1, max_edges + 1):
+        for combo in combinations(range(len(edge_list)), k):
+            node_mask = 0
+            for i in combo:
+                node_mask |= masks[i]
+            if node_mask.bit_count() != k + 1 or not node_mask & root_bit:
+                continue
+            depth_ok, cost = _check_tree(instance, combo, node_mask)
+            if not depth_ok:
+                continue
+            prev = table.get(node_mask)
+            if prev is None or cost < prev[0]:
+                table[node_mask] = (cost, combo)
+    return table
+
+
+def _check_tree(
+    instance: Instance, combo: tuple[int, ...], node_mask: int
+) -> tuple[bool, float]:
+    """BFS from the root over the edge subset: connected within hops?"""
+    adj: dict[int, list[int]] = {}
+    cost = 0.0
+    for i in combo:
+        u, v, w = instance.core_edges[i]
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+        cost += w
+    seen_mask = 1 << instance.root
+    frontier = [instance.root]
+    level = 0
+    while frontier and level < instance.hop_limit:
+        level += 1
+        nxt = []
+        for x in frontier:
+            for y in adj.get(x, ()):
+                if not seen_mask >> y & 1:
+                    seen_mask |= 1 << y
+                    nxt.append(y)
+        frontier = nxt
+    return seen_mask == node_mask | 1 << instance.root, cost
+
+
+def _subset_tree(
     instance: Instance,
-    required: Iterable[int],
-    hop_limit: int | None = None,
-    limits: OracleLimits | None = None,
-) -> ExactTree | None:
+    table: dict[int, tuple[float, tuple[int, ...]]],
+    needed: list[int],
+) -> SteinerTree | None:
+    """Cheapest tree in ``table`` spanning root plus ``needed``, or None."""
+    root = instance.root
+    req_mask = 1 << root
+    for v in needed:
+        req_mask |= 1 << v
+    best: tuple[float, tuple[int, ...]] | None = None
+    for node_mask, (cost, combo) in table.items():
+        if node_mask & req_mask == req_mask:
+            if best is None or cost < best[0]:
+                best = (cost, combo)
+    if best is None:
+        return None
+    adj: dict[int, list[int]] = {}
+    for i in best[1]:
+        u, v, _ = instance.core_edges[i]
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    depth = {root: 0}
+    parent: dict[int, int] = {}
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in adj.get(x, ()):
+                if y not in depth:
+                    depth[y] = depth[x] + 1
+                    parent[y] = x
+                    nxt.append(y)
+        frontier = nxt
+    return tree_from_parents(instance, root, parent, depth)
+
+
+def exact_hcst(instance: Instance, required: Iterable[int]) -> SteinerTree | None:
     """Exact minimum-cost hop-feasible tree, or None when infeasible."""
-    return HcstOracle(instance, hop_limit=hop_limit, limits=limits).solve(required)
+    return HcstOracle(instance).solve(required)
 
 
 def exact_hcst_edge_subsets(
-    instance: Instance,
-    required: Iterable[int],
-    hop_limit: int | None = None,
-    limits: OracleLimits | None = None,
-) -> ExactTree | None:
+    instance: Instance, required: Iterable[int]
+) -> SteinerTree | None:
     """Edge-subset reference enumeration, exposed for cross-checking."""
-    oracle = HcstOracle.__new__(HcstOracle)
-    oracle.instance = instance
-    oracle.hops = instance.hop_limit if hop_limit is None else hop_limit
-    oracle.limits = limits or OracleLimits()
-    if len(instance.core_edges) > oracle.limits.max_core_edges:
-        raise OracleLimitError(
-            f"{len(instance.core_edges)} core edges exceed the oracle limit "
-            f"of {oracle.limits.max_core_edges}"
-        )
-    oracle._by_profile = False
-    oracle._build_edge_subsets()
-    return oracle.solve(required)
+    needed = _required_nodes(instance, required)
+    return _subset_tree(instance, _subset_table(instance), needed)
 
 
-def exact_solve(instance: Instance, limits: OracleLimits | None = None) -> Solution:
+def exact_solve(instance: Instance) -> Solution:
     """Optimal solution by enumerating every root-open facility subset.
 
     Ties between equal-cost subsets go to the lexicographically smallest
     open vector (facility-id order, root always open).
     """
-    limits = limits or OracleLimits()
-    if len(instance.facilities) > limits.max_facilities:
+    if len(instance.facilities) > MAX_FACILITIES:
         raise OracleLimitError(
             f"{len(instance.facilities)} facilities exceed the oracle limit "
-            f"of {limits.max_facilities}"
+            f"of {MAX_FACILITIES}"
         )
-    oracle = HcstOracle(instance, limits=limits)
+    oracle = HcstOracle(instance)
     root = instance.root
     others = [f for f in instance.facilities if f != root]
     matrix = instance.assignment_costs
-    best: tuple[float, tuple[int, ...], ExactTree] | None = None
+    best: tuple[float, tuple[int, ...], SteinerTree] | None = None
     for bits in product((0, 1), repeat=len(others)):
         chosen = tuple(f for f, b in zip(others, bits) if b)
         tree = oracle.solve(chosen)
@@ -322,17 +271,9 @@ def exact_solve(instance: Instance, limits: OracleLimits | None = None) -> Solut
         for k, customer in enumerate(instance.customers):
             assignment[customer] = open_ids[int(picks[k])]
         assign_cost = float(sub[picks, np.arange(len(instance.customers))].sum())
-    nodes, parent = _tree_from_edges(root, tree.edges, tree.depth)
     return Solution(
         open_facilities=frozenset(open_ids),
-        tree=SteinerTree(
-            root=root,
-            nodes=nodes,
-            edges=frozenset(tree.edges),
-            depth=dict(tree.depth),
-            parent=parent,
-            cost=tree.cost,
-        ),
+        tree=tree,
         assignment=assignment,
         breakdown=CostBreakdown(
             tree_cost=tree.cost,

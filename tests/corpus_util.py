@@ -155,7 +155,11 @@ def naive_cheapest_paths(
 
 
 def tree_is_valid(instance: Instance, tree, required) -> bool:
-    """Connected, acyclic, hop-feasible, spanning root plus ``required``."""
+    """Connected, acyclic, hop-feasible, spanning root plus ``required``.
+
+    ``tree.parent`` must map every non-root node to its tree neighbour one
+    level up.
+    """
     nodes = set(tree.nodes)
     edges = set(tree.edges)
     if tree.root != instance.root or instance.root not in nodes:
@@ -185,6 +189,11 @@ def tree_is_valid(instance: Instance, tree, required) -> bool:
         return False
     if depth != dict(tree.depth):
         return False
+    if set(tree.parent) != nodes - {tree.root}:
+        return False
+    for v, p in tree.parent.items():
+        if (min(v, p), max(v, p)) not in edges or depth[p] != depth[v] - 1:
+            return False
     if set(required) - nodes:
         return False
     total = sum(instance.edge_cost(u, v) for u, v in edges)

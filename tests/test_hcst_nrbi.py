@@ -20,7 +20,6 @@ def test_phase1_trace_on_fixture(tiny1):
     state = nrbi_phase1(tiny1, {1, 2, 3}, cache)
     assert state.hops_from_root == {1: 0, 2: 1, 4: 1, 3: 2}
     assert state.insertion_epoch == {2: 1, 3: 2}
-    assert state.partial_edges == {(1, 2), (1, 4), (3, 4)}
     assert state.insertion_path[2] == (1, 2)
     assert state.insertion_path[3] == (1, 4, 3)
 

@@ -106,6 +106,8 @@ def test_assignment_matches_naive_reference():
         assert sol.breakdown.assignment_cost == pytest.approx(expect_cost)
         used = {inst.root} | set(sol.assignment.values())
         assert set(sol.open_facilities) == used
+        leaves = set(sol.tree.nodes) - {inst.root} - set(sol.tree.parent.values())
+        assert leaves <= used  # pruning left no closed leaf behind
         assert sol.breakdown.opening_cost == pytest.approx(
             sum(inst.opening_costs[f] for f in used)
         )

@@ -1,12 +1,14 @@
+import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 
 from hcconfl import (
     HcstOracle,
+    Instance,
     OracleLimitError,
-    OracleLimits,
     evaluate,
     exact_hcst,
     exact_hcst_edge_subsets,
@@ -20,15 +22,15 @@ from corpus_util import naive_assignment, random_tiny_instance, tree_is_valid
 def test_fixture_tree_for_all_facilities(tiny1):
     tree = exact_hcst(tiny1, {2, 3})
     assert tree.cost == 4.0
-    assert tree.edges == ((1, 2), (1, 4), (3, 4))
+    assert tree.edges == {(1, 2), (1, 4), (3, 4)}
     assert tree.depth == {1: 0, 2: 1, 3: 2, 4: 1}
 
 
 def test_fixture_tree_infeasible_within_one_hop(tiny1):
-    assert exact_hcst(tiny1, {3}, hop_limit=1) is None
-    tree = exact_hcst(tiny1, {3}, hop_limit=2)
+    assert exact_hcst(dataclasses.replace(tiny1, hop_limit=1), {3}) is None
+    tree = exact_hcst(dataclasses.replace(tiny1, hop_limit=2), {3})
     assert tree.cost == 2.0
-    assert tree.edges == ((1, 4), (3, 4))
+    assert tree.edges == {(1, 4), (3, 4)}
 
 
 def test_fixture_exact_solution(tiny1):
@@ -43,8 +45,6 @@ def test_fixture_exact_solution(tiny1):
 
 
 def test_fixture_exact_with_tighter_hop(tiny1):
-    import dataclasses
-
     one_hop = dataclasses.replace(tiny1, hop_limit=1)
     best = exact_solve(one_hop)
     assert best.total == 14.0
@@ -66,26 +66,10 @@ def test_two_enumeration_strategies_agree():
         assert by_subsets is not None
         assert by_profile.cost == pytest.approx(by_subsets.cost)
         for tree in (by_profile, by_subsets):
-            assert tree_is_valid(inst, _as_tree(inst, tree), required)
-
-
-class _as_tree:
-    """Adapt ExactTree to the duck type tree_is_valid expects."""
-
-    def __init__(self, inst, exact):
-        self.root = inst.root
-        self.edges = set(exact.edges)
-        nodes = {inst.root}
-        for u, v in exact.edges:
-            nodes.update((u, v))
-        self.nodes = nodes
-        self.depth = exact.depth
-        self.cost = exact.cost
+            assert tree_is_valid(inst, tree, required)
 
 
 def test_cost_invariant_under_edge_permutation(tiny1):
-    import dataclasses
-
     rng = random.Random(77)
     base = exact_hcst(tiny1, {2, 3}).cost
     edges = list(tiny1.core_edges)
@@ -130,18 +114,34 @@ def test_exact_solve_never_beaten_by_any_open_set():
             assert best.total <= tree.cost + assign_cost + open_cost + 1e-9
 
 
+def _complete_graph(nodes: int, hop_limit: int) -> Instance:
+    return Instance(
+        name=f"complete{nodes}",
+        num_nodes=nodes,
+        core_edges=tuple(
+            (u, v, 1.0) for u in range(1, nodes + 1) for v in range(u + 1, nodes + 1)
+        ),
+        facilities=tuple(range(1, nodes + 1)),
+        customers=("a",),
+        opening_costs={f: 1.0 for f in range(1, nodes + 1)},
+        assignment_costs=np.ones((nodes, 1)),
+        root=1,
+        hop_limit=hop_limit,
+    )
+
+
 def test_facility_limit_enforced():
-    rng = random.Random(8)
-    inst = random_tiny_instance(rng, max_nodes=8, max_facilities=4)
-    while len(inst.facilities) < 2:
-        inst = random_tiny_instance(rng, max_nodes=8, max_facilities=4)
-    with pytest.raises(OracleLimitError):
-        exact_solve(inst, limits=OracleLimits(max_facilities=1))
+    with pytest.raises(OracleLimitError, match="13 facilities exceed the oracle limit of 12"):
+        exact_solve(_complete_graph(13, 2))
 
 
-def test_edge_limit_enforced_for_subset_strategy(tiny1):
-    with pytest.raises(OracleLimitError):
-        exact_hcst_edge_subsets(tiny1, {2}, limits=OracleLimits(max_core_edges=2))
+def test_edge_limit_enforced_for_subset_strategy():
+    # 28 edges, and 7**7 depth profiles exceed the profile cap
+    inst = _complete_graph(8, 6)
+    with pytest.raises(OracleLimitError, match="28 core edges exceed the oracle limit of 20"):
+        HcstOracle(inst)
+    with pytest.raises(OracleLimitError, match="28 core edges exceed the oracle limit of 20"):
+        exact_hcst_edge_subsets(inst, {2})
 
 
 def test_heuristic_evaluation_never_beats_oracle():
