@@ -21,11 +21,10 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .greedy_variants import GreedyParams, ghs_solve, hybrid_solve
+from .greedy_variants import GHS_PARAMS, GreedyParams, ghs_solve, hybrid_solve
 from .harmony_core import HarmonyParams, hs_solve
 from .instance_model import (
     Instance,
-    MergeError,
     ParseError,
     merge_instances,
     parse_stp,
@@ -33,7 +32,7 @@ from .instance_model import (
     parse_uflp,
 )
 from .objective import validate
-from .oracle import OracleLimitError, exact_solve
+from .oracle import exact_solve
 
 CSV_HEADER = "instance,algo,hop,seed,obj,cpu_seconds,iterations,open_count"
 
@@ -131,26 +130,22 @@ def load_instance(args: argparse.Namespace) -> Instance:
     return merge_instances(stp, uflp, hop_limit=args.hop, name=instance_label(args))
 
 
+def _given(args: argparse.Namespace, **fields: str) -> dict:
+    """``field: value`` for each field whose option (``field=dest``) was given."""
+    values = {field: getattr(args, dest) for field, dest in fields.items()}
+    return {field: value for field, value in values.items() if value is not None}
+
+
 def harmony_params(args: argparse.Namespace) -> HarmonyParams:
-    params = HarmonyParams(hms=150 if args.algo == "ghs" else 50)
-    if args.hms is not None:
-        params = replace(params, hms=args.hms)
-    if args.hmcr is not None:
-        params = replace(params, hmcr_start=args.hmcr)
-    if args.max_no_improve is not None:
-        params = replace(params, max_no_improve=args.max_no_improve)
-    return params
+    params = GHS_PARAMS if args.algo == "ghs" else HarmonyParams()
+    given = _given(args, hms="hms", hmcr_start="hmcr", max_no_improve="max_no_improve")
+    return replace(params, **given)
 
 
 def greedy_params(args: argparse.Namespace) -> GreedyParams:
-    params = GreedyParams()
-    if args.max_open is not None:
-        params = replace(params, max_open=args.max_open)
-    if args.top_k is not None:
-        params = replace(params, top_k=args.top_k)
-    if args.samples is not None:
-        params = replace(params, sample_count=args.samples)
-    return params
+    return GreedyParams(
+        **_given(args, max_open="max_open", top_k="top_k", sample_count="samples")
+    )
 
 
 def run_once(instance: Instance, label: str, args: argparse.Namespace, seed: int) -> RunRow:
@@ -225,7 +220,7 @@ def main(argv: list[str] | None = None) -> int:
             args.out.write_text(text)
         else:
             sys.stdout.write(text)
-    except (ParseError, MergeError, OracleLimitError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:  # bad input or parameter
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -4,7 +4,8 @@
 closing it: reassigning its customers to their second-best open choice,
 minus the saved opening cost, minus the saved cost of the cheapest
 hop-feasible root path.  Facilities close one at a time while closing
-pays for itself, or while more than ``max_open`` remain.
+pays for itself, or while more than ``max_open`` remain.  It takes
+facility ids and returns the 0/1 vector the harmony engine stores.
 
 ``ghs_solve`` plugs that closing step into the harmony engine;
 ``hybrid_solve`` uses bias-guided sampling plus closing only to shortlist
@@ -28,27 +29,39 @@ from .harmony_core import (
     init_bias,
     repair_vector,
     root_path_costs,
+    vector_ids,
 )
 from .hop_paths import HopTableCache
 from .instance_model import Instance
 from .objective import Solution, as_open_set, evaluate, validate
 
 EXHAUSTIVE_BIT_LIMIT = 24
+# open cap of the hybrid's sampling phase: looser than ``max_open``, so the
+# frequency ranking sees more survivors
+SAMPLE_MAX_OPEN = 18
+GHS_PARAMS = HarmonyParams(hms=150)
 
 
 @dataclass(frozen=True)
 class GreedyParams:
     """Knobs for the closing heuristic and the hybrid shortlist.
 
-    ``max_open`` caps the open count during harmony search; the hybrid's
-    sampling phase uses the looser ``greedy_limit`` so the frequency
-    ranking sees more survivors.
+    ``max_open`` caps the open count during harmony search.  The hybrid
+    closes ``sample_count`` random vectors (capped at ``SAMPLE_MAX_OPEN``)
+    and enumerates the subsets of its ``top_k`` most frequent survivors.
     """
 
     max_open: int = 6
     top_k: int = 18
     sample_count: int = 1500
-    greedy_limit: int = 18
+
+    def __post_init__(self) -> None:
+        if self.max_open < 1:
+            raise ValueError("max_open must be >= 1")
+        if not 1 <= self.top_k <= EXHAUSTIVE_BIT_LIMIT:
+            raise ValueError(f"top_k must be in [1, {EXHAUSTIVE_BIT_LIMIT}]")
+        if self.sample_count < 1:
+            raise ValueError("sample_count must be >= 1")
 
 
 def closing_scores(
@@ -88,15 +101,16 @@ def closing_scores(
 def greedy_close(
     instance: Instance,
     open_facilities,
-    max_open: int = 6,
+    max_open: int = GreedyParams.max_open,
     root_paths: np.ndarray | None = None,
 ) -> np.ndarray:
     """Close facilities one by one; returns the 0/1 vector kept open.
 
-    A facility closes while that is estimated to pay for itself, or while
-    the open count still exceeds ``max_open``.  The root never closes.
-    Ties pick the smallest facility id.  ``root_paths`` is
-    :func:`root_path_costs`, computed here when not given.
+    ``open_facilities`` holds distinct facility ids; the root joins them
+    and never closes.  A facility closes while that is estimated to pay for itself, or while
+    the open count still exceeds ``max_open``.  Ties pick the smallest
+    facility id.  ``root_paths`` is :func:`root_path_costs`, computed here
+    when not given.
     """
     if max_open < 1:
         raise ValueError("max_open must be >= 1")
@@ -125,10 +139,8 @@ def _repair_and_close(
     reach = np.isfinite(root_paths)
 
     def transform(vector: np.ndarray) -> np.ndarray:
-        repaired = repair_vector(instance, vector, reach)
-        return greedy_close(
-            instance, repaired, max_open=max_open, root_paths=root_paths
-        )
+        opened = vector_ids(instance, repair_vector(instance, vector, reach))
+        return greedy_close(instance, opened, max_open, root_paths)
 
     return transform
 
@@ -140,7 +152,7 @@ def ghs_solve(
     seed: int = 1,
 ) -> SolveResult:
     """Harmony search that greedily closes facilities before evaluating."""
-    params = params or HarmonyParams(hms=150)
+    params = params or GHS_PARAMS
     greedy = greedy or GreedyParams()
     cache = HopTableCache(instance)
     transform = _repair_and_close(instance, cache, greedy.max_open)
@@ -163,15 +175,10 @@ def hybrid_solve(
     """
     greedy = greedy or GreedyParams()
     start = time.perf_counter()
-    if greedy.top_k > EXHAUSTIVE_BIT_LIMIT:
-        raise ValueError(
-            f"top_k={greedy.top_k} needs up to 2^{greedy.top_k - 1} "
-            f"evaluations; keep top_k <= {EXHAUSTIVE_BIT_LIMIT}"
-        )
     effective_k = min(greedy.top_k, len(instance.facilities))
     rng = np.random.default_rng(seed)
     cache = HopTableCache(instance)
-    close = _repair_and_close(instance, cache, greedy.greedy_limit)
+    close = _repair_and_close(instance, cache, SAMPLE_MAX_OPEN)
     bias = init_bias(instance)
     stats = RunStats()
 

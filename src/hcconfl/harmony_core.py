@@ -6,7 +6,8 @@ supplied by :mod:`hcconfl.greedy_variants` additionally closes facilities
 before evaluation.  The search state is a memory of distinct opening
 vectors kept sorted by objective value; improvisation mixes memory recall
 with bias-guided random bits, and the recall rate ramps toward 1 as the
-search matures.
+search matures.  The vectors are the engine's own encoding: they leave it
+as facility ids (:func:`vector_ids`), the open-set type of the package.
 """
 
 from __future__ import annotations
@@ -31,19 +32,19 @@ BIAS_FLOOR = 0.05
 BIAS_CEIL = 0.95
 DUPLICATE_DRAW_LIMIT = 40
 EXHAUSTIVE_FILL_BITS = 20
+HMCR_RAMP_ITERS = 5000
 
 
 @dataclass(frozen=True)
 class HarmonyParams:
     """Knobs of the harmony loop.
 
-    The recall rate starts at ``hmcr_start`` and ramps linearly to 1.0
-    over ``hmcr_ramp_iters`` iterations.
+    ``hms`` rows of memory; the recall rate ramps from ``hmcr_start`` to
+    1.0 over ``HMCR_RAMP_ITERS`` iterations.
     """
 
     hms: int = 50
     hmcr_start: float = 0.96
-    hmcr_ramp_iters: int = 5000
     max_no_improve: int = 1000
 
     def __post_init__(self) -> None:
@@ -51,13 +52,11 @@ class HarmonyParams:
             raise ValueError("hms must be >= 2")
         if not 0.0 < self.hmcr_start <= 1.0:
             raise ValueError("hmcr_start must be in (0, 1]")
-        if self.hmcr_ramp_iters < 1:
-            raise ValueError("hmcr_ramp_iters must be >= 1")
         if self.max_no_improve < 1:
             raise ValueError("max_no_improve must be >= 1")
 
     def hmcr(self, iteration: int) -> float:
-        ramp = (1.0 - self.hmcr_start) * iteration / self.hmcr_ramp_iters
+        ramp = (1.0 - self.hmcr_start) * iteration / HMCR_RAMP_ITERS
         return min(1.0, self.hmcr_start + ramp)
 
 
@@ -114,6 +113,11 @@ class HarmonyMemory:
     def frequencies(self) -> np.ndarray:
         """Fraction of rows opening each facility."""
         return self.vectors.mean(axis=0)
+
+
+def vector_ids(instance: Instance, vector: np.ndarray) -> list[int]:
+    """The facility ids a 0/1 vector in facility order opens."""
+    return [instance.facilities[i] for i in np.flatnonzero(vector)]
 
 
 def root_path_costs(instance: Instance, cache: HopTableCache) -> np.ndarray:
@@ -289,7 +293,7 @@ def harmony_solve(
 
     def evaluator(vector: np.ndarray) -> Solution:
         stats.evaluations += 1
-        return evaluate(instance, vector, cache)
+        return evaluate(instance, vector_ids(instance, vector), cache)
 
     static_bias = init_bias(instance)
     memory, evaluated = _fill_memory(

@@ -57,7 +57,6 @@ class NrbiState:
 
     hops_from_root: dict[int, int] = field(default_factory=dict)
     insertion_epoch: dict[int, int] = field(default_factory=dict)
-    remaining: set[int] = field(default_factory=set)
     parent: dict[int, int] = field(default_factory=dict)
     insertion_path: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
@@ -96,11 +95,14 @@ def tree_from_parents(
     )
 
 
-def _insert_phase1_path(state: NrbiState, path: list[int]) -> list[int]:
+def _insert_phase1_path(
+    state: NrbiState, remaining: set[int], path: list[int]
+) -> list[int]:
     """Add ``path`` to the partial structure; return the nodes it relabeled.
 
     A node is relabeled when it is new or the path reaches it in fewer hops
-    than its label.
+    than its label.  Facilities of ``remaining`` on the path are attached
+    and leave it.
     """
     base = state.hops_from_root[path[0]]
     prev = path[0]
@@ -108,18 +110,14 @@ def _insert_phase1_path(state: NrbiState, path: list[int]) -> list[int]:
     for pos in range(1, len(path)):
         node = path[pos]
         label = base + pos
-        if node not in state.hops_from_root:
+        if label < state.hops_from_root.get(node, math.inf):
+            # new, or a cheaper-in-hops route found later: relabel so the
+            # stored walk to the root never exceeds the label
             state.hops_from_root[node] = label
             state.parent[node] = prev
             relabeled.append(node)
-        elif label < state.hops_from_root[node]:
-            # cheaper-in-hops route found later; relabel so the stored walk
-            # to the root never exceeds the label
-            state.hops_from_root[node] = label
-            state.parent[node] = prev
-            relabeled.append(node)
-        if node in state.remaining:
-            state.remaining.discard(node)
+        if node in remaining:
+            remaining.discard(node)
             state.insertion_epoch[node] = len(state.insertion_epoch) + 1
             state.insertion_path[node] = tuple(path[: pos + 1])
         prev = node
@@ -129,7 +127,7 @@ def _insert_phase1_path(state: NrbiState, path: list[int]) -> list[int]:
 def nrbi_phase1(
     instance: Instance,
     open_facilities: Iterable[int],
-    cache: HopTableCache | None = None,
+    cache: HopTableCache,
 ) -> NrbiState:
     """Grow the partial structure until every open facility is attached.
 
@@ -141,21 +139,17 @@ def nrbi_phase1(
     never increase with the budget, and an equal cost keeps the same fewest
     hops, so a stale entry never beats the fresh one.
     """
-    if cache is None:
-        cache = HopTableCache(instance)
     hops = instance.hop_limit
-    if cache.hop_limit < hops:
-        raise ValueError("hop table cache is shallower than the instance hop limit")
     root = instance.root
     state = NrbiState()
     state.hops_from_root[root] = 0
-    state.remaining = {f for f in open_facilities if f != root}
+    remaining = {f for f in open_facilities if f != root}
 
     best_cost = np.full(instance.num_nodes + 1, np.inf)
     best_hops = np.zeros(instance.num_nodes + 1, dtype=cache.first.dtype)
     best_from = np.zeros(instance.num_nodes + 1, dtype=np.int64)
     relabeled = [root]
-    while state.remaining:
+    while remaining:
         for u in relabeled:
             budget = hops - state.hops_from_root[u]
             if budget < 1:
@@ -170,17 +164,17 @@ def nrbi_phase1(
             np.copyto(best_cost, cost, where=better)
             np.copyto(best_hops, fewest, where=better)
             best_from[better] = u
-        targets = np.fromiter(sorted(state.remaining), dtype=np.int64)
+        targets = np.fromiter(sorted(remaining), dtype=np.int64)
         pick = np.lexsort(
             (targets, best_from[targets], best_hops[targets], best_cost[targets])
         )[0]
         if not math.isfinite(best_cost[targets[pick]]):
-            raise TreeInfeasibleError(min(state.remaining), hops)
+            raise TreeInfeasibleError(min(remaining), hops)
         v_star = int(targets[pick])
         u_star = int(best_from[v_star])
         path = extract_path(cache.table(u_star), v_star, hops - state.hops_from_root[u_star])
         assert path is not None
-        relabeled = _insert_phase1_path(state, path)
+        relabeled = _insert_phase1_path(state, remaining, path)
     return state
 
 
@@ -229,7 +223,7 @@ def _parent_tree(instance: Instance, state: NrbiState) -> SteinerTree:
 def nrbi_phase2(
     instance: Instance,
     state: NrbiState,
-    cache: HopTableCache | None = None,
+    cache: HopTableCache,
 ) -> SteinerTree:
     """Assemble the final tree from the phase-1 structure.
 
@@ -240,8 +234,6 @@ def nrbi_phase2(
     and labels also sit in arrays that ``attach`` appends to, so all fresh
     candidates of a facility come from one gather over the table store.
     """
-    if cache is None:
-        cache = HopTableCache(instance)
     hops = instance.hop_limit
     root = instance.root
     depth = {root: 0}  # its keys are the tree's nodes
@@ -315,7 +307,6 @@ def nrbi(
     cache: HopTableCache | None = None,
 ) -> SteinerTree:
     """Build a hop-feasible tree spanning root plus ``open_facilities``."""
-    if cache is None:
-        cache = HopTableCache(instance)
+    cache = cache or HopTableCache(instance)
     state = nrbi_phase1(instance, open_facilities, cache)
     return nrbi_phase2(instance, state, cache)

@@ -55,15 +55,11 @@ class HopDistanceTable:
         return int(self.first[h, node])
 
 
-def hop_bellman_ford(
-    instance: Instance, source: int, hop_limit: int | None = None
-) -> HopDistanceTable:
-    """Build the hop-indexed distance/predecessor table for one source."""
+def hop_bellman_ford(instance: Instance, source: int) -> HopDistanceTable:
+    """Build one source's distance/predecessor table up to the hop limit."""
     if not (1 <= source <= instance.num_nodes):
         raise ValueError(f"source {source} is not a core node")
-    hops = instance.hop_limit if hop_limit is None else hop_limit
-    if hops < 0:
-        raise ValueError(f"hop limit must be >= 0, got {hops}")
+    hops = instance.hop_limit
     n = instance.num_nodes
     dist = np.full((hops + 1, n + 1), np.inf)
     pred = np.zeros((hops + 1, n + 1), dtype=np.int32)
@@ -134,27 +130,27 @@ def extract_path(
 class HopTableCache:
     """Lazy per-source table cache for the lifetime of one solver run.
 
-    Every table built lives in a stacked store: ``dist[k]`` and ``first[k]``
-    hold the table of the source whose ``slot`` entry is ``k`` (-1 = not
-    built yet), and the table's own ``dist``/``first`` are views of them.
+    Every table reaches the instance's hop limit and lives in a stacked
+    store: ``dist[k]`` and ``first[k]`` hold the table of the source whose
+    ``slot`` entry is ``k`` (-1 = not built yet), and the table's own
+    ``dist``/``first`` are views of them.
     The store grows with the number of sources built, not with the node
     count, and is reallocated when it fills, so read ``dist``/``first``
     again after anything that may build a table.
     """
 
-    def __init__(self, instance: Instance, hop_limit: int | None = None):
+    def __init__(self, instance: Instance):
         self.instance = instance
-        self.hop_limit = instance.hop_limit if hop_limit is None else hop_limit
         self._tables: dict[int, HopDistanceTable] = {}
-        shape = (self.hop_limit + 1, instance.num_nodes + 1)
+        shape = (instance.hop_limit + 1, instance.num_nodes + 1)
         self.dist = np.empty((0, *shape))
-        self.first = np.empty((0, *shape), dtype=_hop_dtype(self.hop_limit))
+        self.first = np.empty((0, *shape), dtype=_hop_dtype(instance.hop_limit))
         self.slot = np.full(instance.num_nodes + 1, -1, dtype=np.int64)
 
     def table(self, source: int) -> HopDistanceTable:
         tab = self._tables.get(source)
         if tab is None:
-            built = hop_bellman_ford(self.instance, source, self.hop_limit)
+            built = hop_bellman_ford(self.instance, source)
             k = len(self._tables)
             if k == len(self.dist):
                 self._grow(k + max(8, k // 2))

@@ -1,10 +1,10 @@
-"""Objective evaluation of facility vectors and solution validation.
+"""Objective evaluation of open sets and solution validation.
 
-``evaluate`` turns a set of open facilities into a full solution in three
-steps: build a hop-feasible tree over the open facilities, assign every
-customer to its cheapest open facility, then close facilities that serve
-nobody (root excepted), dropping their opening cost and pruning tree
-branches that only existed to reach them.
+An open set is a collection of distinct facility ids.  ``evaluate`` turns
+one into a full solution in three steps: build a hop-feasible tree over
+the open facilities, assign every customer to its cheapest open facility,
+then close facilities that serve nobody (root excepted), dropping their
+opening cost and pruning tree branches that only existed to reach them.
 
 ``validate`` checks a finished solution against the underlying integer
 model: edge positions chain back to the root, assignments are exactly-one
@@ -42,7 +42,7 @@ class CostBreakdown:
 
 @dataclass(frozen=True)
 class Solution:
-    """Final state of one evaluated facility vector."""
+    """Final state of one evaluated open set."""
 
     open_facilities: frozenset[int]
     tree: SteinerTree | None
@@ -63,17 +63,20 @@ class Violation:
     message: str
 
 
-def as_open_set(instance: Instance, vector: Iterable[int] | np.ndarray) -> set[int]:
-    """Normalize a facility vector (0/1 array in facility order, or ids)."""
-    arr = np.asarray(vector)
-    if arr.dtype != object and arr.ndim == 1 and len(arr) == len(instance.facilities):
-        if ((arr == 0) | (arr == 1)).all():
-            return {instance.facilities[i] for i in np.flatnonzero(arr)}
-    ids = set(int(f) for f in vector)  # type: ignore[arg-type]
-    unknown = [f for f in ids if f not in instance.facility_index]
+def as_open_set(instance: Instance, open_facilities: Iterable[int]) -> set[int]:
+    """The open set as a set; ValueError on an unknown or a repeated id.
+
+    A 0/1 vector over three or more facilities always repeats a value, so
+    it fails here instead of being read as ids.
+    """
+    ids = [int(f) for f in open_facilities]
+    opened = set(ids)
+    if len(opened) != len(ids):
+        raise ValueError("open set repeats a facility id")
+    unknown = opened.difference(instance.facility_index)
     if unknown:
         raise ValueError(f"unknown facility id {min(unknown)}")
-    return ids
+    return opened
 
 
 def infeasible_solution(open_facilities: Iterable[int]) -> Solution:
@@ -102,14 +105,13 @@ def _prune_tree(instance: Instance, tree: SteinerTree, keep: set[int]) -> Steine
 
 def evaluate(
     instance: Instance,
-    open_facilities: Iterable[int] | np.ndarray,
+    open_facilities: Iterable[int],
     cache: HopTableCache | None = None,
 ) -> Solution:
-    """Evaluate a facility vector; infeasible vectors get an inf solution."""
+    """Evaluate an open set (the root is added); an infeasible one totals inf."""
     opened = as_open_set(instance, open_facilities)
     opened.add(instance.root)
-    if cache is None:
-        cache = HopTableCache(instance)
+    cache = cache or HopTableCache(instance)
 
     try:
         tree = nrbi(instance, opened, cache)

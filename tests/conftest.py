@@ -1,11 +1,8 @@
-import sys
 from pathlib import Path
 
 import pytest
 
 from hcconfl import parse_tiny
-
-sys.path.insert(0, str(Path(__file__).parent))
 
 DATA_DIR = Path(__file__).parent / "data"
 ORLIB_DIR = Path(__file__).parent.parent / "data" / "orlib"

@@ -117,6 +117,25 @@ def test_bad_instance_text_exits_nonzero(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--hms", "1"),
+        ("--algo", "hs", "--hmcr", "0"),
+        ("--max-no-improve", "0"),
+        ("--algo", "hybrid", "--top-k", "30"),
+        ("--algo", "hybrid", "--top-k", "0"),
+        ("--algo", "hybrid", "--samples", "-3"),
+        ("--max-open", "0"),
+        ("--algo", "oracle", "--hop", "0"),
+    ],
+)
+def test_bad_parameter_value_exits_2(capsys, argv):
+    code, out, err = run(capsys, "--tiny", str(TINY), *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_instance_label_maps_benchmark_names():
     import argparse
 

@@ -15,7 +15,8 @@ from hcconfl import (
     hybrid_solve,
     validate,
 )
-from hcconfl.greedy_variants import closing_scores
+from hcconfl import greedy_variants
+from hcconfl.greedy_variants import EXHAUSTIVE_BIT_LIMIT, closing_scores
 from hcconfl.harmony_core import root_path_costs
 
 from corpus_util import naive_hop_costs, random_tiny_instance
@@ -153,10 +154,36 @@ def test_solvers_never_beat_oracle_and_stay_feasible():
             assert result.solution.total >= best.total - 1e-9
 
 
-def test_hybrid_sampling_uses_looser_limit_than_search(tiny1):
-    assert GreedyParams().greedy_limit == 18
-    tight = hybrid_solve(tiny1, GreedyParams(sample_count=50, greedy_limit=1), seed=1)
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"max_open": 0},
+        {"top_k": 0},
+        {"top_k": -3},
+        {"top_k": EXHAUSTIVE_BIT_LIMIT + 1},
+        {"sample_count": 0},
+        {"sample_count": -3},
+    ],
+)
+def test_greedy_params_validate_their_ranges(bad):
+    (name,) = bad
+    with pytest.raises(ValueError, match=name):
+        GreedyParams(**bad)
+
+
+def test_hybrid_rejects_empty_shortlist(tiny1):
+    # top_k < 1 used to wrap the shortlist slice round to 2^(|F| - 2) subsets
+    with pytest.raises(ValueError, match="top_k"):
+        hybrid_solve(tiny1, GreedyParams(top_k=0, sample_count=5))
+    assert GreedyParams(top_k=1).top_k == 1
+    assert GreedyParams(top_k=EXHAUSTIVE_BIT_LIMIT).top_k == EXHAUSTIVE_BIT_LIMIT
+
+
+def test_hybrid_sampling_uses_looser_limit_than_search(tiny1, monkeypatch):
+    assert greedy_variants.SAMPLE_MAX_OPEN == 18 > GreedyParams().max_open
     loose = hybrid_solve(tiny1, GreedyParams(sample_count=50), seed=1)
+    monkeypatch.setattr(greedy_variants, "SAMPLE_MAX_OPEN", 1)
+    tight = hybrid_solve(tiny1, GreedyParams(sample_count=50), seed=1)
     # the fixture shortlist covers every facility either way, so both reach
-    # the optimum; the knob only shapes the sampling-phase frequencies
+    # the optimum; the cap only shapes the sampling-phase frequencies
     assert tight.solution.total == loose.solution.total == 10.0

@@ -21,8 +21,10 @@ from hcconfl import (
 )
 from hcconfl.harmony_core import (
     DUPLICATE_DRAW_LIMIT,
+    HMCR_RAMP_ITERS,
     _fill_memory,
     root_path_costs,
+    vector_ids,
 )
 
 from corpus_util import random_tiny_instance
@@ -120,8 +122,25 @@ def test_improvise_recall_zero_follows_bias_extremes(tiny1):
     assert list(zeros) == [0, 0, 0]
 
 
+def test_vector_ids_reads_facility_order():
+    inst = Instance(
+        name="spread",
+        num_nodes=4,
+        core_edges=((1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)),
+        facilities=(1, 2, 4),
+        root=1,
+        customers=(),
+        opening_costs={1: 0.0, 2: 1.0, 4: 1.0},
+        assignment_costs=np.zeros((3, 0)),
+        hop_limit=3,
+    )
+    assert vector_ids(inst, np.array([1, 0, 1], dtype=np.uint8)) == [1, 4]
+    assert vector_ids(inst, np.zeros(3, dtype=np.uint8)) == []
+
+
 def test_hmcr_ramps_to_one():
-    params = HarmonyParams(hmcr_start=0.96, hmcr_ramp_iters=5000)
+    assert HMCR_RAMP_ITERS == 5000
+    params = HarmonyParams(hmcr_start=0.96)
     assert params.hmcr(0) == pytest.approx(0.96)
     assert params.hmcr(2500) == pytest.approx(0.98)
     assert params.hmcr(5000) == 1.0
@@ -139,7 +158,7 @@ def test_fill_memory_exhausts_small_pattern_space(tiny1):
         rng,
         init_bias(tiny1),
         lambda v: repair_vector(tiny1, v, reach),
-        lambda v: evaluate(tiny1, v, cache),
+        lambda v: evaluate(tiny1, vector_ids(tiny1, v), cache),
     )
     # only 4 distinct root-open vectors exist
     assert len(memory) == 4
@@ -174,7 +193,7 @@ def test_fill_memory_warning_says_what_ran_out(tiny1, caplog):
                 np.random.default_rng(1),
                 init_bias(inst),
                 lambda v: root_only,
-                lambda v: evaluate(inst, v),
+                lambda v: evaluate(inst, vector_ids(inst, v)),
             )
         assert len(memory) == 1
         assert caplog.messages == [
@@ -226,7 +245,5 @@ def test_params_validate_their_ranges():
         HarmonyParams(hms=1)
     with pytest.raises(ValueError, match="hmcr_start"):
         HarmonyParams(hmcr_start=0.0)
-    with pytest.raises(ValueError, match="hmcr_ramp_iters"):
-        HarmonyParams(hmcr_ramp_iters=0)
     with pytest.raises(ValueError, match="max_no_improve"):
         HarmonyParams(max_no_improve=0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -29,7 +30,7 @@ def test_fixture_table_values(tiny1):
 
 
 def test_rows_are_nonincreasing(tiny1):
-    table = hop_bellman_ford(tiny1, 1, hop_limit=4)
+    table = hop_bellman_ford(dataclasses.replace(tiny1, hop_limit=4), 1)
     finite = np.nan_to_num(table.dist, posinf=1e18)
     assert (np.diff(finite[:, 1:], axis=0) <= 1e-12).all()
 
@@ -40,7 +41,7 @@ def test_matches_naive_dp_and_simple_paths():
         inst = random_tiny_instance(rng, max_nodes=10)
         source = rng.randint(1, inst.num_nodes)
         hops = rng.randint(1, 5)
-        table = hop_bellman_ford(inst, source, hop_limit=hops)
+        table = hop_bellman_ford(dataclasses.replace(inst, hop_limit=hops), source)
         dp = naive_hop_costs(inst, source, hops)
         simple = naive_cheapest_paths(inst, source, hops)
         for v in range(1, inst.num_nodes + 1):
@@ -123,8 +124,9 @@ def test_min_hop_table_is_first_level_holding_the_value():
     rng = random.Random(4711)
     for _ in range(300):
         inst = random_tiny_instance(rng, max_nodes=10)
-        hops = rng.randint(0, 6)
-        table = hop_bellman_ford(inst, rng.randint(1, inst.num_nodes), hop_limit=hops)
+        inst = dataclasses.replace(inst, hop_limit=rng.randint(1, 6))
+        table = hop_bellman_ford(inst, rng.randint(1, inst.num_nodes))
+        hops = inst.hop_limit
         for b in range(hops + 1):
             for v in range(inst.num_nodes + 1):
                 col = table.dist[: b + 1, v]

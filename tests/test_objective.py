@@ -54,11 +54,13 @@ def test_root_stays_open_even_when_unused(tiny1):
     assert sol.breakdown.opening_cost == 3.0
 
 
-def test_open_vector_and_id_forms_agree(tiny1):
-    by_vector = evaluate(tiny1, np.array([1, 0, 1], dtype=np.uint8))
-    by_ids = evaluate(tiny1, {1, 3})
-    assert by_vector.total == by_ids.total
-    assert by_vector.open_facilities == by_ids.open_facilities
+def test_open_bit_vector_is_rejected(tiny1):
+    # read as ids, np.ones(3) would silently mean {1} (total 18, not 12)
+    for vector in (np.ones(3, np.uint8), [1, 0, 1]):
+        with pytest.raises(ValueError, match="repeats"):
+            as_open_set(tiny1, vector)
+        with pytest.raises(ValueError, match="repeats"):
+            evaluate(tiny1, vector)
 
 
 def test_as_open_set_rejects_unknown_ids(tiny1):
@@ -69,13 +71,15 @@ def test_as_open_set_rejects_unknown_ids(tiny1):
 
 
 def test_id_list_as_long_as_the_facility_list(tiny1):
-    # tiny1's facilities are (1, 2, 3): a length-3 sequence of only 0/1
-    # values is a vector in facility order, anything else is a list of ids
-    assert as_open_set(tiny1, [1, 1, 0]) == {1, 2}
-    assert as_open_set(tiny1, [1.0, 0.0, 1.0]) == {1, 3}
-    assert as_open_set(tiny1, np.array([False, True, True])) == {2, 3}
-    assert as_open_set(tiny1, [3, 1, 1]) == {1, 3}
+    # tiny1's facilities are (1, 2, 3): any sequence holds ids, whatever
+    # its length
     assert as_open_set(tiny1, [1, 2, 3]) == {1, 2, 3}
+    assert as_open_set(tiny1, np.array([3, 2, 1])) == {1, 2, 3}
+    assert as_open_set(tiny1, (3, 1)) == {1, 3}
+    with pytest.raises(ValueError, match="repeats"):
+        as_open_set(tiny1, [3, 1, 1])
+    with pytest.raises(ValueError, match="repeats"):
+        evaluate(tiny1, [3, 1, 1])
     with pytest.raises(ValueError, match="unknown facility id 0"):
         as_open_set(tiny1, [1, 0, 2])
 
