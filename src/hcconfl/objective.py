@@ -16,6 +16,7 @@ they break so tests can pinpoint them.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
@@ -64,12 +65,18 @@ class Violation:
 
 
 def as_open_set(instance: Instance, open_facilities: Iterable[int]) -> set[int]:
-    """The open set as a set; ValueError on an unknown or a repeated id.
+    """The open set as a set; ValueError on a non-integer, unknown or repeated id.
 
-    A 0/1 vector over three or more facilities always repeats a value, so
-    it fails here instead of being read as ids.
+    Ids must be integers (NumPy integers included): a float such as 2.9
+    is refused rather than truncated.  A 0/1 vector over three or more
+    facilities always repeats a value, so it fails here instead of being
+    read as ids.
     """
-    ids = [int(f) for f in open_facilities]
+    values = list(open_facilities)
+    try:
+        ids = [operator.index(f) for f in values]
+    except TypeError:
+        raise ValueError("facility ids must be integers") from None
     opened = set(ids)
     if len(opened) != len(ids):
         raise ValueError("open set repeats a facility id")

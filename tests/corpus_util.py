@@ -103,6 +103,111 @@ def random_graph_instance(
     )
 
 
+def random_dense_instance(
+    rng: random.Random,
+    facilities: int = 200,
+    customers: int = 200,
+    cost_values: int | None = None,
+    shuffled: bool = False,
+) -> Instance:
+    """A benchmark-shaped instance for the closing step, too large for the oracle.
+
+    ``facilities`` + 50 nodes, a random spanning tree plus twice as many
+    extra edges, hop limit 3, so some facilities are out of the root's
+    reach.
+    Costs are non-integer; with ``cost_values`` every cost is drawn from
+    that many values instead, so ties are everywhere.  ``shuffled`` puts
+    the facilities tuple (and the cost rows with it) out of id order.
+    """
+
+    def cost(scale: float) -> float:
+        if cost_values is None:
+            return rng.uniform(0.0, scale)
+        return scale * rng.randrange(cost_values) / cost_values
+
+    nodes = facilities + 50
+    order = list(range(1, nodes + 1))
+    rng.shuffle(order)
+    edges: dict[tuple[int, int], float] = {}
+    for i in range(1, nodes):
+        u, v = order[i], order[rng.randrange(i)]
+        edges[(min(u, v), max(u, v))] = cost(10.0)
+    while len(edges) < 3 * (nodes - 1):
+        u, v = rng.sample(range(1, nodes + 1), 2)
+        edges.setdefault((min(u, v), max(u, v)), cost(10.0))
+    ids = list(range(1, facilities + 1))
+    if shuffled:
+        rng.shuffle(ids)
+    names = tuple(f"c{j}" for j in range(customers))
+    return Instance(
+        name=f"dense{facilities}x{customers}",
+        num_nodes=nodes,
+        core_edges=tuple((u, v, c) for (u, v), c in sorted(edges.items())),
+        facilities=tuple(ids),
+        root=rng.choice(ids),
+        customers=names,
+        opening_costs={f: cost(30.0) for f in ids},
+        assignment_costs=np.array([[cost(50.0) for _ in names] for _ in ids]),
+        hop_limit=3,
+    )
+
+
+def reference_closing_scores(
+    instance: Instance, open_ids: list[int], root_paths: np.ndarray
+) -> np.ndarray:
+    """Closing score of each id in ascending ``open_ids``, from scratch.
+
+    Each customer's regret (second-cheapest minus cheapest open cost) is
+    summed, by ``np.bincount``, on the facility serving it (ties: smallest
+    id); the score adds minus the opening and root-path costs.  The root
+    scores +inf.
+    """
+    rows = [instance.facility_index[f] for f in open_ids]
+    scores = -instance.opening_cost_array()[rows] - root_paths[rows]
+    if instance.customers:
+        sub = instance.assignment_costs[rows]
+        serving = np.argmin(sub, axis=0)
+        if len(open_ids) == 1:
+            regret_sum = np.full(1, np.inf)
+        else:
+            two = np.partition(sub, 1, axis=0)[:2]
+            regret_sum = np.bincount(
+                serving, weights=two[1] - two[0], minlength=len(open_ids)
+            )
+        scores = scores + regret_sum
+    if instance.root in open_ids:
+        scores[open_ids.index(instance.root)] = np.inf
+    return scores
+
+
+def reference_greedy_close(
+    instance: Instance,
+    open_facilities,
+    max_open: int,
+    root_paths: np.ndarray,
+    steps: list[np.ndarray] | None = None,
+) -> np.ndarray:
+    """The greedy closing loop rescoring every open facility at every step.
+
+    Returns the 0/1 vector in ``instance.facilities`` order; each step's
+    scores (over the open ids, ascending) are appended to ``steps``.
+    """
+    open_ids = sorted(set(open_facilities) | {instance.root})
+    while len(open_ids) > 1:
+        scores = reference_closing_scores(instance, open_ids, root_paths)
+        if steps is not None:
+            steps.append(scores)
+        j = int(np.argmin(scores))
+        if scores[j] < 0 or len(open_ids) > max_open:
+            open_ids.pop(j)
+        else:
+            break
+    vector = np.zeros(len(instance.facilities), dtype=np.uint8)
+    for f in open_ids:
+        vector[instance.facility_index[f]] = 1
+    return vector
+
+
 def naive_assignment(instance: Instance, open_ids) -> tuple[dict[str, int], float]:
     """Cheapest open facility per customer, ties to the smallest id."""
     assign: dict[str, int] = {}

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,19 +14,30 @@ from hcconfl import (
     ghs_solve,
     greedy_close,
     hybrid_solve,
+    parse_tiny,
+    serialize_tiny,
     validate,
 )
 from hcconfl import greedy_variants
-from hcconfl.greedy_variants import EXHAUSTIVE_BIT_LIMIT, closing_scores
+from hcconfl.greedy_variants import (
+    EXHAUSTIVE_BIT_LIMIT,
+    Closer,
+    ClosingState,
+    closing_scores,
+)
 from hcconfl.harmony_core import root_path_costs
 
-from corpus_util import naive_hop_costs, random_tiny_instance
+from corpus_util import (
+    naive_hop_costs,
+    random_dense_instance,
+    random_tiny_instance,
+    reference_greedy_close,
+)
 
 
 def test_closing_scores_fixture_trace(tiny1):
-    cache = HopTableCache(tiny1)
-    paths = root_path_costs(tiny1, cache)
-    scores = closing_scores(tiny1, [1, 2, 3], paths)
+    closer = Closer(tiny1, root_path_costs(tiny1, HopTableCache(tiny1)))
+    scores = closing_scores(ClosingState(closer, [1, 2, 3]))
     assert scores[0] == math.inf  # root never closes
     # facility 2 serves a (regret 4-1=3), opening 3, root path 2
     assert scores[1] == pytest.approx(-2.0)
@@ -39,6 +51,10 @@ def test_greedy_close_fixture(tiny1):
     # a second call from the reduced set changes nothing: closing 3 costs +8
     again = greedy_close(tiny1, {1, 3})
     assert list(again) == [1, 0, 1]
+    closer = Closer(tiny1, root_path_costs(tiny1, HopTableCache(tiny1)))
+    assert list(greedy_close(tiny1, {1, 2, 3}, closer=closer)) == [1, 0, 1]
+    with pytest.raises(ValueError, match="another instance"):
+        greedy_close(parse_tiny(serialize_tiny(tiny1)), {1, 2, 3}, closer=closer)
 
 
 def test_greedy_close_respects_max_open(tiny1):
@@ -77,7 +93,40 @@ def _naive_close(inst: Instance, opens, max_open: int) -> set[int]:
     return opens
 
 
-def test_greedy_close_matches_naive_reimplementation():
+def _reference_checker(monkeypatch):
+    """A check that greedy_close matches reference_greedy_close bit for bit.
+
+    It compares the returned vectors and, step by step, every score list
+    ``closing_scores`` hands the loop, as raw float64 bytes.
+    """
+    got_steps: list[np.ndarray] = []
+    scores_of = greedy_variants.closing_scores
+
+    def recording(state):
+        scores = scores_of(state)
+        got_steps.append(np.array(scores, dtype=np.float64))
+        return scores
+
+    monkeypatch.setattr(greedy_variants, "closing_scores", recording)
+
+    def check(inst: Instance, cases) -> None:
+        paths = root_path_costs(inst, HopTableCache(inst))
+        closer = Closer(inst, paths)
+        for opens, max_open in cases:
+            want_steps: list[np.ndarray] = []
+            want = reference_greedy_close(inst, opens, max_open, paths, want_steps)
+            got_steps.clear()
+            got = greedy_close(inst, opens, max_open, closer)
+            assert got.tolist() == want.tolist()
+            assert [s.tobytes() for s in got_steps] == [s.tobytes() for s in want_steps]
+            # built from root_path_costs when no closer is given
+            assert greedy_close(inst, opens, max_open).tolist() == want.tolist()
+
+    return check
+
+
+def test_greedy_close_matches_naive_reimplementation(monkeypatch):
+    check = _reference_checker(monkeypatch)
     rng = random.Random(123321)
     for _ in range(500):
         inst = random_tiny_instance(rng)
@@ -90,6 +139,84 @@ def test_greedy_close_matches_naive_reimplementation():
             f for f in inst.facilities if vec[inst.facility_index[f]] == 1
         }
         assert kept == _naive_close(inst, opens, max_open)
+        check(inst, [(opens, max_open)])
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        {},
+        {"cost_values": 5},
+        {"cost_values": 5, "shuffled": True},
+        {"shuffled": True},
+        {"customers": 0},
+    ],
+    ids=["non-integer", "ties", "ties-out-of-id-order", "out-of-id-order", "no-customers"],
+)
+def test_greedy_close_matches_reference_on_dense_instances(shape, monkeypatch):
+    check = _reference_checker(monkeypatch)
+    rng = random.Random(2024)
+    inst = random_dense_instance(rng, **shape)
+    cases = [
+        (
+            [f for f in inst.facilities if rng.random() < density],
+            max_open,
+        )
+        for density in (0.1, 0.3, 0.5, 0.7)
+        for max_open in (6, 18, 200)
+    ]
+    check(inst, cases)
+
+
+@pytest.mark.parametrize("solver", ["ghs", "hybrid"])
+def test_solvers_look_closing_names_up_at_call_time(solver, monkeypatch):
+    # The counting wrappers go in only after the solve's set-up: a name
+    # bound there, or at import, bypasses them, as it would any tracer
+    # that patches the module.
+    inst = random_dense_instance(random.Random(31), facilities=12, customers=15)
+    counts: Counter[str] = Counter()
+    closes = []
+
+    def count(name, record=None):
+        original = getattr(greedy_variants, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            if record is not None:
+                record(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(greedy_variants, name, wrapper)
+
+    make_transform = greedy_variants._repair_and_close
+
+    def counted_transforms(*args):
+        transform = make_transform(*args)
+        count("closing_scores")
+        count("repair_vector")
+        count("greedy_close", lambda args: closes.append((list(args[1]), args[2])))
+
+        def wrapper(vector):
+            counts["transform"] += 1
+            return transform(vector)
+
+        return wrapper
+
+    monkeypatch.setattr(greedy_variants, "_repair_and_close", counted_transforms)
+    if solver == "ghs":
+        result = ghs_solve(inst, HarmonyParams(hms=20, max_no_improve=40), seed=5)
+        assert counts["transform"] >= result.stats.evaluations > 0
+    else:
+        hybrid_solve(inst, GreedyParams(top_k=6, sample_count=60), seed=5)
+        assert counts["transform"] == 60
+
+    paths = root_path_costs(inst, HopTableCache(inst))
+    steps: list[np.ndarray] = []
+    for opens, max_open in closes:
+        reference_greedy_close(inst, opens, max_open, paths, steps)
+    assert counts["greedy_close"] == counts["transform"]
+    assert counts["repair_vector"] == counts["transform"]
+    assert counts["closing_scores"] == len(steps) > counts["transform"]
 
 
 def test_ghs_finds_fixture_optimum(tiny1):

@@ -84,6 +84,17 @@ def test_id_list_as_long_as_the_facility_list(tiny1):
         as_open_set(tiny1, [1, 0, 2])
 
 
+def test_non_integer_ids_are_rejected(tiny1):
+    # int() used to truncate these: [2.9] priced the open set {1, 2}
+    for ids in ([2.9], [1.7, 3.2], np.array([2.0])):
+        with pytest.raises(ValueError, match="must be integers"):
+            as_open_set(tiny1, ids)
+        with pytest.raises(ValueError, match="must be integers"):
+            evaluate(tiny1, ids)
+    assert as_open_set(tiny1, [np.int64(3), np.int32(1)]) == {1, 3}
+    assert as_open_set(tiny1, np.array([2], dtype=np.int16)) == {2}
+
+
 def test_infeasible_hop_limit_gives_inf_total(tiny1):
     import dataclasses
 
