@@ -93,7 +93,7 @@ class Closer:
         self.rows = rows
         self.position = {instance.facilities[r]: p for p, r in enumerate(rows)}
         self.root = self.position[instance.root]
-        self.base = (-instance.opening_cost_array() - root_paths)[rows].tolist()
+        self.base = (-instance.opening_cost_array - root_paths)[rows].tolist()
         self.base[self.root] = math.inf  # the root never closes
         costs = instance.assignment_costs[rows]
         ranked = np.argsort(costs, axis=0, kind="stable")

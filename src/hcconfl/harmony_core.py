@@ -139,7 +139,7 @@ def init_bias(instance: Instance) -> np.ndarray:
     root is always forced open.
     """
 
-    opening = instance.opening_cost_array()
+    opening = instance.opening_cost_array
 
     def normalized(values: np.ndarray) -> np.ndarray:
         span = values.max() - values.min()

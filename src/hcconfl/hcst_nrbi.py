@@ -29,7 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from .hop_paths import HopTableCache, extract_path
-from .instance_model import Instance
+from .instance_model import Instance, canon_edge
 
 
 class TreeInfeasibleError(ValueError):
@@ -53,12 +53,15 @@ class NrbiState:
     attached them (root excluded).  ``parent`` retains, for every partial
     node but the root, the predecessor on its cheapest known root walk;
     following it always terminates at the root within the hop limit.
+    ``insertion_cost`` holds, for every attached required node, the cost
+    of the path stretch that attached it, summed edge by edge from the
+    partial node it started at.
     """
 
     hops_from_root: dict[int, int] = field(default_factory=dict)
     insertion_epoch: dict[int, int] = field(default_factory=dict)
     parent: dict[int, int] = field(default_factory=dict)
-    insertion_path: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    insertion_cost: dict[int, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -73,10 +76,6 @@ class SteinerTree:
     cost: float
 
 
-def _edge(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
 def tree_from_parents(
     instance: Instance, root: int, parent: dict[int, int], depth: dict[int, int]
 ) -> SteinerTree:
@@ -84,7 +83,7 @@ def tree_from_parents(
 
     Its cost is the sum of its edge costs taken in sorted edge order.
     """
-    edges = frozenset(_edge(p, v) for v, p in parent.items())
+    edges = frozenset(canon_edge(p, v) for v, p in parent.items())
     return SteinerTree(
         root=root,
         nodes=frozenset(depth),
@@ -96,7 +95,7 @@ def tree_from_parents(
 
 
 def _insert_phase1_path(
-    state: NrbiState, remaining: set[int], path: list[int]
+    instance: Instance, state: NrbiState, remaining: set[int], path: list[int]
 ) -> list[int]:
     """Add ``path`` to the partial structure; return the nodes it relabeled.
 
@@ -106,10 +105,12 @@ def _insert_phase1_path(
     """
     base = state.hops_from_root[path[0]]
     prev = path[0]
+    cost = 0.0
     relabeled: list[int] = []
     for pos in range(1, len(path)):
         node = path[pos]
         label = base + pos
+        cost += instance.edge_cost(prev, node)
         if label < state.hops_from_root.get(node, math.inf):
             # new, or a cheaper-in-hops route found later: relabel so the
             # stored walk to the root never exceeds the label
@@ -119,7 +120,7 @@ def _insert_phase1_path(
         if node in remaining:
             remaining.discard(node)
             state.insertion_epoch[node] = len(state.insertion_epoch) + 1
-            state.insertion_path[node] = tuple(path[: pos + 1])
+            state.insertion_cost[node] = cost
         prev = node
     return relabeled
 
@@ -174,7 +175,7 @@ def nrbi_phase1(
         u_star = int(best_from[v_star])
         path = extract_path(cache.table(u_star), v_star, hops - state.hops_from_root[u_star])
         assert path is not None
-        relabeled = _insert_phase1_path(state, remaining, path)
+        relabeled = _insert_phase1_path(instance, state, remaining, path)
     return state
 
 
@@ -230,7 +231,7 @@ def nrbi_phase2(
     Required nodes are processed from the newest insertion epoch to the
     oldest.  Each is attached either via the cheapest fresh hop-feasible
     path from a current tree node, or via its phase-1 route when its
-    recorded insertion path costs no more than that.  Tree nodes, depths
+    recorded insertion cost is no more than that.  Tree nodes, depths
     and labels also sit in arrays that ``attach`` appends to, so all fresh
     candidates of a facility come from one gather over the table store.
     """
@@ -287,9 +288,10 @@ def nrbi_phase2(
         # phase-1 route: the surviving parent-walk segment into the tree
         chain = _parent_chain(state, v, depth)
         chain_ok = depth[chain[0]] + len(chain) - 1 <= hops
-        phase1_cost = instance.path_cost(state.insertion_path[v])
 
-        if fresh_pick is not None and (not chain_ok or fresh_pick[0] < phase1_cost):
+        if fresh_pick is not None and (
+            not chain_ok or fresh_pick[0] < state.insertion_cost[v]
+        ):
             attach(fresh_pick[1])
         elif chain_ok:
             attach(chain)

@@ -64,9 +64,7 @@ def hop_bellman_ford(instance: Instance, source: int) -> HopDistanceTable:
     dist = np.full((hops + 1, n + 1), np.inf)
     pred = np.zeros((hops + 1, n + 1), dtype=np.int32)
     dist[0, source] = 0.0
-    src = instance._arc_src  # type: ignore[attr-defined]
-    dst = instance._arc_dst  # type: ignore[attr-defined]
-    wgt = instance._arc_cost  # type: ignore[attr-defined]
+    src, dst, wgt = instance.arcs
     for h in range(1, hops + 1):
         prev = dist[h - 1]
         cand = prev[src] + wgt

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +33,8 @@ class MergeError(ValueError):
     """Raised when an STP graph and UFLP cost data cannot be combined."""
 
 
-def _canon_edge(u: int, v: int) -> tuple[int, int]:
+def canon_edge(u: int, v: int) -> tuple[int, int]:
+    """The edge {u, v} as ``(smaller id, larger id)``."""
     return (u, v) if u < v else (v, u)
 
 
@@ -44,6 +45,12 @@ class Instance:
     ``assignment_costs`` is a dense float64 matrix with one row per facility
     (in ``facilities`` order) and one column per customer (in ``customers``
     order).  Arrays are frozen after construction.
+
+    Derived views are never passed in.  ``facility_index`` and
+    ``customer_index`` (id -> row/column) are set at construction.
+    ``adjacency``, ``edge_costs``, ``arcs`` and ``opening_cost_array`` are
+    built on first use and kept; the connectivity check builds
+    ``adjacency`` at construction.
     """
 
     name: str
@@ -56,20 +63,18 @@ class Instance:
     assignment_costs: np.ndarray  # shape (len(facilities), len(customers))
     hop_limit: int
 
-    # derived, filled in __post_init__
-    facility_index: dict[int, int] = field(repr=False, default_factory=dict)
-    customer_index: dict[str, int] = field(repr=False, default_factory=dict)
+    facility_index: dict[int, int] = field(init=False, repr=False)
+    customer_index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.num_nodes < 1:
             raise ValueError("instance needs at least one core node")
         if self.hop_limit < 1:
             raise ValueError(f"hop limit must be >= 1, got {self.hop_limit}")
-        nodes = self.core_nodes
         if len(set(self.facilities)) != len(self.facilities):
             raise ValueError("duplicate facility ids")
         for f in self.facilities:
-            if f not in nodes:
+            if f not in range(1, self.num_nodes + 1):
                 raise ValueError(f"facility {f} is not a core node")
         if self.root not in self.facilities:
             raise ValueError(f"root {self.root} is not a facility")
@@ -81,7 +86,7 @@ class Instance:
                 raise ValueError(f"edge ({u},{v}) references unknown node")
             if u == v:
                 raise ValueError(f"self loop on node {u}")
-            if (u, v) != _canon_edge(u, v):
+            if u > v:
                 raise ValueError(f"edge ({u},{v}) not in canonical order")
             if (u, v) in seen:
                 raise ValueError(f"duplicate edge ({u},{v})")
@@ -109,22 +114,16 @@ class Instance:
         object.__setattr__(
             self, "customer_index", {c: i for i, c in enumerate(self.customers)}
         )
-        self._build_adjacency()
         self._check_connected()
 
-    # -- derived structure -------------------------------------------------
-
-    @property
-    def core_nodes(self) -> frozenset[int]:
-        return frozenset(range(1, self.num_nodes + 1))
+    # -- derived views ---------------------------------------------------------
 
     def _check_connected(self) -> None:
-        adj = self._adjacency  # type: ignore[attr-defined]
         seen = {1}
         stack = [1]
         while stack:
             x = stack.pop()
-            for y, _ in adj[x]:
+            for y, _ in self.adjacency[x]:
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
@@ -132,42 +131,51 @@ class Instance:
             missing = min(set(range(1, self.num_nodes + 1)) - seen)
             raise ValueError(f"core graph is disconnected (node {missing} unreachable)")
 
-    def _build_adjacency(self) -> None:
+    @cached_property
+    def adjacency(self) -> dict[int, list[tuple[int, float]]]:
+        """Node -> its neighbours as (other endpoint, edge cost), id-sorted."""
         adj: dict[int, list[tuple[int, float]]] = {
             v: [] for v in range(1, self.num_nodes + 1)
         }
-        cost_map: dict[tuple[int, int], float] = {}
         for u, v, cost in self.core_edges:
             adj[u].append((v, cost))
             adj[v].append((u, cost))
-            cost_map[(u, v)] = cost
-        for v in adj:
-            adj[v].sort()
-        m = len(self.core_edges)
-        src = np.empty(2 * m, dtype=np.int32)
-        dst = np.empty(2 * m, dtype=np.int32)
-        wgt = np.empty(2 * m, dtype=np.float64)
-        for i, (u, v, cost) in enumerate(self.core_edges):
-            src[i], dst[i], wgt[i] = u, v, cost
-            src[m + i], dst[m + i], wgt[m + i] = v, u, cost
-        for arr in (src, dst, wgt):
-            arr.setflags(write=False)
-        object.__setattr__(self, "_adjacency", adj)
-        object.__setattr__(self, "_edge_cost", cost_map)
-        object.__setattr__(self, "_arc_src", src)
-        object.__setattr__(self, "_arc_dst", dst)
-        object.__setattr__(self, "_arc_cost", wgt)
+        for neighbours in adj.values():
+            neighbours.sort()
+        return adj
 
-    def neighbors(self, node: int) -> list[tuple[int, float]]:
-        """Neighbors of ``node`` as (other endpoint, edge cost), id-sorted."""
-        return self._adjacency[node]  # type: ignore[attr-defined]
+    @cached_property
+    def edge_costs(self) -> dict[tuple[int, int], float]:
+        """Canonical edge (u < v) -> its cost."""
+        return {(u, v): cost for u, v, cost in self.core_edges}
+
+    @cached_property
+    def arcs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(src, dst, cost)`` of every edge in both directions (read-only).
+
+        With ``m`` edges, arc ``i`` runs ``u -> v`` along ``core_edges[i]``
+        and arc ``m + i`` runs back.
+        """
+        table = np.array(self.core_edges, dtype=np.float64).reshape(-1, 3)
+        u, v = table[:, 0].astype(np.int32), table[:, 1].astype(np.int32)
+        arcs = (np.concatenate((u, v)), np.concatenate((v, u)), np.tile(table[:, 2], 2))
+        for arr in arcs:
+            arr.setflags(write=False)
+        return arcs
+
+    @cached_property
+    def opening_cost_array(self) -> np.ndarray:
+        """Opening costs in ``facilities`` order (read-only)."""
+        opening = np.array([self.opening_costs[f] for f in self.facilities])
+        opening.setflags(write=False)
+        return opening
 
     def edge_cost(self, u: int, v: int) -> float:
         """Cost of core edge {u, v}; KeyError if the edge does not exist."""
-        return self._edge_cost[_canon_edge(u, v)]  # type: ignore[attr-defined]
+        return self.edge_costs[canon_edge(u, v)]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return _canon_edge(u, v) in self._edge_cost  # type: ignore[attr-defined]
+        return canon_edge(u, v) in self.edge_costs
 
     def assignment_cost(self, facility: int, customer: str) -> float:
         return float(
@@ -175,24 +183,6 @@ class Instance:
                 self.facility_index[facility], self.customer_index[customer]
             ]
         )
-
-    def opening_cost_array(self) -> np.ndarray:
-        """Opening costs in ``facilities`` order (read-only, built on first use).
-
-        Built on first use, not in ``__post_init__``, so constructing an
-        instance pays nothing for it.
-        """
-        opening = self.__dict__.get("_opening_cost_array")
-        if opening is None:
-            opening = np.array([self.opening_costs[f] for f in self.facilities])
-            opening.setflags(write=False)
-            object.__setattr__(self, "_opening_cost_array", opening)
-        return opening
-
-    def path_cost(self, path: Iterable[int]) -> float:
-        """Total edge cost along a node path."""
-        nodes = list(path)
-        return sum(self.edge_cost(a, b) for a, b in zip(nodes, nodes[1:]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Instance):
@@ -216,25 +206,42 @@ class Instance:
 
 
 class _Tokens:
-    """Whitespace token stream that remembers line numbers for errors."""
+    """Whitespace token stream over ``text``.
+
+    The tokens come from one ``text.split()``; no line numbers are stored.
+    ``line_bounds`` works a token's line out by counting the tokens of each
+    line up to it.  It runs for error messages, and to find the extent of
+    a UflLib file's ``FILE:`` and header lines.
+    """
 
     def __init__(self, text: str):
-        self.items: list[tuple[str, int]] = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            for tok in line.split():
-                self.items.append((tok, lineno))
+        self.text = text
+        self.items = text.split()
         self.pos = 0
-        self.last_line = 0
+
+    def line_bounds(self, index: int) -> tuple[int, int]:
+        """Line number of token ``index`` and the index just past that line."""
+        end = 0
+        for lineno, line in enumerate(self.text.splitlines(), start=1):
+            end += len(line.split())
+            if index < end:
+                return lineno, end
+        raise IndexError(index)
+
+    def error(self, message: str, index: int | None = None) -> ParseError:
+        """``message`` at the line of token ``index`` (default: the last read)."""
+        line, _ = self.line_bounds(self.pos - 1 if index is None else index)
+        return ParseError(f"line {line}: {message}")
 
     def exhausted(self) -> bool:
         return self.pos >= len(self.items)
 
     def next(self, what: str) -> str:
-        if self.exhausted():
-            raise ParseError(f"unexpected end of file while reading {what}")
-        tok, line = self.items[self.pos]
+        try:
+            tok = self.items[self.pos]
+        except IndexError:
+            raise ParseError(f"unexpected end of file while reading {what}") from None
         self.pos += 1
-        self.last_line = line
         return tok
 
     def next_int(self, what: str) -> int:
@@ -242,21 +249,21 @@ class _Tokens:
         try:
             return int(tok)
         except ValueError:
-            raise ParseError(
-                f"line {self.last_line}: expected integer {what}, got {tok!r}"
-            ) from None
+            raise self.error(f"expected integer {what}, got {tok!r}") from None
 
     def next_float(self, what: str) -> float:
         tok = self.next(what)
         try:
             val = float(tok)
         except ValueError:
-            raise ParseError(
-                f"line {self.last_line}: expected number {what}, got {tok!r}"
-            ) from None
+            raise self.error(f"expected number {what}, got {tok!r}") from None
         if not math.isfinite(val):
-            raise ParseError(f"line {self.last_line}: non-finite {what}")
+            raise self.error(f"non-finite {what}")
         return val
+
+    def expect_end(self) -> None:
+        if not self.exhausted():
+            raise self.error(f"trailing token {self.items[self.pos]!r}", self.pos)
 
 
 # -- OR-Library Steiner tree files ------------------------------------------
@@ -281,23 +288,22 @@ def parse_stp(text: str) -> StpGraph:
     num_nodes = toks.next_int("node count")
     num_edges = toks.next_int("edge count")
     if num_nodes < 1:
-        raise ParseError(f"line {toks.last_line}: node count must be >= 1")
+        raise toks.error("node count must be >= 1")
     edges: list[tuple[int, int, float]] = []
     seen: set[tuple[int, int]] = set()
     for _ in range(num_edges):
         u = toks.next_int("edge endpoint")
         v = toks.next_int("edge endpoint")
         cost = toks.next_float("edge cost")
-        line = toks.last_line
         if not (1 <= u <= num_nodes and 1 <= v <= num_nodes):
-            raise ParseError(f"line {line}: edge ({u},{v}) out of node range")
+            raise toks.error(f"edge ({u},{v}) out of node range")
         if u == v:
-            raise ParseError(f"line {line}: self loop on node {u}")
+            raise toks.error(f"self loop on node {u}")
         if cost < 0:
-            raise ParseError(f"line {line}: negative edge cost {cost}")
-        key = _canon_edge(u, v)
+            raise toks.error(f"negative edge cost {cost}")
+        key = canon_edge(u, v)
         if key in seen:
-            raise ParseError(f"line {line}: duplicate edge ({u},{v})")
+            raise toks.error(f"duplicate edge ({u},{v})")
         seen.add(key)
         edges.append((key[0], key[1], float(cost)))
     if not toks.exhausted():
@@ -305,10 +311,8 @@ def parse_stp(text: str) -> StpGraph:
         for _ in range(num_terminals):
             t = toks.next_int("terminal id")
             if not (1 <= t <= num_nodes):
-                raise ParseError(f"line {toks.last_line}: terminal {t} out of range")
-        if not toks.exhausted():
-            tok, line = toks.items[toks.pos]
-            raise ParseError(f"line {line}: trailing token {tok!r}")
+                raise toks.error(f"terminal {t} out of range")
+    toks.expect_end()
     return StpGraph(num_nodes=num_nodes, edges=tuple(sorted(edges)))
 
 
@@ -342,37 +346,28 @@ def parse_uflp(text: str) -> UflpData:
     * UflLib: optional ``FILE: name`` line, ``m n 0`` header, then per
       facility a row ``index opening cost_1 .. cost_n``.
     """
-    lines = text.splitlines()
-    start = 0
-    while start < len(lines) and not lines[start].strip():
-        start += 1
-    if start < len(lines) and lines[start].lstrip().startswith("FILE:"):
-        start += 1
-    toks = _Tokens("\n".join(lines[start:]))
-    # shift reported line numbers so they refer to the original file
-    toks.items = [(tok, line + start) for tok, line in toks.items]
-
-    header_line = toks.items[0][1] if toks.items else 1
+    toks = _Tokens(text)
+    if toks.items and toks.items[0].startswith("FILE:"):
+        _, toks.pos = toks.line_bounds(0)  # skip the whole FILE: line
+    header = toks.pos
     m = toks.next_int("facility count")
     n = toks.next_int("customer count")
     if m < 1 or n < 0:
-        raise ParseError(f"line {header_line}: bad facility/customer counts")
-    third_is_zero = (
-        not toks.exhausted()
-        and toks.items[toks.pos][0] == "0"
-        and toks.items[toks.pos][1] == header_line
+        raise toks.error("bad facility/customer counts", header)
+    # UflLib pads the header line with a 0; classic files start a new line
+    ufllib = (
+        toks.items[toks.pos : toks.pos + 1] == ["0"]
+        and toks.line_bounds(header)[1] > toks.pos
     )
 
     opening = np.empty(m, dtype=np.float64)
     costs = np.empty((m, n), dtype=np.float64)
-    if third_is_zero:
+    if ufllib:
         toks.next("header padding")
         for i in range(m):
             idx = toks.next_int("facility index")
             if idx != i + 1:
-                raise ParseError(
-                    f"line {toks.last_line}: expected facility {i + 1}, got {idx}"
-                )
+                raise toks.error(f"expected facility {i + 1}, got {idx}")
             opening[i] = toks.next_float("opening cost")
             for k in range(n):
                 costs[i, k] = toks.next_float("assignment cost")
@@ -384,9 +379,7 @@ def parse_uflp(text: str) -> UflpData:
             toks.next_float("demand")  # discarded
             for i in range(m):
                 costs[i, k] = toks.next_float("assignment cost")
-    if not toks.exhausted():
-        tok, line = toks.items[toks.pos]
-        raise ParseError(f"line {line}: trailing token {tok!r}")
+    toks.expect_end()
     if (opening < 0).any() or (costs < 0).any():
         raise ParseError("negative cost in facility location file")
     return UflpData(opening=tuple(float(x) for x in opening), costs=costs)
@@ -475,7 +468,7 @@ def parse_tiny(text: str, name: str = "tiny") -> Instance:
                 cost = float(parts[3])
             except ValueError:
                 raise fail(lineno, "bad edge line") from None
-            key = _canon_edge(u, v)
+            key = canon_edge(u, v)
             if key in edge_keys:
                 raise fail(lineno, f"duplicate edge ({u},{v})")
             edge_keys.add(key)

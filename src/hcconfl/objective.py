@@ -68,15 +68,18 @@ def as_open_set(instance: Instance, open_facilities: Iterable[int]) -> set[int]:
     """The open set as a set; ValueError on a non-integer, unknown or repeated id.
 
     Ids must be integers (NumPy integers included): a float such as 2.9
-    is refused rather than truncated.  A 0/1 vector over three or more
-    facilities always repeats a value, so it fails here instead of being
-    read as ids.
+    is refused rather than truncated, and a bool rather than read as 0 or
+    1.  A 0/1 vector over three or more facilities always repeats a value,
+    so it fails here instead of being read as ids.
     """
     values = list(open_facilities)
     try:
-        ids = [operator.index(f) for f in values]
+        ids = list(map(operator.index, values))
     except TypeError:
-        raise ValueError("facility ids must be integers") from None
+        ids = None
+    # operator.index refuses NumPy bools but not Python ones
+    if ids is None or bool in set(map(type, values)):
+        raise ValueError("facility ids must be integers")
     opened = set(ids)
     if len(opened) != len(ids):
         raise ValueError("open set repeats a facility id")

@@ -20,7 +20,6 @@ each other on random instances.
 
 from __future__ import annotations
 
-import math
 from itertools import combinations, product
 from typing import Iterable
 
@@ -86,7 +85,7 @@ class HcstOracle:
         for v in others:
             best = np.full(rows.shape[0], np.inf)
             best_u = np.zeros(rows.shape[0], dtype=np.int32)
-            for u, w in inst.neighbors(v):  # ascending u: ties keep smaller id
+            for u, w in inst.adjacency[v]:  # ascending u: ties keep smaller id
                 hit = levels[:, u] == levels[:, v] - 1
                 upd = hit & (w < best)
                 best[upd] = w
@@ -106,8 +105,6 @@ class HcstOracle:
             return None
         costs = np.where(mask, self._totals, np.inf)
         idx = int(np.argmin(costs))  # first minimum: canonical profile order
-        if not math.isfinite(costs[idx]):
-            return None
         levels = self._levels[idx]
         nodes = np.flatnonzero(levels >= 1).tolist()  # the root sits at level 0
         depth = {self.instance.root: 0}

@@ -163,7 +163,7 @@ def reference_closing_scores(
     scores +inf.
     """
     rows = [instance.facility_index[f] for f in open_ids]
-    scores = -instance.opening_cost_array()[rows] - root_paths[rows]
+    scores = -instance.opening_cost_array[rows] - root_paths[rows]
     if instance.customers:
         sub = instance.assignment_costs[rows]
         serving = np.argmin(sub, axis=0)
@@ -231,7 +231,7 @@ def naive_hop_costs(instance: Instance, source: int, hop_limit: int) -> dict:
     for h in range(1, hop_limit + 1):
         for v in range(1, instance.num_nodes + 1):
             best = dist.get((h - 1, v), math.inf)
-            for u, w in instance.neighbors(v):
+            for u, w in instance.adjacency[v]:
                 best = min(best, dist.get((h - 1, u), math.inf) + w)
             if best < math.inf:
                 dist[(h, v)] = best
@@ -247,7 +247,7 @@ def naive_cheapest_paths(
     def walk(node: int, cost: float, hops: int, seen: set[int]) -> None:
         if hops == hop_limit:
             return
-        for nxt, w in instance.neighbors(node):
+        for nxt, w in instance.adjacency[node]:
             if nxt in seen:
                 continue
             total = cost + w
@@ -257,6 +257,11 @@ def naive_cheapest_paths(
 
     walk(source, 0.0, 0, {source})
     return best
+
+
+def path_cost(instance: Instance, path) -> float:
+    """Total edge cost along a node path, summed from its first edge."""
+    return sum(instance.edge_cost(a, b) for a, b in zip(path, path[1:]))
 
 
 def tree_is_valid(instance: Instance, tree, required) -> bool:
@@ -438,7 +443,7 @@ def reference_nrbi(instance: Instance, open_facilities):
             chain.append(parent1[chain[-1]])
         chain.reverse()
         chain_ok = depth[chain[0]] + len(chain) - 1 <= hops
-        phase1_cost = instance.path_cost(insertion_path[v])
+        phase1_cost = path_cost(instance, insertion_path[v])
         if fresh_pick is not None and (not chain_ok or fresh_pick[0] < phase1_cost):
             attach(fresh_pick[1])
         elif chain_ok:

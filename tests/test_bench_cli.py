@@ -4,6 +4,8 @@ import pytest
 
 from hcconfl.bench_cli import instance_label, main
 
+from test_instance_model import STP_TEXT, UFLP_BEASLEY
+
 DATA = Path(__file__).parent / "data"
 TINY = DATA / "tiny1.txt"
 
@@ -98,6 +100,44 @@ def test_hop_override_changes_result(capsys):
     )
     assert code == 0
     assert "tiny1,oracle,1,1,14.00" in out
+
+
+@pytest.fixture
+def orlib_pair(tmp_path) -> tuple[str, str]:
+    """The tiny fixture as an STP graph plus a classic UFLP cost file."""
+    stp, uflp = tmp_path / "steinc5.txt", tmp_path / "capmp1.txt"
+    stp.write_text(STP_TEXT)
+    uflp.write_text(UFLP_BEASLEY)
+    return str(stp), str(uflp)
+
+
+def test_stp_uflp_pair_golden_csv(capsys, orlib_pair):
+    stp, uflp = orlib_pair
+    code, out, _ = run(
+        capsys, "--stp", stp, "--uflp", uflp, "--hop", "2", "--algo", "ghs", "--zero-time"
+    )
+    assert code == 0
+    assert out == (
+        "instance,algo,hop,seed,obj,cpu_seconds,iterations,open_count\n"
+        "C5mp1,ghs,2,1,10.00,0.000,1000,2\n"
+        "C5mp1,ghs,2,best,10.00,0.000,1000,2\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--tiny", str(TINY), "--stp", "STP"), "--tiny cannot be combined"),
+        (("--stp", "STP", "--uflp", "UFLP"), "--hop is required"),
+        (("--stp", "STP", "--uflp", "UFLP", "--hop", "2", "--repeats", "0"), "--repeats"),
+    ],
+)
+def test_bad_input_combination_exits_2(capsys, orlib_pair, argv, message):
+    stp, uflp = orlib_pair
+    argv = [{"STP": stp, "UFLP": uflp}.get(arg, arg) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_missing_file_exits_nonzero(capsys):

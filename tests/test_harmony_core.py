@@ -27,7 +27,7 @@ from hcconfl.harmony_core import (
     vector_ids,
 )
 
-from corpus_util import random_tiny_instance
+from corpus_util import random_dense_instance, random_tiny_instance
 
 
 def test_init_bias_fixture_values(tiny1):
@@ -221,6 +221,21 @@ def test_hs_deterministic_per_seed(tiny1):
     assert [h for h in a.stats.incumbent_history] == [
         h for h in b.stats.incumbent_history
     ]
+
+
+def test_hs_loop_records_each_improvement():
+    # large enough that the memory fill does not already hold the best set
+    inst = random_dense_instance(random.Random(0), facilities=24, customers=24)
+    result = hs_solve(inst, HarmonyParams(hms=10, max_no_improve=200), seed=0)
+    history = result.stats.incumbent_history
+    iterations = [iteration for iteration, _ in history]
+    totals = [total for _, total in history]
+    assert iterations[0] == 0 and len(history) >= 3  # improved in the loop
+    assert all(a < b for a, b in zip(iterations, iterations[1:]))
+    assert all(a > b for a, b in zip(totals, totals[1:]))
+    assert totals[-1] == result.solution.total
+    # the loop stops once the last improvement is max_no_improve iterations old
+    assert result.stats.iterations == iterations[-1] + 200
 
 
 def test_hs_matches_oracle_often():

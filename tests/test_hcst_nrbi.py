@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hcconfl import Instance, TreeInfeasibleError, exact_hcst, nrbi
-from hcconfl.hcst_nrbi import nrbi_phase1, nrbi_phase2
+from hcconfl.hcst_nrbi import _parent_tree, nrbi_phase1, nrbi_phase2
 from hcconfl.hop_paths import HopTableCache
 
 from corpus_util import (
@@ -20,8 +20,8 @@ def test_phase1_trace_on_fixture(tiny1):
     state = nrbi_phase1(tiny1, {1, 2, 3}, cache)
     assert state.hops_from_root == {1: 0, 2: 1, 4: 1, 3: 2}
     assert state.insertion_epoch == {2: 1, 3: 2}
-    assert state.insertion_path[2] == (1, 2)
-    assert state.insertion_path[3] == (1, 4, 3)
+    # attached along 1-2 (cost 2) and 1-4-3 (cost 1 + 1)
+    assert state.insertion_cost == {2: 2.0, 3: 2.0}
 
 
 def test_phase2_keeps_fixture_tree(tiny1):
@@ -151,3 +151,28 @@ def test_matches_plain_loop_reference():
             infeasible += got[0] == "infeasible"
     assert checked >= 1000
     assert 0 < infeasible < checked / 2
+
+
+def test_parent_tree_is_valid_on_phase1_states():
+    # phase 2 falls back to this tree only on contorted graphs that random
+    # instances do not produce, so it is built from phase-1 states directly
+    rng = random.Random(1357)
+    cases = [(random_tiny_instance(rng, max_facilities=6, max_hop=4), 3) for _ in range(300)]
+    for nodes, edges, hops in ((40, 60, 3), (50, 90, 4), (60, 100, 5), (80, 120, 6)):
+        cases.append((random_graph_instance(rng, nodes, edges, hops), 10))
+    checked = 0
+    for inst, draws in cases:
+        cache = HopTableCache(inst)
+        for _ in range(draws):
+            opens = {f for f in inst.facilities if rng.random() < 0.6}
+            try:
+                state = nrbi_phase1(inst, opens, cache)
+            except TreeInfeasibleError:
+                continue
+            tree = _parent_tree(inst, state)
+            assert tree_is_valid(inst, tree, opens)
+            # the tree keeps phase-1 parents, so no node sits below its label
+            assert all(state.parent[v] == p for v, p in tree.parent.items())
+            assert all(d <= state.hops_from_root[v] for v, d in tree.depth.items())
+            checked += 1
+    assert checked >= 500

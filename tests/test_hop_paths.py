@@ -10,6 +10,7 @@ from hcconfl import HopTableCache, extract_path, hop_bellman_ford
 from corpus_util import (
     naive_cheapest_paths,
     naive_hop_costs,
+    path_cost,
     random_graph_instance,
     random_tiny_instance,
 )
@@ -72,7 +73,7 @@ def test_extracted_paths_are_feasible_and_priced_right():
             assert path[0] == source and path[-1] == v
             assert len(path) - 1 <= budget
             assert len(set(path)) == len(path)
-            assert inst.path_cost(path) == pytest.approx(table.cost(v, budget))
+            assert path_cost(inst, path) == pytest.approx(table.cost(v, budget))
 
 
 def test_tie_break_prefers_fewer_hops_then_smaller_predecessor():

@@ -1,4 +1,7 @@
+import dataclasses
+import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +79,45 @@ def test_parse_stp_rejects_trailing_garbage():
         parse_stp(STP_TEXT + "1\nwhat\n")
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_stp, "4 4\n1 2 2\n", "unexpected end of file while reading edge endpoint"),
+        (parse_uflp, "", "unexpected end of file while reading facility count"),
+        (parse_stp, "4 1\n1 2 x\n", "line 2: expected number edge cost, got 'x'"),
+        # lines end as str.splitlines() ends them
+        (parse_stp, "4 1\r1 2\x0bx\r\n", "line 3: expected number edge cost, got 'x'"),
+        (
+            parse_uflp,
+            UFLP_UFLLIB.replace("9.0", "nine"),
+            "line 3: expected number assignment cost, got 'nine'",
+        ),
+        (parse_stp, "4 1\n1 2\ninf\n", "line 3: non-finite edge cost"),
+        (parse_uflp, UFLP_BEASLEY.replace("3.0", "nan"), "line 3: non-finite opening cost"),
+        (parse_stp, "0 0\n", "line 1: node count must be >= 1"),
+        # the line of the edge count, the last token read
+        (parse_stp, "0\n\n0\n", "line 3: node count must be >= 1"),
+        (parse_stp, STP_TEXT + "1\n9\n", "line 7: terminal 9 out of range"),
+        (parse_stp, STP_TEXT + "2\n1 0\n", "line 7: terminal 0 out of range"),
+        (parse_stp, STP_TEXT + "1\nwhat\n", "line 7: expected integer terminal id, got 'what'"),
+        (parse_stp, STP_TEXT + "1\n3 4\n", "line 7: trailing token '4'"),
+        (parse_uflp, "0 2\n", "line 1: bad facility/customer counts"),
+        # the line of the header's first token, after blank and FILE: lines
+        (parse_uflp, "\nFILE: x\n\n3\n-1 0\n", "line 4: bad facility/customer counts"),
+        (parse_uflp, UFLP_BEASLEY + "5\n", "line 7: trailing token '5'"),
+        (parse_uflp, UFLP_UFLLIB + "\n\n x\n", "line 8: trailing token 'x'"),
+        (
+            parse_uflp,
+            UFLP_UFLLIB.replace("\n2 3.0", "\n9 3.0"),
+            "line 4: expected facility 2, got 9",
+        ),
+    ],
+)
+def test_reader_error_messages(parse, text, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse(text)
+
+
 def test_parse_uflp_both_layouts_agree():
     a = parse_uflp(UFLP_BEASLEY)
     b = parse_uflp(UFLP_UFLLIB)
@@ -102,8 +144,8 @@ def test_merge_instances_matches_tiny_fixture(tiny1):
     assert merged.root == 1
     assert merged.customers == ("c1", "c2")
     assert merged.opening_costs == {1: 1.0, 2: 3.0, 3: 2.0}
-    assert list(merged.opening_cost_array()) == [1.0, 3.0, 2.0]
-    assert not merged.opening_cost_array().flags.writeable
+    assert list(merged.opening_cost_array) == [1.0, 3.0, 2.0]
+    assert not merged.opening_cost_array.flags.writeable
     assert np.array_equal(merged.assignment_costs, tiny1.assignment_costs)
     assert merged.core_edges == tiny1.core_edges
 
@@ -133,7 +175,7 @@ def test_parse_tiny_fixture(tiny1):
     assert tiny1.hop_limit == 2
     assert tiny1.assignment_cost(2, "a") == 1.0
     assert tiny1.edge_cost(4, 3) == 1.0
-    assert tiny1.neighbors(1) == [(2, 2.0), (4, 1.0)]
+    assert tiny1.adjacency[1] == [(2, 2.0), (4, 1.0)]
 
 
 @pytest.mark.parametrize(
@@ -164,6 +206,88 @@ def test_instance_requires_connected_core():
             assignment_costs=np.zeros((1, 0)),
             hop_limit=1,
         )
+
+
+EDGES = ((1, 2, 2.0), (1, 4, 1.0), (2, 3, 5.0), (3, 4, 1.0))
+OPENING = {1: 1.0, 2: 3.0, 3: 2.0}
+
+
+def _instance_kwargs(**changes) -> dict:
+    """Keyword arguments of the tiny fixture's instance, with ``changes``."""
+    kwargs = dict(
+        name="x",
+        num_nodes=4,
+        core_edges=EDGES,
+        facilities=(1, 2, 3),
+        root=1,
+        customers=("a", "b"),
+        opening_costs=OPENING,
+        assignment_costs=np.array([[9.0, 8.0], [1.0, 7.0], [4.0, 1.0]]),
+        hop_limit=2,
+    )
+    kwargs.update(changes)
+    return kwargs
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"num_nodes": 0}, "instance needs at least one core node"),
+        ({"hop_limit": 0}, "hop limit must be >= 1, got 0"),
+        ({"facilities": (1, 2, 2)}, "duplicate facility ids"),
+        ({"facilities": (1, 2, 5)}, "facility 5 is not a core node"),
+        ({"facilities": (0, 1, 2)}, "facility 0 is not a core node"),
+        ({"facilities": (1, 2.5, 3)}, "facility 2.5 is not a core node"),
+        ({"root": 4}, "root 4 is not a facility"),
+        ({"customers": ("a", "a")}, "duplicate customer ids"),
+        ({"core_edges": EDGES + ((1, 5, 1.0),)}, "edge (1,5) references unknown node"),
+        ({"core_edges": EDGES + ((0, 2, 1.0),)}, "edge (0,2) references unknown node"),
+        ({"core_edges": EDGES + ((2, 2, 1.0),)}, "self loop on node 2"),
+        ({"core_edges": EDGES + ((3, 1, 1.0),)}, "edge (3,1) not in canonical order"),
+        ({"core_edges": EDGES + ((1, 2, 3.0),)}, "duplicate edge (1,2)"),
+        ({"core_edges": ((1, 2, -1.0),) + EDGES[1:]}, "edge (1,2) has invalid cost -1.0"),
+        ({"core_edges": ((1, 2, math.nan),) + EDGES[1:]}, "edge (1,2) has invalid cost nan"),
+        ({"opening_costs": {1: 1.0, 2: 3.0}}, "opening costs must cover exactly the facilities"),
+        ({"opening_costs": {**OPENING, 4: 0.0}}, "opening costs must cover exactly the facilities"),
+        ({"opening_costs": {**OPENING, 2: math.inf}}, "facility 2 has invalid opening cost inf"),
+        ({"opening_costs": {**OPENING, 2: -3.0}}, "facility 2 has invalid opening cost -3.0"),
+        (
+            {"assignment_costs": np.zeros((3, 1))},
+            "assignment matrix shape (3, 1) does not match 3 facilities x 2 customers",
+        ),
+        ({"assignment_costs": np.full((3, 2), -1.0)}, "assignment costs must be finite and >= 0"),
+        ({"assignment_costs": np.full((3, 2), np.nan)}, "assignment costs must be finite and >= 0"),
+    ],
+)
+def test_instance_rejects_bad_input(changes, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Instance(**_instance_kwargs(**changes))
+
+
+@pytest.mark.parametrize("derived", ["facility_index", "customer_index"])
+def test_instance_takes_no_derived_arguments(derived):
+    with pytest.raises(TypeError, match=derived):
+        Instance(**_instance_kwargs(**{derived: {}}))
+
+
+def test_derived_views(tiny1):
+    inst = Instance(**_instance_kwargs())
+    # built on first use, except the adjacency the connectivity check reads
+    assert "adjacency" in vars(inst)
+    assert not {"edge_costs", "arcs", "opening_cost_array"} & set(vars(inst))
+    assert inst.facility_index == {1: 0, 2: 1, 3: 2}
+    assert inst.customer_index == {"a": 0, "b": 1}
+    assert inst.edge_costs == {(1, 2): 2.0, (1, 4): 1.0, (2, 3): 5.0, (3, 4): 1.0}
+    assert inst.has_edge(4, 1) and not inst.has_edge(1, 3)
+    src, dst, cost = inst.arcs
+    assert src.tolist() == [1, 1, 2, 3, 2, 4, 3, 4]
+    assert dst.tolist() == [2, 4, 3, 4, 1, 1, 2, 3]
+    assert cost.tolist() == [2.0, 1.0, 5.0, 1.0, 2.0, 1.0, 5.0, 1.0]
+    assert not any(arr.flags.writeable for arr in inst.arcs)
+    # replace() builds the views afresh for the new instance
+    one_hop = dataclasses.replace(inst, hop_limit=1, customers=("b", "a"))
+    assert one_hop.customer_index == {"b": 0, "a": 1}
+    assert one_hop.adjacency == inst.adjacency == tiny1.adjacency
 
 
 def test_assignment_matrix_is_write_locked(tiny1):

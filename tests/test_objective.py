@@ -85,8 +85,9 @@ def test_id_list_as_long_as_the_facility_list(tiny1):
 
 
 def test_non_integer_ids_are_rejected(tiny1):
-    # int() used to truncate these: [2.9] priced the open set {1, 2}
-    for ids in ([2.9], [1.7, 3.2], np.array([2.0])):
+    # int() used to truncate these: [2.9] priced the open set {1, 2}; a
+    # Python bool passed operator.index, so [True] priced {1}
+    for ids in ([2.9], [1.7, 3.2], np.array([2.0]), [True], [1, False], [np.True_]):
         with pytest.raises(ValueError, match="must be integers"):
             as_open_set(tiny1, ids)
         with pytest.raises(ValueError, match="must be integers"):
