@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from .harmony_core import (
 )
 from .hop_paths import HopTableCache
 from .instance_model import Instance
-from .objective import Solution, as_open_set, evaluate, validate
+from .objective import Solution, as_open_set, evaluate, root_open_subsets, validate
 
 EXHAUSTIVE_BIT_LIMIT = 24
 # open cap of the hybrid's sampling phase: looser than ``max_open``, so the
@@ -302,8 +301,7 @@ def hybrid_solve(
     shortlist = ranked[: effective_k - 1]
 
     best: Solution | None = None
-    for bits in product((0, 1), repeat=len(shortlist)):
-        chosen = {root, *(f for f, b in zip(shortlist, bits) if b)}
+    for chosen in root_open_subsets(root, shortlist):
         stats.evaluations += 1
         candidate = evaluate(instance, chosen, cache)
         if best is None or candidate.total < best.total:

@@ -57,7 +57,7 @@ class HopDistanceTable:
 
 def hop_bellman_ford(instance: Instance, source: int) -> HopDistanceTable:
     """Build one source's distance/predecessor table up to the hop limit."""
-    if not (1 <= source <= instance.num_nodes):
+    if source not in range(1, instance.num_nodes + 1):
         raise ValueError(f"source {source} is not a core node")
     hops = instance.hop_limit
     n = instance.num_nodes

@@ -73,8 +73,9 @@ class Instance:
             raise ValueError(f"hop limit must be >= 1, got {self.hop_limit}")
         if len(set(self.facilities)) != len(self.facilities):
             raise ValueError("duplicate facility ids")
+        nodes = range(1, self.num_nodes + 1)
         for f in self.facilities:
-            if f not in range(1, self.num_nodes + 1):
+            if f not in nodes:
                 raise ValueError(f"facility {f} is not a core node")
         if self.root not in self.facilities:
             raise ValueError(f"root {self.root} is not a facility")
@@ -82,7 +83,7 @@ class Instance:
             raise ValueError("duplicate customer ids")
         seen: set[tuple[int, int]] = set()
         for u, v, cost in self.core_edges:
-            if not (1 <= u <= self.num_nodes and 1 <= v <= self.num_nodes):
+            if u not in nodes or v not in nodes:
                 raise ValueError(f"edge ({u},{v}) references unknown node")
             if u == v:
                 raise ValueError(f"self loop on node {u}")
@@ -523,8 +524,6 @@ def parse_tiny(text: str, name: str = "tiny") -> Instance:
     matrix = np.array(
         [[assign[(f, c)] for c in customers] for f in facilities], dtype=np.float64
     )
-    if matrix.size == 0:
-        matrix = matrix.reshape(num_fac, num_cust)
     try:
         return Instance(
             name=name,

@@ -1,10 +1,12 @@
 """Objective evaluation of open sets and solution validation.
 
 An open set is a collection of distinct facility ids.  ``evaluate`` turns
-one into a full solution in three steps: build a hop-feasible tree over
-the open facilities, assign every customer to its cheapest open facility,
-then close facilities that serve nobody (root excepted), dropping their
-opening cost and pruning tree branches that only existed to reach them.
+one into a full solution: ``nrbi`` builds a hop-feasible tree over the
+open facilities, then ``price`` assigns every customer to its cheapest
+open facility and closes facilities that serve nobody (root excepted),
+dropping their opening cost and pruning tree branches that only existed
+to reach them.  ``price`` is the one place an open set becomes a cost;
+the exact oracle calls it on its own trees.
 
 ``validate`` checks a finished solution against the underlying integer
 model: edge positions chain back to the root, assignments are exactly-one
@@ -19,7 +21,8 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import product
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -89,14 +92,14 @@ def as_open_set(instance: Instance, open_facilities: Iterable[int]) -> set[int]:
     return opened
 
 
-def infeasible_solution(open_facilities: Iterable[int]) -> Solution:
-    return Solution(
-        open_facilities=frozenset(open_facilities),
-        tree=None,
-        assignment={},
-        breakdown=None,
-        feasible=False,
-    )
+def root_open_subsets(root: int, candidates: Sequence[int]) -> Iterator[set[int]]:
+    """Every subset of ``candidates``, the root added, in lexicographic order.
+
+    That is the order of the 0/1 vectors over ``candidates`` as given, the
+    empty subset first and the first candidate most significant.
+    """
+    for bits in product((0, 1), repeat=len(candidates)):
+        yield {root, *(f for f, b in zip(candidates, bits) if b)}
 
 
 def _prune_tree(instance: Instance, tree: SteinerTree, keep: set[int]) -> SteinerTree:
@@ -121,28 +124,28 @@ def evaluate(
     """Evaluate an open set (the root is added); an infeasible one totals inf."""
     opened = as_open_set(instance, open_facilities)
     opened.add(instance.root)
-    cache = cache or HopTableCache(instance)
-
     try:
-        tree = nrbi(instance, opened, cache)
+        tree = nrbi(instance, opened, cache or HopTableCache(instance))
     except TreeInfeasibleError:
-        return infeasible_solution(opened)
+        tree = None
+    return price(instance, opened, tree)
 
-    rows = np.array([instance.facility_index[f] for f in sorted(opened)])
-    assignment: dict[str, int] = {}
-    assignment_cost = 0.0
-    used: set[int] = set()
-    if instance.customers:
-        sub = instance.assignment_costs[rows]
-        choice = np.argmin(sub, axis=0)  # first minimum = smallest facility id
-        fac_ids = sorted(opened)
-        for k, customer in enumerate(instance.customers):
-            fac = fac_ids[int(choice[k])]
-            assignment[customer] = fac
-            used.add(fac)
-        assignment_cost = float(sub[choice, np.arange(len(instance.customers))].sum())
 
-    final_open = used | {instance.root}
+def price(instance: Instance, opened: set[int], tree: SteinerTree | None) -> Solution:
+    """The solution of open set ``opened`` (root included) on ``tree``.
+
+    Each customer goes to its cheapest open facility, ties to the smallest
+    id; facilities that serve nobody close (the root excepted) and the tree
+    is pruned behind them.  No tree means the open set is infeasible.
+    """
+    if tree is None:
+        return Solution(frozenset(opened), None, {}, None, feasible=False)
+    fac_ids = sorted(opened)
+    sub = instance.assignment_costs[[instance.facility_index[f] for f in fac_ids]]
+    choice = np.argmin(sub, axis=0)  # first minimum = smallest facility id
+    assignment = dict(zip(instance.customers, (fac_ids[k] for k in choice.tolist())))
+    assignment_cost = float(sub[choice, np.arange(len(instance.customers))].sum())
+    final_open = set(assignment.values()) | {instance.root}
     if final_open != opened:
         tree = _prune_tree(instance, tree, final_open)
     opening_cost = float(sum(instance.opening_costs[f] for f in sorted(final_open)))
@@ -150,11 +153,7 @@ def evaluate(
         open_facilities=frozenset(final_open),
         tree=tree,
         assignment=assignment,
-        breakdown=CostBreakdown(
-            tree_cost=tree.cost,
-            assignment_cost=assignment_cost,
-            opening_cost=opening_cost,
-        ),
+        breakdown=CostBreakdown(tree.cost, assignment_cost, opening_cost),
         feasible=True,
     )
 

@@ -2,7 +2,8 @@
 
 These act as the ground truth the heuristics are measured against, so they
 share no search with the rest of the package; the trees they return are
-built by ``tree_from_parents``, like every tree in the package.  Two
+built by ``tree_from_parents``, like every tree in the package, and
+``exact_solve`` prices them with ``objective.price``, like every solver.  Two
 enumeration strategies cover the size envelope:
 
 * depth-profile enumeration: every assignment of "excluded or depth 1..H"
@@ -27,7 +28,7 @@ import numpy as np
 
 from .hcst_nrbi import SteinerTree, tree_from_parents
 from .instance_model import Instance
-from .objective import CostBreakdown, Solution
+from .objective import Solution, price, root_open_subsets
 
 PROFILE_ROW_CAP = 300_000
 MAX_CORE_EDGES = 20  # edge-subset enumeration
@@ -42,7 +43,7 @@ def _required_nodes(instance: Instance, required: Iterable[int]) -> list[int]:
     """Sorted non-root nodes of ``required``; each must be a core node."""
     needed = sorted(set(required) - {instance.root})
     for v in needed:
-        if not (1 <= v <= instance.num_nodes):
+        if v not in range(1, instance.num_nodes + 1):
             raise ValueError(f"required node {v} is not a core node")
     return needed
 
@@ -231,8 +232,10 @@ def exact_hcst_edge_subsets(
 def exact_solve(instance: Instance) -> Solution:
     """Optimal solution by enumerating every root-open facility subset.
 
-    Ties between equal-cost subsets go to the lexicographically smallest
-    open vector (facility-id order, root always open).
+    Each subset is priced by ``objective.price`` on its exact tree.  Ties
+    between equal totals go to the lexicographically smallest open vector
+    over the facilities in ascending id order (the root always open),
+    whatever the order of ``instance.facilities``.
     """
     if len(instance.facilities) > MAX_FACILITIES:
         raise OracleLimitError(
@@ -241,41 +244,8 @@ def exact_solve(instance: Instance) -> Solution:
         )
     oracle = HcstOracle(instance)
     root = instance.root
-    others = [f for f in instance.facilities if f != root]
-    matrix = instance.assignment_costs
-    best: tuple[float, tuple[int, ...], SteinerTree] | None = None
-    for bits in product((0, 1), repeat=len(others)):
-        chosen = tuple(f for f, b in zip(others, bits) if b)
-        tree = oracle.solve(chosen)
-        if tree is None:
-            continue
-        open_ids = sorted((root, *chosen))
-        rows = [instance.facility_index[f] for f in open_ids]
-        assign_cost = float(matrix[rows].min(axis=0).sum()) if instance.customers else 0.0
-        open_cost = float(sum(instance.opening_costs[f] for f in open_ids))
-        total = tree.cost + assign_cost + open_cost
-        if best is None or total < best[0]:
-            best = (total, chosen, tree)
-    assert best is not None  # the root-only subset is always feasible
-    total, chosen, tree = best
-    open_ids = sorted((root, *chosen))
-    rows = [instance.facility_index[f] for f in open_ids]
-    assignment: dict[str, int] = {}
-    assign_cost = 0.0
-    if instance.customers:
-        sub = matrix[rows]
-        picks = np.argmin(sub, axis=0)
-        for k, customer in enumerate(instance.customers):
-            assignment[customer] = open_ids[int(picks[k])]
-        assign_cost = float(sub[picks, np.arange(len(instance.customers))].sum())
-    return Solution(
-        open_facilities=frozenset(open_ids),
-        tree=tree,
-        assignment=assignment,
-        breakdown=CostBreakdown(
-            tree_cost=tree.cost,
-            assignment_cost=assign_cost,
-            opening_cost=float(sum(instance.opening_costs[f] for f in open_ids)),
-        ),
-        feasible=True,
+    others = sorted(f for f in instance.facilities if f != root)
+    return min(
+        (price(instance, s, oracle.solve(s)) for s in root_open_subsets(root, others)),
+        key=lambda solution: solution.total,  # min keeps the first of equal totals
     )

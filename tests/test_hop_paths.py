@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,12 @@ def test_tie_break_prefers_fewer_hops_then_smaller_predecessor():
     assert table2.cost(4) == 2.0
     assert table2.min_hops(4) == 2
     assert extract_path(table2, 4, 2) == [1, 2, 4]  # smaller predecessor id
+
+
+@pytest.mark.parametrize("source", [0, 5, 2.5])
+def test_source_must_be_core_node(tiny1, source):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'source {source} is not a core node')}$"):
+        hop_bellman_ford(tiny1, source)
 
 
 def test_cache_reuses_tables(tiny1):

@@ -178,19 +178,47 @@ def test_parse_tiny_fixture(tiny1):
     assert tiny1.adjacency[1] == [(2, 2.0), (4, 1.0)]
 
 
+PARSE_TINY_ERRORS = [
+    ("e 1 2 2", "e 1 2 2\ne 2 1 2", "line 3: duplicate edge (2,1)"),
+    ("f 2 3", "f 5 3", "missing assignment cost for (5, 'a')"),
+    ("a 3 b 1", "", "missing assignment cost for (3, 'b')"),
+    ("4 3 2 2 1", "4 3 2 0 1", "hop limit must be >= 1, got 0"),
+    ("4 3 2 2 1", "4 3 2 2 4", "root 4 is not a facility"),
+    ("4 3 2 2 1", "4 3 2 2", "line 1: header needs 5 fields"),
+    ("e 1 4 1", "e 1 4", "line 3: edge line needs 'e u v cost'"),
+    ("e 1 4 1", "e 1 x 1", "line 3: bad edge line"),
+    ("f 2 3", "f 2", "line 7: facility line needs 'f id cost'"),
+    ("f 2 3", "f 2 x", "line 7: bad facility line"),
+    ("a 2 a 1", "a 2 a", "line 11: assignment line needs 'a facility customer cost'"),
+    ("a 2 a 1", "a 2 a one", "line 11: bad assignment line"),
+    ("f 3 2", "f 3 2\nf 2 5", "line 9: duplicate facility 2"),
+    ("a 3 b 1", "a 3 b 1\na 3 b 2", "line 15: duplicate assignment (3,b)"),
+    ("e 1 2 2", "x 1 2 2", "line 2: unknown record type 'x'"),
+    (None, "\n  \n", "line 1: empty file"),
+    ("4 3 2 2 1", "4 4 2 2 1", "header declares 4 facilities, file has 3"),
+    ("4 3 2 2 1", "4 3 3 2 1", "header declares 3 customers, file has 2"),
+    ("a 3 b 1", "a 3 b 1\na 4 a 1", "assignment for unknown pair (4, 'a')"),
+]
+
+
 @pytest.mark.parametrize(
-    "needle, replacement",
-    [
-        ("e 1 2 2", "e 1 2 2\ne 2 1 2"),  # duplicate edge
-        ("f 2 3", "f 5 3"),  # facility outside the core graph
-        ("a 3 b 1", ""),  # missing assignment pair
-        ("4 3 2 2 1", "4 3 2 0 1"),  # hop limit below 1
-        ("4 3 2 2 1", "4 3 2 2 4"),  # root is not a facility
-    ],
+    "needle, replacement, message",
+    PARSE_TINY_ERRORS,
+    ids=[f"{needle}-{replacement}" for needle, replacement, _ in PARSE_TINY_ERRORS],
 )
-def test_parse_tiny_rejects_bad_input(tiny1_text, needle, replacement):
-    with pytest.raises(ParseError):
-        parse_tiny(tiny1_text.replace(needle, replacement))
+def test_parse_tiny_rejects_bad_input(tiny1_text, needle, replacement, message):
+    text = replacement if needle is None else tiny1_text.replace(needle, replacement)
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_tiny(text)
+
+
+def test_parse_tiny_without_customers_or_facilities():
+    header_only = "4 3 0 2 1\ne 1 2 2\ne 1 4 1\ne 2 3 5\ne 3 4 1\n"
+    inst = parse_tiny(header_only + "f 1 1\nf 2 3\nf 3 2\n")
+    assert inst.customers == ()
+    assert inst.assignment_costs.shape == (3, 0)
+    with pytest.raises(ParseError, match="^root 1 is not a facility$"):
+        parse_tiny(header_only.replace("4 3 0 2 1", "4 0 0 2 1"))
 
 
 def test_instance_requires_connected_core():
@@ -257,6 +285,7 @@ def _instance_kwargs(**changes) -> dict:
         ),
         ({"assignment_costs": np.full((3, 2), -1.0)}, "assignment costs must be finite and >= 0"),
         ({"assignment_costs": np.full((3, 2), np.nan)}, "assignment costs must be finite and >= 0"),
+        ({"core_edges": EDGES + ((1, 2.5, 1.0),)}, "edge (1,2.5) references unknown node"),
     ],
 )
 def test_instance_rejects_bad_input(changes, message):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -8,6 +9,7 @@ from hcconfl import (
     CostBreakdown,
     Solution,
     SteinerTree,
+    Violation,
     as_open_set,
     evaluate,
     exact_solve,
@@ -34,8 +36,6 @@ def test_fixture_breakdown(tiny1):
 
 
 def test_unused_facilities_are_closed_and_pruned(tiny1):
-    import dataclasses
-
     # make facility 2 useless: both customers prefer 3, which is cheaper
     matrix = np.array([[9.0, 8.0], [9.0, 9.0], [1.0, 1.0]])
     inst = dataclasses.replace(tiny1, assignment_costs=matrix)
@@ -97,8 +97,6 @@ def test_non_integer_ids_are_rejected(tiny1):
 
 
 def test_infeasible_hop_limit_gives_inf_total(tiny1):
-    import dataclasses
-
     one_hop = dataclasses.replace(tiny1, hop_limit=1)
     sol = evaluate(one_hop, {1, 3})
     assert not sol.feasible
@@ -288,8 +286,6 @@ def test_validator_flags_non_core_edge(tiny1):
 
 
 def test_validator_flags_hop_limit_excess(tiny1):
-    import dataclasses
-
     one_hop = dataclasses.replace(tiny1, hop_limit=1)
     sol = _solution(
         one_hop,
@@ -318,3 +314,45 @@ def test_validator_flags_nonfacility_open_and_unknown_assignment(tiny1):
         assignment={"a": 1, "b": 1, "zzz": 1},
     )
     assert _tags(tiny1, sol2) == {"known-ids"}
+
+
+@pytest.mark.parametrize(
+    "changes, constraint, message",
+    [
+        ({"tree": None}, "tree-structure", "solution has no tree"),
+        ({"edges": {(1, 2)}}, "tree-structure", "tree edge (1,2) endpoint lacks a depth"),
+        (
+            {"edges": {(1, 2)}, "depth": {1: 0, 2: 0}},
+            "tree-structure",
+            "tree edge (1,2) endpoints at equal depth 0",
+        ),
+        (
+            {"edges": {(1, 2), (1, 4), (2, 3), (3, 4)}, "depth": {1: 0, 2: 1, 4: 1, 3: 2}},
+            "tree-structure",
+            "node 3 has 2 incoming tree edges",
+        ),
+        (
+            {"edges": {(2, 3)}, "depth": {1: 0, 2: 0, 3: 1}},
+            "root-edge-position",
+            "edge (2,3) at position 1 does not leave the root",
+        ),
+        (
+            {"edges": {(1, 2), (2, 3)}, "depth": {1: 0, 2: 1, 3: 3}},
+            "tree-structure",
+            "edge (2,3) at position 3 has parent at depth 1",
+        ),
+        ({"depth": {1: 1}}, "tree-structure", "tree root does not sit at depth 0"),
+        (
+            {"assignment": {"a": 7, "b": 1}},
+            "known-ids",
+            "customer 'a' assigned to unknown facility 7",
+        ),
+    ],
+)
+def test_validator_messages(tiny1, changes, constraint, message):
+    fields = {"opens": {1}, "edges": set(), "depth": {1: 0}, "assignment": {"a": 1, "b": 1}}
+    fields.update((k, v) for k, v in changes.items() if k != "tree")
+    sol = _solution(tiny1, **fields)
+    if "tree" in changes:
+        sol = dataclasses.replace(sol, tree=changes["tree"])
+    assert Violation(constraint, message) in validate(tiny1, sol)

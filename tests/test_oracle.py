@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -142,6 +143,38 @@ def test_edge_limit_enforced_for_subset_strategy():
         HcstOracle(inst)
     with pytest.raises(OracleLimitError, match="28 core edges exceed the oracle limit of 20"):
         exact_hcst_edge_subsets(inst, {2})
+
+
+@pytest.mark.parametrize("node", [0, 5, 2.5])
+def test_required_nodes_must_be_core_nodes(tiny1, node):
+    message = f"^{re.escape(f'required node {node} is not a core node')}$"
+    with pytest.raises(ValueError, match=message):
+        exact_hcst(tiny1, [node])
+    with pytest.raises(ValueError, match=message):
+        exact_hcst_edge_subsets(tiny1, [node])
+
+
+@pytest.mark.parametrize("facilities", [(1, 2, 3), (1, 3, 2), (3, 1, 2)])
+def test_exact_solve_breaks_ties_by_id_whatever_the_facility_order(facilities):
+    # {1,2} and {1,3} both total 3.0 ({1,2,3} closes 3 and prices as {1,2});
+    # the 0/1 vector over ids (2, 3) is smaller for {1,3}
+    serve = {1: 10.0, 2: 1.0, 3: 1.0}
+    inst = Instance(
+        name="tie",
+        num_nodes=3,
+        core_edges=((1, 2, 1.0), (1, 3, 1.0)),
+        facilities=facilities,
+        root=1,
+        customers=("c",),
+        opening_costs={1: 0.0, 2: 1.0, 3: 1.0},
+        assignment_costs=np.array([[serve[f]] for f in facilities]),
+        hop_limit=1,
+    )
+    assert evaluate(inst, {1, 2}).total == evaluate(inst, {1, 3}).total == 3.0
+    best = exact_solve(inst)
+    assert best.total == 3.0
+    assert best.open_facilities == {1, 3}
+    assert best.assignment == {"c": 3}
 
 
 def test_heuristic_evaluation_never_beats_oracle():
