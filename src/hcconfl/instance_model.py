@@ -403,8 +403,6 @@ def merge_instances(
         raise MergeError(
             f"{m} facilities but the core graph has only {stp.num_nodes} nodes"
         )
-    if hop_limit < 1:
-        raise MergeError(f"hop limit must be >= 1, got {hop_limit}")
     facilities = tuple(range(1, m + 1))
     customers = tuple(f"c{k}" for k in range(1, uflp.num_customers + 1))
     return Instance(

@@ -4,25 +4,29 @@ These act as the ground truth the heuristics are measured against, so they
 share no search with the rest of the package; the trees they return are
 built by ``tree_from_parents``, like every tree in the package, and
 ``exact_solve`` prices them with ``objective.price``, like every solver.  Two
-enumeration strategies cover the size envelope:
+enumeration strategies cover the size envelope, and both fill the same rows:
+one per candidate tree, with a bitmask of its non-root nodes, its cost (inf
+when the row is no tree), and its parent and depth by node id.
 
-* depth-profile enumeration: every assignment of "excluded or depth 1..H"
-  to the non-root nodes is scored by giving each included node its cheapest
-  parent one level up; every hop-feasible tree shape corresponds to exactly
-  one profile, so the minimum over profiles is exact.  Vectorized, and used
-  whenever the profile space is small enough.
-* edge-subset enumeration: every subset of core edges is tested for being a
-  hop-feasible tree.  Slower, bounded by the edge-count limit, and kept
-  both as the fallback and as a cross-check of the profile method.
+* depth-profile enumeration, used when its (H+1)^(n-1) rows number at most
+  ``PROFILE_ROW_CAP``: every assignment of "excluded or depth 1..H" to the
+  non-root nodes is scored by giving each included node its cheapest parent
+  one level up; every hop-feasible tree shape corresponds to exactly one
+  profile, so the minimum over profiles is exact.  Vectorized.
+* edge-subset enumeration otherwise, up to ``MAX_CORE_EDGES`` core edges:
+  every subset of core edges is tested for being a hop-feasible tree, and
+  each node set keeps its cheapest.  Slower, and kept both as the fallback
+  and as a cross-check of the profile method.
 
-Both are exhaustive by construction; the unit tests compare them against
-each other on random instances.
+A query takes the first cheapest row whose mask covers the required nodes,
+so each strategy's row order is its tie rule.  Both strategies are
+exhaustive by construction; the unit tests compare them on random instances.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
-from typing import Iterable
+from itertools import combinations
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -48,172 +52,159 @@ def _required_nodes(instance: Instance, required: Iterable[int]) -> list[int]:
     return needed
 
 
+class _Rows(NamedTuple):
+    """Candidate trees in tie order; ``depths`` is -1 for nodes off the tree.
+
+    Node ids fit the int64 ``masks``: the profile cap admits at most 19
+    nodes, and 20 edges connect at most 21.
+    """
+
+    masks: np.ndarray
+    costs: np.ndarray
+    parents: np.ndarray
+    depths: np.ndarray
+
+
+def _cheapest_tree(
+    instance: Instance, rows: _Rows, needed: list[int]
+) -> SteinerTree | None:
+    """The first cheapest row spanning root plus ``needed``, or None."""
+    want = sum(1 << v for v in needed)
+    costs = np.where(rows.masks & want == want, rows.costs, np.inf)
+    idx = int(np.argmin(costs))  # first minimum: the row order breaks ties
+    if not np.isfinite(costs[idx]):
+        return None
+    levels = rows.depths[idx]
+    nodes = np.flatnonzero(levels >= 1).tolist()  # the root sits at depth 0
+    depth = {instance.root: 0}
+    depth.update(zip(nodes, levels[nodes].tolist()))
+    parent = dict(zip(nodes, rows.parents[idx, nodes].tolist()))
+    return tree_from_parents(instance, instance.root, parent, depth)
+
+
 class HcstOracle:
     """Exact hop-constrained Steiner trees for one instance.
 
-    Precomputes once, then answers any required-node subset.  Choose the
-    profile strategy when its row count stays under the cap, otherwise
-    enumerate edge subsets (guarded by ``MAX_CORE_EDGES``).
+    Fills one strategy's rows once, then answers any required-node subset.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
-        n = instance.num_nodes
-        profile_rows = (instance.hop_limit + 1) ** (n - 1) if n > 1 else 1
+        profile_rows = (instance.hop_limit + 1) ** (instance.num_nodes - 1)
         self._by_profile = profile_rows <= PROFILE_ROW_CAP
-        if self._by_profile:
-            self._build_profiles()
-        else:
-            self._table = _subset_table(instance)
-
-    # -- depth-profile strategy -------------------------------------------
-
-    def _build_profiles(self) -> None:
-        inst = self.instance
-        n = inst.num_nodes
-        root = inst.root
-        others = [v for v in range(1, n + 1) if v != root]
-        domain = [-1] + list(range(1, inst.hop_limit + 1))
-        rows = np.array(list(product(domain, repeat=len(others))), dtype=np.int8)
-        rows = rows.reshape(-1, len(others))
-        levels = np.zeros((rows.shape[0], n + 1), dtype=np.int8)
-        for j, v in enumerate(others):
-            levels[:, v] = rows[:, j]
-        levels[:, root] = 0
-
-        total = np.zeros(rows.shape[0])
-        parent_pick = np.zeros((rows.shape[0], n + 1), dtype=np.int32)
-        for v in others:
-            best = np.full(rows.shape[0], np.inf)
-            best_u = np.zeros(rows.shape[0], dtype=np.int32)
-            for u, w in inst.adjacency[v]:  # ascending u: ties keep smaller id
-                hit = levels[:, u] == levels[:, v] - 1
-                upd = hit & (w < best)
-                best[upd] = w
-                best_u[upd] = u
-            included = levels[:, v] >= 1
-            total += np.where(included, best, 0.0)
-            parent_pick[:, v] = np.where(included, best_u, 0)
-        self._levels = levels
-        self._totals = total
-        self._parents = parent_pick
-
-    def _solve_profiles(self, needed: list[int]) -> SteinerTree | None:
-        mask = np.isfinite(self._totals)
-        for v in needed:
-            mask &= self._levels[:, v] >= 1
-        if not mask.any():
-            return None
-        costs = np.where(mask, self._totals, np.inf)
-        idx = int(np.argmin(costs))  # first minimum: canonical profile order
-        levels = self._levels[idx]
-        nodes = np.flatnonzero(levels >= 1).tolist()  # the root sits at level 0
-        depth = {self.instance.root: 0}
-        depth.update(zip(nodes, levels[nodes].tolist()))
-        parent = dict(zip(nodes, self._parents[idx, nodes].tolist()))
-        return tree_from_parents(self.instance, self.instance.root, parent, depth)
-
-    # -- public -------------------------------------------------------------
+        self._rows = (_profile_rows if self._by_profile else _subset_rows)(instance)
 
     def solve(self, required: Iterable[int]) -> SteinerTree | None:
         """Cheapest hop-feasible tree spanning root plus ``required``."""
-        needed = _required_nodes(self.instance, required)
-        if self._by_profile:
-            return self._solve_profiles(needed)
-        return _subset_tree(self.instance, self._table, needed)
+        return _cheapest_tree(
+            self.instance, self._rows, _required_nodes(self.instance, required)
+        )
 
 
-# -- edge-subset strategy -----------------------------------------------------
+def _profile_rows(instance: Instance) -> _Rows:
+    """One row per depth profile, in ``itertools.product`` order.
+
+    A profile gives each non-root node "excluded" or a depth 1..H, the last
+    node varying fastest; each included node takes its cheapest neighbour
+    one level up as parent, ties to the smaller id.
+    """
+    n = instance.num_nodes
+    root = instance.root
+    others = [v for v in range(1, n + 1) if v != root]
+    base = instance.hop_limit + 1  # digit 0 is "excluded", digit d is depth d
+    count = base ** len(others)
+    shape = (count, n + 1)  # column-major, so each node's column is contiguous
+    # the narrowest type that holds -1..H: int8 overflows from H = 128
+    levels = np.zeros(shape, dtype=np.min_scalar_type(-instance.hop_limit), order="F")
+    index = np.arange(count)
+    for j, v in enumerate(others):
+        digit = index // base ** (len(others) - 1 - j) % base
+        levels[:, v] = np.where(digit == 0, -1, digit)
+
+    masks = np.zeros(count, dtype=np.int64)
+    total = np.zeros(count)
+    parents = np.zeros(shape, dtype=np.int32, order="F")  # read only on the tree
+    for v in others:
+        best = np.full(count, np.inf)
+        best_u = parents[:, v]  # a view: filled in place
+        for u, w in instance.adjacency[v]:  # ascending u: ties keep smaller id
+            upd = (levels[:, u] == levels[:, v] - 1) & (w < best)
+            best[upd] = w
+            best_u[upd] = u
+        included = levels[:, v] >= 1
+        masks |= included.astype(np.int64) << v
+        total += np.where(included, best, 0.0)
+    return _Rows(masks, total, parents, levels)
 
 
-def _subset_table(instance: Instance) -> dict[int, tuple[float, tuple[int, ...]]]:
-    """Cheapest hop-feasible edge subset (cost, edge indices) per node mask."""
+def _subset_rows(instance: Instance) -> _Rows:
+    """One row per node set some hop-feasible edge subset spans.
+
+    Node sets come in the order edge subsets first span them (by size, then
+    lexicographically); each row keeps the first cheapest such subset.
+    """
     edge_list = instance.core_edges
     if len(edge_list) > MAX_CORE_EDGES:
         raise OracleLimitError(
             f"{len(edge_list)} core edges exceed the oracle limit of {MAX_CORE_EDGES}"
         )
     root_bit = 1 << instance.root
-    masks = [1 << u | 1 << v for u, v, _ in edge_list]
-    table: dict[int, tuple[float, tuple[int, ...]]] = {root_bit: (0.0, ())}
-    max_edges = min(instance.num_nodes - 1, len(edge_list))
-    for k in range(1, max_edges + 1):
+    ends = [1 << u | 1 << v for u, v, _ in edge_list]
+    # non-root node mask -> (cost, parent, depth); no edges span the root alone
+    found = {0: (0.0, *_tree_levels(instance, ()))}
+    for k in range(1, min(instance.num_nodes - 1, len(edge_list)) + 1):
         for combo in combinations(range(len(edge_list)), k):
             node_mask = 0
             for i in combo:
-                node_mask |= masks[i]
+                node_mask |= ends[i]
             if node_mask.bit_count() != k + 1 or not node_mask & root_bit:
                 continue
-            depth_ok, cost = _check_tree(instance, combo, node_mask)
-            if not depth_ok:
+            cost = sum(edge_list[i][2] for i in combo)
+            prev = found.get(node_mask ^ root_bit)
+            if prev is not None and cost >= prev[0]:
                 continue
-            prev = table.get(node_mask)
-            if prev is None or cost < prev[0]:
-                table[node_mask] = (cost, combo)
-    return table
+            levels = _tree_levels(instance, combo)
+            if levels is not None:
+                found[node_mask ^ root_bit] = (cost, *levels)
+    costs, parents, depths = zip(*found.values())
+    return _Rows(
+        np.fromiter(found, dtype=np.int64, count=len(found)),
+        np.array(costs),
+        np.array(parents, dtype=np.int32),
+        np.array(depths, dtype=np.int32),
+    )
 
 
-def _check_tree(
-    instance: Instance, combo: tuple[int, ...], node_mask: int
-) -> tuple[bool, float]:
-    """BFS from the root over the edge subset: connected within hops?"""
+def _tree_levels(
+    instance: Instance, combo: tuple[int, ...]
+) -> tuple[list[int], list[int]] | None:
+    """Parent and depth by node id of the subset's BFS tree from the root.
+
+    None unless all its nodes lie within the hop limit, which makes k edges
+    on k + 1 nodes, root included, a tree.
+    """
     adj: dict[int, list[int]] = {}
-    cost = 0.0
     for i in combo:
-        u, v, w = instance.core_edges[i]
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-        cost += w
-    seen_mask = 1 << instance.root
-    frontier = [instance.root]
-    level = 0
-    while frontier and level < instance.hop_limit:
-        level += 1
-        nxt = []
-        for x in frontier:
-            for y in adj.get(x, ()):
-                if not seen_mask >> y & 1:
-                    seen_mask |= 1 << y
-                    nxt.append(y)
-        frontier = nxt
-    return seen_mask == node_mask | 1 << instance.root, cost
-
-
-def _subset_tree(
-    instance: Instance,
-    table: dict[int, tuple[float, tuple[int, ...]]],
-    needed: list[int],
-) -> SteinerTree | None:
-    """Cheapest tree in ``table`` spanning root plus ``needed``, or None."""
-    root = instance.root
-    req_mask = 1 << root
-    for v in needed:
-        req_mask |= 1 << v
-    best: tuple[float, tuple[int, ...]] | None = None
-    for node_mask, (cost, combo) in table.items():
-        if node_mask & req_mask == req_mask:
-            if best is None or cost < best[0]:
-                best = (cost, combo)
-    if best is None:
-        return None
-    adj: dict[int, list[int]] = {}
-    for i in best[1]:
         u, v, _ = instance.core_edges[i]
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    depth = {root: 0}
-    parent: dict[int, int] = {}
-    frontier = [root]
-    while frontier:
+    parent = [0] * (instance.num_nodes + 1)
+    depth = [-1] * (instance.num_nodes + 1)
+    depth[instance.root] = 0
+    frontier = [instance.root]
+    reached = level = 1
+    while frontier and level <= instance.hop_limit:
         nxt = []
         for x in frontier:
             for y in adj.get(x, ()):
-                if y not in depth:
-                    depth[y] = depth[x] + 1
+                if depth[y] < 0:
+                    depth[y] = level
                     parent[y] = x
                     nxt.append(y)
+        reached += len(nxt)
         frontier = nxt
-    return tree_from_parents(instance, root, parent, depth)
+        level += 1
+    return (parent, depth) if reached == len(combo) + 1 else None
 
 
 def exact_hcst(instance: Instance, required: Iterable[int]) -> SteinerTree | None:
@@ -226,7 +217,7 @@ def exact_hcst_edge_subsets(
 ) -> SteinerTree | None:
     """Edge-subset reference enumeration, exposed for cross-checking."""
     needed = _required_nodes(instance, required)
-    return _subset_tree(instance, _subset_table(instance), needed)
+    return _cheapest_tree(instance, _subset_rows(instance), needed)
 
 
 def exact_solve(instance: Instance) -> Solution:

@@ -130,6 +130,7 @@ def test_stp_uflp_pair_golden_csv(capsys, orlib_pair):
         (("--tiny", str(TINY), "--stp", "STP"), "--tiny cannot be combined"),
         (("--stp", "STP", "--uflp", "UFLP"), "--hop is required"),
         (("--stp", "STP", "--uflp", "UFLP", "--hop", "2", "--repeats", "0"), "--repeats"),
+        (("--stp", "STP", "--uflp", "UFLP", "--hop", "0"), "hop limit must be >= 1, got 0"),
     ],
 )
 def test_bad_input_combination_exits_2(capsys, orlib_pair, argv, message):

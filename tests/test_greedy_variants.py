@@ -60,6 +60,8 @@ def test_greedy_close_fixture(tiny1):
 def test_greedy_close_respects_max_open(tiny1):
     vec = greedy_close(tiny1, {1, 2, 3}, max_open=1)
     assert list(vec) == [1, 0, 0]
+    with pytest.raises(ValueError, match="^max_open must be >= 1$"):
+        greedy_close(tiny1, {1, 2, 3}, max_open=0)
 
 
 def test_greedy_close_drops_unreachable_facilities(tiny1):

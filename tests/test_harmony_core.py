@@ -88,6 +88,10 @@ def test_memory_keeps_rows_sorted_and_distinct():
         memory.replace_worst(np.array([1, 0, 0], dtype=np.uint8), 1.0)  # dup
     with pytest.raises(ValueError):
         memory.replace_worst(np.array([0, 1, 1], dtype=np.uint8), 99.0)  # worse
+    with pytest.raises(ValueError, match="^memory rows must be distinct$"):
+        HarmonyMemory(
+            np.array([[1, 0, 1], [1, 0, 1]], dtype=np.uint8), np.array([3.0, 4.0])
+        )
 
 
 def test_repair_vector_closes_unreachable(tiny1):

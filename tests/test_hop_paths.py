@@ -29,6 +29,9 @@ def test_fixture_table_values(tiny1):
     assert table.min_hops(3) == 2
     assert extract_path(table, 3, 2) == [1, 4, 3]
     assert extract_path(table, 3, 1) is None
+    # a negative budget reaches nothing, not the last row
+    assert table.cost(1, -1) == math.inf
+    assert table.min_hops(1, -1) is None
 
 
 def test_rows_are_nonincreasing(tiny1):

@@ -14,6 +14,10 @@ from hcconfl import (
     exact_hcst,
     exact_hcst_edge_subsets,
     exact_solve,
+    ghs_solve,
+    hs_solve,
+    hybrid_solve,
+    parse_tiny,
     validate,
 )
 
@@ -68,6 +72,68 @@ def test_two_enumeration_strategies_agree():
         assert by_profile.cost == pytest.approx(by_subsets.cost)
         for tree in (by_profile, by_subsets):
             assert tree_is_valid(inst, tree, required)
+
+
+def _diamond(hop_limit: int) -> Instance:
+    # node 4 is reached at cost 2 through node 2 or through node 3
+    return Instance(
+        name="diamond",
+        num_nodes=4,
+        core_edges=((1, 2, 1.0), (1, 3, 1.0), (2, 4, 1.0), (3, 4, 1.0)),
+        facilities=(1, 4),
+        root=1,
+        customers=("c",),
+        opening_costs={1: 0.0, 4: 0.0},
+        assignment_costs=np.ones((2, 1)),
+        hop_limit=hop_limit,
+    )
+
+
+def test_profile_strategy_keeps_first_cheapest_profile():
+    inst = _diamond(2)  # 3**3 profiles
+    assert HcstOracle(inst)._by_profile
+    # (2 excluded, 3 at depth 1, 4 at depth 2) precedes
+    # (2 at depth 1, 3 excluded, 4 at depth 2) in product order
+    assert exact_hcst(inst, {4}).edges == {(1, 3), (3, 4)}
+    # 2 and 3 can both parent 4 at equal cost: the smaller id wins
+    assert exact_hcst(inst, {2, 3, 4}).edges == {(1, 2), (1, 3), (2, 4)}
+    # the edge-subset strategy breaks the first tie the other way
+    assert exact_hcst_edge_subsets(inst, {4}).edges == {(1, 2), (2, 4)}
+
+
+def test_edge_subset_strategy_keeps_first_node_set_then_first_subset():
+    inst = _diamond(100)  # 101**3 profiles exceed the cap
+    assert not HcstOracle(inst)._by_profile
+    for solve in (exact_hcst, exact_hcst_edge_subsets):
+        # edges 0 and 2 span {1, 2, 4} before edges 1 and 3 span {1, 3, 4}
+        assert solve(inst, {4}).edges == {(1, 2), (2, 4)}
+        # four 3-edge trees span {1, 2, 3, 4} at cost 3; edges 0, 1, 2 come first
+        assert solve(inst, {2, 3, 4}).edges == {(1, 2), (1, 3), (2, 4)}
+
+
+def test_one_node_instance():
+    inst = parse_tiny("1 1 1 2 1\nf 1 2\na 1 a 3\n", name="one")
+    for solve in (exact_hcst, exact_hcst_edge_subsets):
+        tree = solve(inst, [])
+        assert tree.nodes == {1} and tree.edges == set()
+        assert tree.depth == {1: 0} and tree.parent == {} and tree.cost == 0.0
+    assert exact_solve(inst).total == 5.0
+    for solver in (hs_solve, ghs_solve, hybrid_solve):
+        assert solver(inst).solution.total == 5.0
+
+
+def test_profile_depths_beyond_int8():
+    # 201**2 profiles stay under the cap; depths up to 200 overflow int8
+    inst = dataclasses.replace(
+        _diamond(200),
+        num_nodes=3,
+        core_edges=((1, 2, 1.0), (2, 3, 1.0)),
+        facilities=(1, 3),
+        opening_costs={1: 0.0, 3: 0.0},
+    )
+    assert HcstOracle(inst)._by_profile
+    tree = exact_hcst(inst, {3})
+    assert tree.edges == {(1, 2), (2, 3)} and tree.depth == {1: 0, 2: 1, 3: 2}
 
 
 def test_cost_invariant_under_edge_permutation(tiny1):
