@@ -1,25 +1,25 @@
 """Greedy facility closing and the solvers built on top of it.
 
-``greedy_close`` estimates, for every open facility, the net cost of
-closing it: reassigning its customers to their second-best open choice,
-minus the saved opening cost, minus the saved cost of the cheapest
-hop-feasible root path.  Facilities close one at a time while closing
-pays for itself, or while more than ``max_open`` remain; ties go to the
-smallest facility id.  It takes facility ids and returns the 0/1 vector
-the harmony engine stores.
+Closing estimates, for every open facility, the net cost of closing it:
+reassigning its customers to their second-best open choice, minus the
+saved opening cost, minus the saved cost of the cheapest hop-feasible
+root path.  Facilities close one at a time while closing pays for
+itself, or while more than ``max_open`` remain; ties go to the smallest
+facility id.
 
-The work is incremental.  A solve builds one :class:`Closer`, which ranks
-each customer's facilities by (cost, id) once.  A call then walks every
-customer's ranking once to find its best and second open facility, and a
-close touches only the customers the closed facility served or was second
-for, so its cost grows with those customers rather than with open
-facilities times customers.  Regrets are re-summed in customer order, the
-order ``np.bincount`` adds in, so the scores match a from-scratch
-rescoring bit for bit.
+One NumPy kernel, :func:`close_rows`, does every close.  It takes a block
+of 0/1 rows and closes them in lockstep over a per-solve :class:`Closer`
+that ranks each customer's facilities once.  Each step sums every live
+row's regrets with one ``np.bincount``, in customer order, picks each
+row's first minimum, and moves only the customers the closed facility
+served or was second for; so every row closes as it would alone, with
+scores bit for bit those of a from-scratch rescoring.  ``greedy_close``
+is the kernel on one open set of facility ids.
 
-``ghs_solve`` plugs that closing step into the harmony engine;
-``hybrid_solve`` uses bias-guided sampling plus closing only to shortlist
-facilities, then enumerates every root-open subset of the shortlist.
+``ghs_solve`` plugs repair plus closing, as a rows -> rows transform,
+into the harmony engine; ``hybrid_solve`` closes all its bias-guided
+samples in one block only to shortlist facilities, then enumerates every
+root-open subset of the shortlist.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .harmony_core import (
     init_bias,
     repair_vector,
     root_path_costs,
-    vector_ids,
 )
 from .hop_paths import HopTableCache
 from .instance_model import Instance
@@ -50,6 +49,9 @@ EXHAUSTIVE_BIT_LIMIT = 24
 # frequency ranking sees more survivors
 SAMPLE_MAX_OPEN = 18
 GHS_PARAMS = HarmonyParams(hms=150)
+# (row, customer) cells the closing kernel holds at once, and entries it
+# reads per ranking scan: bounds its working memory for any block size
+CLOSE_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -75,128 +77,158 @@ class GreedyParams:
 
 
 class Closer:
-    """The tables every :func:`greedy_close` call of one solve reads.
+    """The tables every close of one solve reads.
 
     Facilities sit in id order: position ``p`` holds the ``p``-th smallest
     id and ``rows[p]`` its row in ``instance.facilities``, so every tie goes
     to the smallest id whatever that tuple's order.  ``base[p]`` is minus
-    the opening cost minus the root-path cost (``root_paths``, as from
-    :func:`root_path_costs`).  ``ranked[c]`` lists every position by
-    customer ``c``'s (cost, id), and ``ranked_costs[c]`` the costs
-    alongside.
+    the opening cost minus the root-path cost (``root_paths``).
+    ``ranked[c]`` lists every position by customer ``c``'s (cost, id), then
+    repeats its last entry so a window may read past the end;
+    ``ranked_costs[c]`` holds the costs alongside, and ``rank[c, p]`` the
+    index of ``p`` in ``ranked[c]``; an extra position, ``len(rows)``, ranks last.
     """
 
     def __init__(self, instance: Instance, root_paths: np.ndarray):
-        rows = sorted(range(len(instance.facilities)), key=instance.facilities.__getitem__)
+        width = len(instance.facilities)
         self.instance = instance
-        self.rows = rows
-        self.position = {instance.facilities[r]: p for p, r in enumerate(rows)}
-        self.root = self.position[instance.root]
-        self.base = (-instance.opening_cost_array - root_paths)[rows].tolist()
+        self.rows = np.argsort(instance.facilities)
+        self.root = sorted(instance.facilities).index(instance.root)
+        self.base = (-instance.opening_cost_array - root_paths)[self.rows]
         self.base[self.root] = math.inf  # the root never closes
-        costs = instance.assignment_costs[rows]
+        costs = instance.assignment_costs[self.rows]
         ranked = np.argsort(costs, axis=0, kind="stable")
-        self.ranked = ranked.T.tolist()
-        self.ranked_costs = np.take_along_axis(costs, ranked, axis=0).T.tolist()
+        self.ranked_costs = np.take_along_axis(costs, ranked, axis=0).T.copy()
+        narrow = np.min_scalar_type(width)
+        self.ranked = np.pad(ranked.T, ((0, 0), (0, width)), mode="edge").astype(narrow)
+        self.rank = np.full((len(instance.customers), width + 1), width, dtype=narrow)
+        self.rank[np.arange(len(instance.customers))[:, None], ranked.T] = np.arange(width)
 
 
 class ClosingState:
-    """The open facilities of one closing run, plus who serves whom.
+    """A block of open sets that close in lockstep, plus who serves whom.
 
-    ``open`` holds the open positions in ascending order; the root is
-    always among them.  Per customer, ``best`` and ``second`` index its
-    ranking at its cheapest and second-cheapest open facility, and
-    ``regret`` is their cost difference.  Per open position ``p``,
-    ``served[p]`` lists the customers it is best for (it only grows until
-    ``p`` closes), ``seconds[p]`` every customer whose second pointer
-    reached ``p`` (an entry is stale once that pointer moved on), and
-    ``regret_sum[p]`` adds up the regrets of ``served[p]``.
+    ``opened`` holds every row of the block as a 0/1 mask over positions;
+    the root is always open.  ``live`` lists the rows still closing, and
+    ``count`` their open counts.  Per live row and customer, ``best_at``
+    and ``second_at`` are the positions of the customer's cheapest and
+    second-cheapest open facility, and ``regret`` is their cost difference.
     """
 
-    def __init__(self, closer: Closer, open_ids):
+    def __init__(self, closer: Closer, rows: np.ndarray):
         self.closer = closer
-        self.open = sorted({closer.position[f] for f in open_ids} | {closer.root})
-        width = len(closer.rows)
-        self.is_open = is_open = bytearray(width)
-        for p in self.open:
-            is_open[p] = 1
-        customers = len(closer.ranked)
-        self.best = best = [0] * customers
-        self.second = second = [0] * customers
-        self.regret = regret = [0.0] * customers
-        self.served = served = [[] for _ in range(width)]
-        self.seconds = seconds = [[] for _ in range(width)]
-        self.regret_sum = regret_sum = [0.0] * width
-        if len(self.open) == 1:
-            return  # no customer has a second choice
-        for c, (ranked, costs) in enumerate(zip(closer.ranked, closer.ranked_costs)):
-            k = 0
-            while not is_open[ranked[k]]:
-                k += 1
-            k2 = k + 1
-            while not is_open[ranked[k2]]:
-                k2 += 1
-            best[c] = k
-            second[c] = k2
-            p = ranked[k]
-            served[p].append(c)
-            seconds[ranked[k2]].append(c)
-            regret[c] = costs[k2] - costs[k]
-            # summed in customer order from 0.0, as np.bincount adds
-            regret_sum[p] += regret[c]
+        self.opened = np.asarray(rows, dtype=bool).take(closer.rows, axis=1)
+        self.opened[:, closer.root] = True
+        count = self.opened.sum(axis=1)
+        self.live = np.flatnonzero(count > 1)  # one open: nothing to score
+        self.count = count[self.live]
+        live, customers = len(self.live), len(closer.ranked)
+        i, c = np.divmod(np.arange(live * customers), customers)
+        best = self._next_open(i, c, np.zeros(len(i), dtype=np.intp))
+        second = self._next_open(i, c, best + 1)
+        self.best_at = closer.ranked[c, best].reshape(live, customers)
+        self.second_at = closer.ranked[c, second].reshape(live, customers)
+        costs = closer.ranked_costs
+        self.regret = (costs[c, second] - costs[c, best]).reshape(live, customers)
 
-    def close(self, j: int) -> None:
-        """Close ``open[j]``, moving only the customers it served or was second for."""
-        p = self.open.pop(j)
-        self.is_open[p] = 0
-        if len(self.open) == 1:
-            return  # only the root is left, and nothing more is scored
-        is_open, best, second, regret = self.is_open, self.best, self.second, self.regret
-        all_ranked, all_costs = self.closer.ranked, self.closer.ranked_costs
-        served, seconds = self.served, self.seconds
-        for c in served[p]:  # the second choice becomes the best
-            best[c] = second[c]
-            served[all_ranked[c][best[c]]].append(c)
-        dirty = set()
-        for c in served[p] + seconds[p]:
-            ranked, k = all_ranked[c], second[c]
-            if ranked[k] != p and k != best[c]:
-                continue  # stale: this pointer had moved on
-            k += 1
-            while not is_open[ranked[k]]:
-                k += 1
-            second[c] = k
-            seconds[ranked[k]].append(c)
-            costs = all_costs[c]
-            regret[c] = costs[k] - costs[best[c]]
-            dirty.add(ranked[best[c]])
-        for q in dirty:
-            customers = served[q]
-            customers.sort()
-            total = 0.0
-            for c in customers:
-                total += regret[c]
-            self.regret_sum[q] = total
+    def _next_open(self, i: np.ndarray, c: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Per entry ``n``, the first index from ``k[n]`` on at which customer
+        ``c[n]``'s ranking names a position open in live row ``i[n]``.
 
-    def vector(self) -> np.ndarray:
-        """The 0/1 vector, in ``instance.facilities`` order, of the open set."""
-        vector = bytearray(len(self.closer.rows))
-        for p in self.open:
-            vector[self.closer.rows[p]] = 1
-        return np.frombuffer(vector, dtype=np.uint8)
+        Sparse rows take the least such rank among their open positions;
+        dense rows read the ranking in windows that mostly hit at once.
+        """
+        closer, width = self.closer, len(self.closer.rows)
+        if not len(k):
+            return k
+        most, least = int(self.count.max()), int(self.count.min())
+        found = k.astype(np.intp)
+        if most * least < 2 * width:
+            members = np.argsort(~self.opened[self.live], axis=1, kind="stable")[:, :most]
+            members[np.arange(most) >= self.count[:, None]] = width  # ranked last
+            step = max(1, CLOSE_CELLS // most)
+            for part in range(0, len(k), step):
+                n = slice(part, part + step)
+                ranks = closer.rank[c[n, None], members[i[n]]]
+                found[n] = np.where(ranks >= k[n, None], ranks, width).min(axis=1)
+            return found
+        ranked = closer.ranked
+        in_ranked = c * ranked.shape[1]  # flat offsets: np.take beats 2-d indexing
+        in_opened = self.live[i] * width
+        opened = self.opened.ravel()
+        todo = np.arange(len(k))
+        span = -(-4 * width // least)
+        while len(todo):
+            span = min(span, width, max(1, CLOSE_CELLS // len(todo)))
+            window = found[todo, None] + np.arange(span)
+            hit = opened.take(ranked.take(window + in_ranked[todo, None]) + in_opened[todo, None])
+            first = hit.argmax(axis=1)
+            done = hit[np.arange(len(todo)), first]
+            found[todo] += np.where(done, first, span)
+            todo = todo[~done]
+            span = width
+        return found
+
+    def close(self, j: np.ndarray, closing: np.ndarray) -> None:
+        """Close position ``j[n]`` in each live row ``n`` where ``closing[n]``
+        (other rows, and rows left with the root alone, stop), moving only
+        the customers a closed facility served or was second for."""
+        self.opened[self.live[closing], j[closing]] = False
+        self.count -= closing
+        go_on = closing & (self.count > 1)
+        if not go_on.all():
+            self.live, self.count, j = self.live[go_on], self.count[go_on], j[go_on]
+            self.best_at, self.second_at = self.best_at[go_on], self.second_at[go_on]
+            self.regret = self.regret[go_on]
+        i, c = np.nonzero((self.best_at == j[:, None]) | (self.second_at == j[:, None]))
+        lost = self.best_at[i, c] == j[i]  # the second choice becomes the best
+        self.best_at[i[lost], c[lost]] = self.second_at[i[lost], c[lost]]
+        rank, costs = self.closer.rank, self.closer.ranked_costs
+        k = self._next_open(i, c, rank[c, self.second_at[i, c]] + 1)
+        self.second_at[i, c] = self.closer.ranked[c, k]
+        self.regret[i, c] = costs[c, k] - costs[c, rank[c, self.best_at[i, c]]]
 
 
-def closing_scores(state: ClosingState) -> list[float]:
+def closing_scores(state: ClosingState) -> np.ndarray:
     """Net objective change estimated for closing each open facility.
 
-    Entry j estimates closing ``state.open[j]``: customers it serves move
-    to their second-cheapest open facility, while its opening cost and its
-    root-path cost are saved.  The root's entry is +inf (never closed).
+    Row ``n`` scores live row ``state.live[n]`` over every position:
+    customers a facility serves move to their second-cheapest open
+    facility, while its opening cost and its root-path cost are saved.
+    Each facility's regrets are summed by one ``np.bincount`` in customer
+    order.  The root and closed facilities score +inf.
     """
-    base, regret_sum = state.closer.base, state.regret_sum
-    if not state.closer.ranked:
-        return [base[p] for p in state.open]
-    return [base[p] + regret_sum[p] for p in state.open]
+    closer = state.closer
+    live, width = len(state.live), len(closer.rows)
+    scores = closer.base
+    if len(closer.ranked):  # with no customers nothing is added, not even 0.0 to -0.0
+        slots = state.best_at + (np.arange(live) * width)[:, None]
+        sums = np.bincount(slots.ravel(), state.regret.ravel(), minlength=live * width)
+        scores = scores + sums.reshape(live, width)
+    return np.where(state.opened[state.live], scores, math.inf)
+
+
+def close_rows(closer: Closer, rows: np.ndarray, max_open: int) -> np.ndarray:
+    """Greedily close every 0/1 row of ``rows``; returns the rows kept open.
+
+    Rows are in ``instance.facilities`` order and the root joins each.  A
+    facility closes while that is estimated to pay for itself
+    (:func:`closing_scores`), or while the open count still exceeds
+    ``max_open``; ties pick the smallest facility id.  The rows close in
+    lockstep, one chunk of at most ``CLOSE_CELLS`` (row, customer) cells
+    at a time, and each row's result is that of closing it alone.
+    """
+    closed = np.zeros(np.shape(rows), dtype=np.uint8)
+    chunk = max(1, CLOSE_CELLS // max(1, len(closer.ranked)))
+    for start in range(0, len(closed), chunk):
+        state = ClosingState(closer, rows[start : start + chunk])
+        while len(state.live):
+            scores = closing_scores(state)
+            j = scores.argmin(axis=1)
+            best = scores[np.arange(len(j)), j]
+            state.close(j, (best < 0) | (state.count > max_open))
+        closed[start : start + chunk, closer.rows] = state.opened
+    return closed
 
 
 def greedy_close(
@@ -205,19 +237,11 @@ def greedy_close(
     max_open: int = GreedyParams.max_open,
     closer: Closer | None = None,
 ) -> np.ndarray:
-    """Close facilities one by one; returns the 0/1 vector kept open.
+    """:func:`close_rows` on one open set; returns the 0/1 vector kept open.
 
-    ``open_facilities`` holds distinct facility ids; the root joins them
-    and never closes.  A facility closes while that is estimated to pay
-    for itself (:func:`closing_scores`), or while the open count still
-    exceeds ``max_open``.  Ties pick the smallest facility id.
-
+    ``open_facilities`` holds distinct facility ids; the root joins them.
     ``closer`` is the :class:`Closer` of ``instance``, built here from
-    :func:`root_path_costs` when not given.  A solve builds one and passes
-    it to every call: that ranks each customer's facilities once per solve,
-    and a call then costs one walk over the customers plus, per closed
-    facility, work in proportion to the customers it served or was second
-    for.
+    :func:`root_path_costs` when not given.
     """
     if max_open < 1:
         raise ValueError("max_open must be >= 1")
@@ -225,28 +249,21 @@ def greedy_close(
         closer = Closer(instance, root_path_costs(instance, HopTableCache(instance)))
     elif closer.instance is not instance:
         raise ValueError("closer was built for another instance")
-    state = ClosingState(closer, as_open_set(instance, open_facilities))
-    while len(state.open) > 1:
-        scores = closing_scores(state)
-        j = min(range(len(scores)), key=scores.__getitem__)
-        if scores[j] < 0 or len(state.open) > max_open:
-            state.close(j)
-        else:
-            break
-    return state.vector()
+    row = np.zeros((1, len(instance.facilities)), dtype=np.uint8)
+    row[0, [instance.facility_index[f] for f in as_open_set(instance, open_facilities)]] = 1
+    return close_rows(closer, row, max_open)[0]
 
 
 def _repair_and_close(
     instance: Instance, cache: HopTableCache, max_open: int
 ) -> Transform:
-    """Reachability repair followed by :func:`greedy_close`."""
+    """Reachability repair followed by :func:`close_rows`, rows to rows."""
     root_paths = root_path_costs(instance, cache)
     reach = np.isfinite(root_paths)
     closer = Closer(instance, root_paths)
 
-    def transform(vector: np.ndarray) -> np.ndarray:
-        opened = vector_ids(instance, repair_vector(instance, vector, reach))
-        return greedy_close(instance, opened, max_open, closer)
+    def transform(rows: np.ndarray) -> np.ndarray:
+        return close_rows(closer, repair_vector(instance, rows, reach), max_open)
 
     return transform
 
@@ -288,10 +305,8 @@ def hybrid_solve(
     bias = init_bias(instance)
     stats = RunStats()
 
-    counts = np.zeros(len(instance.facilities))
     draws = rng.random((greedy.sample_count, len(instance.facilities))) < bias
-    for row in draws.astype(np.uint8):
-        counts += close(row)
+    counts = close(draws.astype(np.uint8)).sum(axis=0, dtype=float)
 
     root = instance.root
     ranked = sorted(

@@ -1,13 +1,17 @@
 """Harmony-search engine over binary facility-opening vectors.
 
-One engine drives both solver flavours: the plain variant evaluates the
-improvised vector after a reachability repair, while the greedy variant
-supplied by :mod:`hcconfl.greedy_variants` additionally closes facilities
-before evaluation.  The search state is a memory of distinct opening
-vectors kept sorted by objective value; improvisation mixes memory recall
-with bias-guided random bits, and the recall rate ramps toward 1 as the
-search matures.  The vectors are the engine's own encoding: they leave it
-as facility ids (:func:`vector_ids`), the open-set type of the package.
+One engine drives both solver flavours through a :data:`Transform`, a
+map from a block of 0/1 rows to the rows evaluated and stored: the plain
+variant only repairs reachability, while the greedy variant supplied by
+:mod:`hcconfl.greedy_variants` also closes facilities.  The memory fill
+hands the transform its random draws, and its sweep, in blocks; the loop
+hands it one row at a time; and a per-solve memo of its results means no
+row is transformed twice.  The search state is a memory of distinct
+opening vectors kept sorted by objective value; improvisation mixes
+memory recall with bias-guided random bits, and the recall rate ramps
+toward 1 as the search matures.  The vectors are the engine's own
+encoding: they leave it as facility ids (:func:`vector_ids`), the
+open-set type of the package.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
 from typing import Callable
 
 import numpy as np
@@ -172,10 +176,10 @@ def update_bias(
 def repair_vector(
     instance: Instance, vector: np.ndarray, reach_mask: np.ndarray
 ) -> np.ndarray:
-    """Force the root open and close facilities outside the hop radius."""
-    repaired = np.ascontiguousarray(vector, dtype=np.uint8).copy()
-    repaired[~reach_mask] = 0
-    repaired[instance.facility_index[instance.root]] = 1
+    """Force the root open and close facilities outside the hop radius, per row."""
+    repaired = np.array(vector, dtype=np.uint8)
+    repaired[..., ~reach_mask] = 0
+    repaired[..., instance.facility_index[instance.root]] = 1
     return repaired
 
 
@@ -212,8 +216,10 @@ def _fill_memory(
 
     Random bias draws come first, until ``DUPLICATE_DRAW_LIMIT`` duplicate
     draws have been spent; then, on small instances only, sweep the whole
-    pattern space for anything new.  The memory shrinks, with a log note
-    saying which of the two ran out, when they leave it short.
+    pattern space for anything new.  Both go in blocks no larger than the
+    rows left before a limit, so they draw and keep what one row at a time
+    would.  The memory shrinks, with a log note saying which of the two
+    ran out, when they leave it short.
     """
     width = len(instance.facilities)
     root_index = instance.facility_index[instance.root]
@@ -225,27 +231,25 @@ def _fill_memory(
     evaluated: list[tuple[np.ndarray, Solution]] = []
     seen: set[bytes] = set()
 
-    def keep(vector: np.ndarray) -> bool:
-        """Transform, evaluate and keep ``vector``; False if seen before."""
-        vector = transform(vector)
-        key = vector.tobytes()
-        if key in seen:
-            return False
-        seen.add(key)
-        evaluated.append((vector, evaluator(vector)))
-        return True
+    def keep(rows: np.ndarray) -> int:
+        """Transform the block, evaluate and keep each new row; returns the repeats."""
+        before = len(evaluated)
+        for vector in transform(rows):
+            if (key := vector.tobytes()) not in seen:
+                seen.add(key)
+                evaluated.append((vector, evaluator(vector)))
+        return len(rows) - (len(evaluated) - before)
 
     misses = 0
     while len(evaluated) < target and misses < DUPLICATE_DRAW_LIMIT:
-        if not keep((rng.random(width) < bias).astype(np.uint8)):
-            misses += 1
+        block = min(target - len(evaluated), DUPLICATE_DRAW_LIMIT - misses)
+        misses += keep((rng.random((block, width)) < bias).astype(np.uint8))
 
     swept = len(evaluated) < target and free_bits <= EXHAUSTIVE_FILL_BITS
     if swept:
-        for bits in product((0, 1), repeat=free_bits):
-            if len(evaluated) >= target:
-                break
-            keep(np.insert(np.array(bits, dtype=np.uint8), root_index, 1))
+        patterns = product((0, 1), repeat=free_bits)
+        while block := list(islice(patterns, target - len(evaluated))):
+            keep(np.insert(np.array(block, dtype=np.uint8), root_index, 1, axis=1))
 
     if len(evaluated) < target:
         if swept:
@@ -276,9 +280,9 @@ def harmony_solve(
 ) -> SolveResult:
     """Run the harmony loop until improvement stalls.
 
-    ``transform`` maps an improvised vector to the vector actually
-    evaluated and stored, and keeps the root open; the default repairs
-    reachability only.
+    ``transform`` maps a block of rows to the rows evaluated and stored,
+    keeping the root open; the default repairs reachability only.  A
+    per-solve memo hands it each distinct row once.
     """
     params = params or HarmonyParams()
     start = time.perf_counter()
@@ -287,7 +291,15 @@ def harmony_solve(
 
     if transform is None:
         reach = np.isfinite(root_path_costs(instance, cache))
-        transform = lambda vec: repair_vector(instance, vec, reach)  # noqa: E731
+        transform = lambda rows: repair_vector(instance, rows, reach)  # noqa: E731
+    memo: dict[bytes, np.ndarray] = {}
+
+    def memoized(rows: np.ndarray) -> np.ndarray:
+        keys = [row.tobytes() for row in rows]
+        fresh = {key: row for key, row in zip(keys, rows) if key not in memo}
+        if fresh:
+            memo.update(zip(fresh, transform(np.array(list(fresh.values())))))
+        return np.array([memo[key] for key in keys], dtype=np.uint8)
 
     stats = RunStats()
 
@@ -297,7 +309,7 @@ def harmony_solve(
 
     static_bias = init_bias(instance)
     memory, evaluated = _fill_memory(
-        instance, params, rng, static_bias, transform, evaluator
+        instance, params, rng, static_bias, memoized, evaluator
     )
     best_solution = min((solution for _, solution in evaluated), key=lambda s: s.total)
     stats.incumbent_history.append((0, best_solution.total))
@@ -307,7 +319,7 @@ def harmony_solve(
     iteration = 0
     while no_improve < params.max_no_improve:
         iteration += 1
-        vector = transform(improvise(rng, memory, bias, params.hmcr(iteration)))
+        vector = memoized(improvise(rng, memory, bias, params.hmcr(iteration))[None])[0]
         improved = False
         if not memory.contains(vector):
             solution = evaluator(vector)

@@ -262,6 +262,20 @@ class _Tokens:
             raise self.error(f"non-finite {what}")
         return val
 
+    def floats(self, whats: tuple[str, ...]) -> list[float]:
+        """The next ``len(whats)`` tokens, ``whats[k]`` naming token ``k``, as
+        finite floats in one pass; any bad token re-reads them with
+        :meth:`next_float`, which words the error."""
+        tokens = self.items[self.pos : self.pos + len(whats)]
+        try:
+            values = list(map(float, tokens))
+        except ValueError:
+            values = []
+        if len(values) == len(whats) and math.isfinite(sum(values)):
+            self.pos += len(whats)
+            return values
+        return [self.next_float(what) for what in whats]
+
     def expect_end(self) -> None:
         if not self.exhausted():
             raise self.error(f"trailing token {self.items[self.pos]!r}", self.pos)
@@ -365,21 +379,19 @@ def parse_uflp(text: str) -> UflpData:
     costs = np.empty((m, n), dtype=np.float64)
     if ufllib:
         toks.next("header padding")
+        row = ("opening cost",) + ("assignment cost",) * n
         for i in range(m):
             idx = toks.next_int("facility index")
             if idx != i + 1:
                 raise toks.error(f"expected facility {i + 1}, got {idx}")
-            opening[i] = toks.next_float("opening cost")
-            for k in range(n):
-                costs[i, k] = toks.next_float("assignment cost")
+            values = toks.floats(row)
+            opening[i] = values[0]
+            costs[i] = values[1:]
     else:
-        for i in range(m):
-            toks.next_float("capacity")  # discarded
-            opening[i] = toks.next_float("opening cost")
+        opening[:] = toks.floats(("capacity", "opening cost") * m)[1::2]  # capacities discarded
+        column = ("demand",) + ("assignment cost",) * m
         for k in range(n):
-            toks.next_float("demand")  # discarded
-            for i in range(m):
-                costs[i, k] = toks.next_float("assignment cost")
+            costs[:, k] = toks.floats(column)[1:]  # the demand is discarded
     toks.expect_end()
     if (opening < 0).any() or (costs < 0).any():
         raise ParseError("negative cost in facility location file")

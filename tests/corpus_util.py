@@ -7,13 +7,19 @@ independent check.
 
 from __future__ import annotations
 
+import json
+import logging
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 
-from hcconfl import Instance
+from hcconfl import HarmonyMemory, Instance, parse_tiny
+from hcconfl.harmony_core import DUPLICATE_DRAW_LIMIT, EXHAUSTIVE_FILL_BITS
+
+GOLDENS = Path(__file__).parent / "data" / "solver_goldens.json"
 
 
 def random_tiny_instance(
@@ -206,6 +212,89 @@ def reference_greedy_close(
     for f in open_ids:
         vector[instance.facility_index[f]] = 1
     return vector
+
+
+def reference_fill_memory(instance, params, rng, bias, transform, evaluator):
+    """The harmony memory fill one draw, and one transform call, at a time.
+
+    ``transform`` maps rows to rows and is handed one row per call.  The
+    shrink note goes to the ``corpus_util`` logger, worded as the
+    package's.
+    """
+    width = len(instance.facilities)
+    root_index = instance.facility_index[instance.root]
+    free_bits = width - 1
+    target = params.hms
+    if free_bits <= 30:
+        target = min(target, 2**free_bits)
+
+    evaluated = []
+    seen = set()
+
+    def keep(vector):
+        vector = transform(vector[None])[0]
+        key = vector.tobytes()
+        if key in seen:
+            return False
+        seen.add(key)
+        evaluated.append((vector, evaluator(vector)))
+        return True
+
+    misses = 0
+    while len(evaluated) < target and misses < DUPLICATE_DRAW_LIMIT:
+        if not keep((rng.random(width) < bias).astype(np.uint8)):
+            misses += 1
+
+    swept = len(evaluated) < target and free_bits <= EXHAUSTIVE_FILL_BITS
+    if swept:
+        for bits in product((0, 1), repeat=free_bits):
+            if len(evaluated) >= target:
+                break
+            keep(np.insert(np.array(bits, dtype=np.uint8), root_index, 1))
+
+    if len(evaluated) < target:
+        if swept:
+            rest = f"a sweep of all {2**free_bits} root-open patterns found no more"
+        else:
+            rest = f"{free_bits} free bits are too many to sweep"
+        logging.getLogger(__name__).warning(
+            "memory reduced to %d rows (%d requested): the random fill "
+            "stopped after %d duplicate draws and %s",
+            len(evaluated),
+            params.hms,
+            misses,
+            rest,
+        )
+    memory = HarmonyMemory(
+        np.array([vector for vector, _ in evaluated], dtype=np.uint8),
+        np.array([solution.total for _, solution in evaluated]),
+    )
+    return memory, evaluated
+
+
+def golden_cases() -> tuple[dict[str, Instance], dict[str, dict]]:
+    """The instances and seed->result goldens of ``data/solver_goldens.json``.
+
+    Besides the file's two ``exact-small`` instances there are ``tiny1``
+    and ``dense40``, a 40x40 :func:`random_dense_instance`.
+    """
+    spec = json.loads(GOLDENS.read_text())
+    instances = {
+        "tiny1": parse_tiny((GOLDENS.parent / "tiny1.txt").read_text(), name="tiny1"),
+        "dense40": random_dense_instance(random.Random(10), facilities=40, customers=40),
+    }
+    for name, kw in spec["instances"].items():
+        instances[name] = Instance(
+            **{
+                **kw,
+                "core_edges": tuple(tuple(edge) for edge in kw["core_edges"]),
+                "facilities": tuple(kw["facilities"]),
+                "customers": tuple(kw["customers"]),
+                "opening_costs": {int(f): c for f, c in kw["opening_costs"].items()},
+                "assignment_costs": np.array(kw["assignment_costs"]),
+            }
+        )
+    return instances, spec["results"]
 
 
 def naive_assignment(instance: Instance, open_ids) -> tuple[dict[str, int], float]:

@@ -17,6 +17,7 @@ import random
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hcconfl import (
@@ -269,7 +270,7 @@ def test_greedy_closing_trace_on_fixture(tiny1):
     from hcconfl.harmony_core import root_path_costs
 
     closer = Closer(tiny1, root_path_costs(tiny1, HopTableCache(tiny1)))
-    scores = closing_scores(ClosingState(closer, [1, 2, 3]))
+    scores = closing_scores(ClosingState(closer, np.ones((1, 3), dtype=np.uint8)))[0]
     assert scores[1] == pytest.approx(-2.0)
     assert scores[2] == pytest.approx(2.0)
     vec = greedy_close(tiny1, {1, 2, 3}, max_open=2)

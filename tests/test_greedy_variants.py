@@ -1,6 +1,6 @@
 import math
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -23,9 +23,10 @@ from hcconfl.greedy_variants import (
     EXHAUSTIVE_BIT_LIMIT,
     Closer,
     ClosingState,
+    close_rows,
     closing_scores,
 )
-from hcconfl.harmony_core import root_path_costs
+from hcconfl.harmony_core import repair_vector, root_path_costs
 
 from corpus_util import (
     naive_hop_costs,
@@ -37,12 +38,18 @@ from corpus_util import (
 
 def test_closing_scores_fixture_trace(tiny1):
     closer = Closer(tiny1, root_path_costs(tiny1, HopTableCache(tiny1)))
-    scores = closing_scores(ClosingState(closer, [1, 2, 3]))
-    assert scores[0] == math.inf  # root never closes
+    rows = np.array([[1, 1, 1], [1, 0, 1], [1, 0, 0]], dtype=np.uint8)
+    state = ClosingState(closer, rows)
+    assert state.live.tolist() == [0, 1]  # the root alone has nothing to score
+    scores = closing_scores(state)
+    assert scores.shape == (2, 3)
+    assert scores[0, 0] == math.inf  # root never closes
     # facility 2 serves a (regret 4-1=3), opening 3, root path 2
-    assert scores[1] == pytest.approx(-2.0)
+    assert scores[0, 1] == pytest.approx(-2.0)
     # facility 3 serves b (regret 7-1=6), opening 2, root path 2
-    assert scores[2] == pytest.approx(2.0)
+    assert scores[0, 2] == pytest.approx(2.0)
+    # a closed facility scores +inf; 3 alone serves a and b (regrets 5, 7)
+    assert scores[1].tolist() == [math.inf, math.inf, 8.0]
 
 
 def test_greedy_close_fixture(tiny1):
@@ -96,33 +103,64 @@ def _naive_close(inst: Instance, opens, max_open: int) -> set[int]:
 
 
 def _reference_checker(monkeypatch):
-    """A check that greedy_close matches reference_greedy_close bit for bit.
+    """A check that the closing kernel matches reference_greedy_close bit for bit.
 
-    It compares the returned vectors and, step by step, every score list
-    ``closing_scores`` hands the loop, as raw float64 bytes.
+    Each block of open sets goes through ``close_rows`` whole, under three
+    chunk sizes (the default, three rows, and one row with one-entry
+    ranking reads), and through ``greedy_close`` one set at a time.  Every
+    row must come back as the reference's, and every row's scores over its
+    open facilities, step by step, must equal the reference's as raw
+    float64 bytes.  A chunk calls ``closing_scores`` once per step of its
+    longest row.
     """
-    got_steps: list[np.ndarray] = []
+    states: list = []  # the ClosingState of each chunk, in order
+    got_steps: defaultdict[int, list[bytes]] = defaultdict(list)
+    calls: Counter[int] = Counter()  # closing_scores calls per chunk
     scores_of = greedy_variants.closing_scores
+    default_cells = greedy_variants.CLOSE_CELLS
+
+    class RecordedState(greedy_variants.ClosingState):
+        def __init__(self, closer, rows):
+            super().__init__(closer, rows)
+            self.first = sum(len(s.opened) for s in states)
+            self.chunk = len(states)
+            states.append(self)
 
     def recording(state):
         scores = scores_of(state)
-        got_steps.append(np.array(scores, dtype=np.float64))
+        calls[state.chunk] += 1
+        for n, r in enumerate(state.live):
+            got_steps[state.first + r].append(scores[n][state.opened[r]].tobytes())
         return scores
 
+    monkeypatch.setattr(greedy_variants, "ClosingState", RecordedState)
     monkeypatch.setattr(greedy_variants, "closing_scores", recording)
 
-    def check(inst: Instance, cases) -> None:
+    def check(inst: Instance, block, max_open: int) -> None:
         paths = root_path_costs(inst, HopTableCache(inst))
         closer = Closer(inst, paths)
-        for opens, max_open in cases:
-            want_steps: list[np.ndarray] = []
-            want = reference_greedy_close(inst, opens, max_open, paths, want_steps)
+        want, want_steps = [], []
+        rows = np.zeros((len(block), len(inst.facilities)), dtype=np.uint8)
+        for row, opens in zip(rows, block):
+            steps: list[np.ndarray] = []
+            want.append(reference_greedy_close(inst, opens, max_open, paths, steps).tolist())
+            want_steps.append([s.astype(np.float64).tobytes() for s in steps])
+            row[[inst.facility_index[f] for f in opens]] = 1
+        customers = max(1, len(inst.customers))
+        for cells in (default_cells, 3 * customers, 1):
+            monkeypatch.setattr(greedy_variants, "CLOSE_CELLS", cells)
+            states.clear()
             got_steps.clear()
-            got = greedy_close(inst, opens, max_open, closer)
-            assert got.tolist() == want.tolist()
-            assert [s.tobytes() for s in got_steps] == [s.tobytes() for s in want_steps]
-            # built from root_path_costs when no closer is given
-            assert greedy_close(inst, opens, max_open).tolist() == want.tolist()
+            calls.clear()
+            assert close_rows(closer, rows, max_open).tolist() == want
+            assert [got_steps[r] for r in range(len(block))] == want_steps
+            for chunk, state in enumerate(states):
+                rows_in = range(state.first, state.first + len(state.opened))
+                assert calls[chunk] == max(len(want_steps[r]) for r in rows_in)
+        for opens, vector in zip(block, want):
+            assert greedy_close(inst, opens, max_open, closer).tolist() == vector
+        # built from root_path_costs when no closer is given
+        assert greedy_close(inst, block[0], max_open).tolist() == want[0]
 
     return check
 
@@ -141,7 +179,7 @@ def test_greedy_close_matches_naive_reimplementation(monkeypatch):
             f for f in inst.facilities if vec[inst.facility_index[f]] == 1
         }
         assert kept == _naive_close(inst, opens, max_open)
-        check(inst, [(opens, max_open)])
+        check(inst, [opens], max_open)
 
 
 @pytest.mark.parametrize(
@@ -159,15 +197,30 @@ def test_greedy_close_matches_reference_on_dense_instances(shape, monkeypatch):
     check = _reference_checker(monkeypatch)
     rng = random.Random(2024)
     inst = random_dense_instance(rng, **shape)
-    cases = [
-        (
-            [f for f in inst.facilities if rng.random() < density],
-            max_open,
-        )
-        for density in (0.1, 0.3, 0.5, 0.7)
-        for max_open in (6, 18, 200)
+    block = [
+        [f for f in inst.facilities if rng.random() < density]
+        for density in (0.02, 0.1, 0.3, 0.5, 0.7)
     ]
-    check(inst, cases)
+    for max_open in (1, 6, 18, 200):
+        check(inst, block, max_open)
+
+
+def test_close_rows_on_a_single_facility_and_an_empty_block(monkeypatch):
+    check = _reference_checker(monkeypatch)
+    inst = Instance(
+        name="one",
+        num_nodes=2,
+        core_edges=((1, 2, 1.0),),
+        facilities=(2,),
+        root=2,
+        customers=("a", "b"),
+        opening_costs={2: 3.0},
+        assignment_costs=np.array([[1.0, 2.0]]),
+        hop_limit=1,
+    )
+    check(inst, [[], [2]], 1)
+    closer = Closer(inst, root_path_costs(inst, HopTableCache(inst)))
+    assert close_rows(closer, np.zeros((0, 1), dtype=np.uint8), 6).shape == (0, 1)
 
 
 @pytest.mark.parametrize("solver", ["ghs", "hybrid"])
@@ -177,16 +230,19 @@ def test_solvers_look_closing_names_up_at_call_time(solver, monkeypatch):
     # that patches the module.
     inst = random_dense_instance(random.Random(31), facilities=12, customers=15)
     counts: Counter[str] = Counter()
-    closes = []
+    handed: list[np.ndarray] = []  # each block the transform was handed
+    repaired: list[np.ndarray] = []  # each block repair_vector returned
+    max_open = []
 
     def count(name, record=None):
         original = getattr(greedy_variants, name)
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
+            result = original(*args, **kwargs)
             if record is not None:
-                record(args)
-            return original(*args, **kwargs)
+                record(result)
+            return result
 
         monkeypatch.setattr(greedy_variants, name, wrapper)
 
@@ -194,31 +250,52 @@ def test_solvers_look_closing_names_up_at_call_time(solver, monkeypatch):
 
     def counted_transforms(*args):
         transform = make_transform(*args)
+        max_open.append(args[2])
         count("closing_scores")
-        count("repair_vector")
-        count("greedy_close", lambda args: closes.append((list(args[1]), args[2])))
+        count("greedy_close")
+        count("repair_vector", repaired.append)
 
-        def wrapper(vector):
+        def wrapper(rows):
             counts["transform"] += 1
-            return transform(vector)
+            handed.append(rows.copy())
+            return transform(rows)
 
         return wrapper
 
     monkeypatch.setattr(greedy_variants, "_repair_and_close", counted_transforms)
     if solver == "ghs":
         result = ghs_solve(inst, HarmonyParams(hms=20, max_no_improve=40), seed=5)
-        assert counts["transform"] >= result.stats.evaluations > 0
+        assert result.stats.evaluations > 0
+        # the solve's memo hands each distinct row over once
+        keys = [row.tobytes() for block in handed for row in block]
+        assert len(set(keys)) == len(keys)
     else:
         hybrid_solve(inst, GreedyParams(top_k=6, sample_count=60), seed=5)
-        assert counts["transform"] == 60
+        assert [len(block) for block in handed] == [60]  # one block
 
+    # every block is repaired, and every row of it closed in lockstep
+    reach = np.isfinite(root_path_costs(inst, HopTableCache(inst)))
+    assert counts["repair_vector"] == counts["transform"] == len(handed) > 0
+    for block, got in zip(handed, repaired):
+        assert got.tobytes() == repair_vector(inst, block, reach).tobytes()
+    assert counts["greedy_close"] == 0  # solvers close through close_rows
     paths = root_path_costs(inst, HopTableCache(inst))
+    chunk = greedy_variants.CLOSE_CELLS // len(inst.customers)
+    steps = 0
+    for block in repaired:
+        for start in range(0, len(block), chunk):
+            steps += max(
+                len(_reference_steps(inst, row, max_open[0], paths))
+                for row in block[start : start + chunk]
+            )
+    assert counts["closing_scores"] == steps > counts["transform"]
+
+
+def _reference_steps(inst: Instance, row: np.ndarray, max_open: int, paths) -> list:
     steps: list[np.ndarray] = []
-    for opens, max_open in closes:
-        reference_greedy_close(inst, opens, max_open, paths, steps)
-    assert counts["greedy_close"] == counts["transform"]
-    assert counts["repair_vector"] == counts["transform"]
-    assert counts["closing_scores"] == len(steps) > counts["transform"]
+    opens = [f for f, bit in zip(inst.facilities, row) if bit]
+    reference_greedy_close(inst, opens, max_open, paths, steps)
+    return steps
 
 
 def test_ghs_finds_fixture_optimum(tiny1):

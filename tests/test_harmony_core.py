@@ -1,6 +1,7 @@
 import logging
 import math
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -27,7 +28,16 @@ from hcconfl.harmony_core import (
     vector_ids,
 )
 
-from corpus_util import random_dense_instance, random_tiny_instance
+from hcconfl import greedy_variants, harmony_core
+
+from corpus_util import (
+    golden_cases,
+    random_dense_instance,
+    random_tiny_instance,
+    reference_fill_memory,
+)
+
+GOLDEN_INSTANCES, _ = golden_cases()
 
 
 def test_init_bias_fixture_values(tiny1):
@@ -161,7 +171,7 @@ def test_fill_memory_exhausts_small_pattern_space(tiny1):
         params,
         rng,
         init_bias(tiny1),
-        lambda v: repair_vector(tiny1, v, reach),
+        lambda rows: repair_vector(tiny1, rows, reach),
         lambda v: evaluate(tiny1, vector_ids(tiny1, v), cache),
     )
     # only 4 distinct root-open vectors exist
@@ -171,18 +181,21 @@ def test_fill_memory_exhausts_small_pattern_space(tiny1):
     assert memory.totals[0] == 10.0
 
 
+LINE22 = Instance(
+    name="line22",
+    num_nodes=22,
+    core_edges=tuple((i, i + 1, 1.0) for i in range(1, 22)),
+    facilities=tuple(range(1, 23)),
+    root=1,
+    customers=(),
+    opening_costs={f: 1.0 for f in range(1, 23)},
+    assignment_costs=np.zeros((22, 0)),
+    hop_limit=3,
+)
+
+
 def test_fill_memory_warning_says_what_ran_out(tiny1, caplog):
-    line = Instance(
-        name="line22",
-        num_nodes=22,
-        core_edges=tuple((i, i + 1, 1.0) for i in range(1, 22)),
-        facilities=tuple(range(1, 23)),
-        root=1,
-        customers=(),
-        opening_costs={f: 1.0 for f in range(1, 23)},
-        assignment_costs=np.zeros((22, 0)),
-        hop_limit=3,
-    )
+    line = LINE22
     for inst, rest in (
         (tiny1, "a sweep of all 4 root-open patterns found no more"),
         (line, "21 free bits are too many to sweep"),
@@ -196,7 +209,7 @@ def test_fill_memory_warning_says_what_ran_out(tiny1, caplog):
                 HarmonyParams(hms=10),
                 np.random.default_rng(1),
                 init_bias(inst),
-                lambda v: root_only,
+                lambda rows: np.tile(root_only, (len(rows), 1)),
                 lambda v: evaluate(inst, vector_ids(inst, v)),
             )
         assert len(memory) == 1
@@ -204,6 +217,67 @@ def test_fill_memory_warning_says_what_ran_out(tiny1, caplog):
             "memory reduced to 1 rows (10 requested): the random fill stopped "
             f"after {DUPLICATE_DRAW_LIMIT} duplicate draws and {rest}"
         ]
+
+
+@pytest.mark.parametrize("transform", ["repair", "greedy"])
+@pytest.mark.parametrize("case", ["tiny1", "line22", "small-1-0"])
+def test_block_fill_matches_one_draw_at_a_time(case, transform, tiny1, caplog, monkeypatch):
+    inst = {"tiny1": tiny1, "line22": LINE22, "small-1-0": GOLDEN_INSTANCES["small-1-0"]}[case]
+    cache = HopTableCache(inst)
+    if transform == "greedy":
+        rows_to_rows = greedy_variants._repair_and_close(inst, cache, 6)
+    else:
+        reach = np.isfinite(root_path_costs(inst, cache))
+        rows_to_rows = lambda rows: repair_vector(inst, rows, reach)  # noqa: E731
+    sweeps = []
+    monkeypatch.setattr(
+        harmony_core, "product", lambda *args, **kw: sweeps.append(1) or product(*args, **kw)
+    )
+    runs = []
+    for fill in (_fill_memory, reference_fill_memory):
+        rng = np.random.default_rng(11)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            memory, evaluated = fill(
+                inst,
+                HarmonyParams(hms=150),
+                rng,
+                init_bias(inst),
+                rows_to_rows,
+                lambda v: evaluate(inst, vector_ids(inst, v), cache),
+            )
+        runs.append(
+            (
+                memory.vectors.tobytes(),
+                memory.totals.tobytes(),
+                [(v.tobytes(), float(s.total).hex()) for v, s in evaluated],
+                caplog.messages,
+                rng.random(),  # both consumed the same stream
+            )
+        )
+    assert runs[0] == runs[1]
+    if case == "small-1-0":
+        assert sweeps  # the block fill reached the sweep
+
+
+def test_harmony_solve_transforms_each_row_once(tiny1):
+    cache = HopTableCache(tiny1)
+    reach = np.isfinite(root_path_costs(tiny1, cache))
+    handed: list[bytes] = []
+
+    def transform(rows):
+        handed.extend(row.tobytes() for row in rows)
+        return repair_vector(tiny1, rows, reach)
+
+    params = HarmonyParams(hms=10, max_no_improve=50)
+    got = harmony_core.harmony_solve(tiny1, params, seed=2, transform=transform, cache=cache)
+    # tiny1 has 8 vectors, so the fill's blocks repeat rows and the loop
+    # improvises the same ones again and again
+    assert sorted(handed) == sorted(set(handed)) and len(handed) <= 8
+    want = hs_solve(tiny1, params, seed=2)
+    assert got.solution.total == want.solution.total
+    assert got.stats.evaluations == want.stats.evaluations
+    assert got.stats.iterations == want.stats.iterations == 50
 
 
 def test_hs_finds_fixture_optimum(tiny1):
