@@ -16,10 +16,10 @@ served or was second for; so every row closes as it would alone, with
 scores bit for bit those of a from-scratch rescoring.  ``greedy_close``
 is the kernel on one open set of facility ids.
 
-``ghs_solve`` plugs repair plus closing, as a rows -> rows transform,
-into the harmony engine; ``hybrid_solve`` closes all its bias-guided
-samples in one block only to shortlist facilities, then enumerates every
-root-open subset of the shortlist.
+``ghs_solve`` plugs repair plus closing, as a rows -> rows transform
+that memoizes its closed rows, into the harmony engine; ``hybrid_solve``
+closes all its bias-guided samples in one block only to shortlist
+facilities, then enumerates every root-open subset of the shortlist.
 """
 
 from __future__ import annotations
@@ -101,7 +101,8 @@ class Closer:
         self.ranked_costs = np.take_along_axis(costs, ranked, axis=0).T.copy()
         narrow = np.min_scalar_type(width)
         self.ranked = np.pad(ranked.T, ((0, 0), (0, width)), mode="edge").astype(narrow)
-        self.rank = np.full((len(instance.customers), width + 1), width, dtype=narrow)
+        # intp keeps its per-step reads out of NumPy's cache of small byte arrays
+        self.rank = np.full((len(instance.customers), width + 1), width, dtype=np.intp)
         self.rank[np.arange(len(instance.customers))[:, None], ranked.T] = np.arange(width)
 
 
@@ -135,15 +136,17 @@ class ClosingState:
         """Per entry ``n``, the first index from ``k[n]`` on at which customer
         ``c[n]``'s ranking names a position open in live row ``i[n]``.
 
-        Sparse rows take the least such rank among their open positions;
-        dense rows read the ranking in windows that mostly hit at once.
+        Dense rows read the ranking in windows of four mean gaps between
+        open positions, which nearly always hit at once; sparse rows, whose
+        open positions are fewer than that, take the least rank among them.
         """
         closer, width = self.closer, len(self.closer.rows)
         if not len(k):
             return k
         most, least = int(self.count.max()), int(self.count.min())
         found = k.astype(np.intp)
-        if most * least < 2 * width:
+        span = -(-4 * width // least)
+        if most < span:  # fewer ranks to read per entry than one window
             members = np.argsort(~self.opened[self.live], axis=1, kind="stable")[:, :most]
             members[np.arange(most) >= self.count[:, None]] = width  # ranked last
             step = max(1, CLOSE_CELLS // most)
@@ -157,7 +160,6 @@ class ClosingState:
         in_opened = self.live[i] * width
         opened = self.opened.ravel()
         todo = np.arange(len(k))
-        span = -(-4 * width // least)
         while len(todo):
             span = min(span, width, max(1, CLOSE_CELLS // len(todo)))
             window = found[todo, None] + np.arange(span)
@@ -180,9 +182,9 @@ class ClosingState:
             self.live, self.count, j = self.live[go_on], self.count[go_on], j[go_on]
             self.best_at, self.second_at = self.best_at[go_on], self.second_at[go_on]
             self.regret = self.regret[go_on]
-        i, c = np.nonzero((self.best_at == j[:, None]) | (self.second_at == j[:, None]))
-        lost = self.best_at[i, c] == j[i]  # the second choice becomes the best
-        self.best_at[i[lost], c[lost]] = self.second_at[i[lost], c[lost]]
+        lost = self.best_at == j[:, None]  # the second choice becomes the best
+        i, c = np.nonzero(lost | (self.second_at == j[:, None]))
+        np.copyto(self.best_at, self.second_at, where=lost)
         rank, costs = self.closer.rank, self.closer.ranked_costs
         k = self._next_open(i, c, rank[c, self.second_at[i, c]] + 1)
         self.second_at[i, c] = self.closer.ranked[c, k]
@@ -257,13 +259,21 @@ def greedy_close(
 def _repair_and_close(
     instance: Instance, cache: HopTableCache, max_open: int
 ) -> Transform:
-    """Reachability repair followed by :func:`close_rows`, rows to rows."""
+    """Reachability repair followed by :func:`close_rows`, rows to rows;
+    a per-solve memo means no repaired row is closed twice."""
     root_paths = root_path_costs(instance, cache)
     reach = np.isfinite(root_paths)
     closer = Closer(instance, root_paths)
+    memo: dict[bytes, np.ndarray] = {}
 
     def transform(rows: np.ndarray) -> np.ndarray:
-        return close_rows(closer, repair_vector(instance, rows, reach), max_open)
+        repaired = repair_vector(instance, rows, reach)
+        keys = [row.tobytes() for row in repaired]
+        fresh = {key: row for key, row in zip(keys, repaired) if key not in memo}
+        if fresh:
+            closed = close_rows(closer, np.array(list(fresh.values())), max_open)
+            memo.update(zip(fresh, closed))
+        return np.array([memo[key] for key in keys], dtype=np.uint8)
 
     return transform
 

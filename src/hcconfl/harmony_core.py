@@ -5,8 +5,7 @@ map from a block of 0/1 rows to the rows evaluated and stored: the plain
 variant only repairs reachability, while the greedy variant supplied by
 :mod:`hcconfl.greedy_variants` also closes facilities.  The memory fill
 hands the transform its random draws, and its sweep, in blocks; the loop
-hands it one row at a time; and a per-solve memo of its results means no
-row is transformed twice.  The search state is a memory of distinct
+hands it one row at a time.  The search state is a memory of distinct
 opening vectors kept sorted by objective value; improvisation mixes
 memory recall with bias-guided random bits, and the recall rate ramps
 toward 1 as the search matures.  The vectors are the engine's own
@@ -177,8 +176,7 @@ def repair_vector(
     instance: Instance, vector: np.ndarray, reach_mask: np.ndarray
 ) -> np.ndarray:
     """Force the root open and close facilities outside the hop radius, per row."""
-    repaired = np.array(vector, dtype=np.uint8)
-    repaired[..., ~reach_mask] = 0
+    repaired = np.asarray(vector, dtype=np.uint8) * reach_mask
     repaired[..., instance.facility_index[instance.root]] = 1
     return repaired
 
@@ -281,8 +279,7 @@ def harmony_solve(
     """Run the harmony loop until improvement stalls.
 
     ``transform`` maps a block of rows to the rows evaluated and stored,
-    keeping the root open; the default repairs reachability only.  A
-    per-solve memo hands it each distinct row once.
+    keeping the root open; the default repairs reachability only.
     """
     params = params or HarmonyParams()
     start = time.perf_counter()
@@ -292,14 +289,6 @@ def harmony_solve(
     if transform is None:
         reach = np.isfinite(root_path_costs(instance, cache))
         transform = lambda rows: repair_vector(instance, rows, reach)  # noqa: E731
-    memo: dict[bytes, np.ndarray] = {}
-
-    def memoized(rows: np.ndarray) -> np.ndarray:
-        keys = [row.tobytes() for row in rows]
-        fresh = {key: row for key, row in zip(keys, rows) if key not in memo}
-        if fresh:
-            memo.update(zip(fresh, transform(np.array(list(fresh.values())))))
-        return np.array([memo[key] for key in keys], dtype=np.uint8)
 
     stats = RunStats()
 
@@ -309,7 +298,7 @@ def harmony_solve(
 
     static_bias = init_bias(instance)
     memory, evaluated = _fill_memory(
-        instance, params, rng, static_bias, memoized, evaluator
+        instance, params, rng, static_bias, transform, evaluator
     )
     best_solution = min((solution for _, solution in evaluated), key=lambda s: s.total)
     stats.incumbent_history.append((0, best_solution.total))
@@ -319,7 +308,7 @@ def harmony_solve(
     iteration = 0
     while no_improve < params.max_no_improve:
         iteration += 1
-        vector = memoized(improvise(rng, memory, bias, params.hmcr(iteration))[None])[0]
+        vector = transform(improvise(rng, memory, bias, params.hmcr(iteration))[None])[0]
         improved = False
         if not memory.contains(vector):
             solution = evaluator(vector)

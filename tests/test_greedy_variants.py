@@ -18,7 +18,7 @@ from hcconfl import (
     serialize_tiny,
     validate,
 )
-from hcconfl import greedy_variants
+from hcconfl import greedy_variants, harmony_core
 from hcconfl.greedy_variants import (
     EXHAUSTIVE_BIT_LIMIT,
     Closer,
@@ -26,7 +26,7 @@ from hcconfl.greedy_variants import (
     close_rows,
     closing_scores,
 )
-from hcconfl.harmony_core import repair_vector, root_path_costs
+from hcconfl.harmony_core import repair_vector, root_path_costs, vector_ids
 
 from corpus_util import (
     naive_hop_costs,
@@ -231,64 +231,99 @@ def test_solvers_look_closing_names_up_at_call_time(solver, monkeypatch):
     inst = random_dense_instance(random.Random(31), facilities=12, customers=15)
     counts: Counter[str] = Counter()
     handed: list[np.ndarray] = []  # each block the transform was handed
+    returned: list[np.ndarray] = []  # each block the transform returned
     repaired: list[np.ndarray] = []  # each block repair_vector returned
+    closed: list[np.ndarray] = []  # each block close_rows was handed
+    priced: list[list[int]] = []  # each open set evaluate priced
     max_open = []
 
-    def count(name, record=None):
-        original = getattr(greedy_variants, name)
+    def count(module, name, record=None):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
             result = original(*args, **kwargs)
             if record is not None:
-                record(result)
+                record(args, result)
             return result
 
-        monkeypatch.setattr(greedy_variants, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
     make_transform = greedy_variants._repair_and_close
 
     def counted_transforms(*args):
         transform = make_transform(*args)
         max_open.append(args[2])
-        count("closing_scores")
-        count("greedy_close")
-        count("repair_vector", repaired.append)
+        count(greedy_variants, "closing_scores")
+        count(greedy_variants, "greedy_close")
+        count(greedy_variants, "close_rows", lambda a, _: closed.append(a[1].copy()))
+        count(greedy_variants, "repair_vector", lambda _, got: repaired.append(got))
 
         def wrapper(rows):
+            if not counts["transform"]:  # the harmony engine is set up by now
+                for module in (greedy_variants, harmony_core):
+                    count(module, "evaluate", lambda a, _: priced.append(sorted(a[1])))
             counts["transform"] += 1
             handed.append(rows.copy())
-            return transform(rows)
+            returned.append(transform(rows))
+            return returned[-1]
 
         return wrapper
 
     monkeypatch.setattr(greedy_variants, "_repair_and_close", counted_transforms)
     if solver == "ghs":
         result = ghs_solve(inst, HarmonyParams(hms=20, max_no_improve=40), seed=5)
-        assert result.stats.evaluations > 0
-        # the solve's memo hands each distinct row over once
-        keys = [row.tobytes() for block in handed for row in block]
-        assert len(set(keys)) == len(keys)
     else:
-        hybrid_solve(inst, GreedyParams(top_k=6, sample_count=60), seed=5)
+        result = hybrid_solve(inst, GreedyParams(top_k=6, sample_count=60), seed=5)
         assert [len(block) for block in handed] == [60]  # one block
+    assert counts["evaluate"] == len(priced) == result.stats.evaluations > 0
 
-    # every block is repaired, and every row of it closed in lockstep
-    reach = np.isfinite(root_path_costs(inst, HopTableCache(inst)))
-    assert counts["repair_vector"] == counts["transform"] == len(handed) > 0
-    for block, got in zip(handed, repaired):
-        assert got.tobytes() == repair_vector(inst, block, reach).tobytes()
-    assert counts["greedy_close"] == 0  # solvers close through close_rows
+    # every block is repaired, and its rows come back as the reference closes them
     paths = root_path_costs(inst, HopTableCache(inst))
+    reach = np.isfinite(paths)
+    assert counts["repair_vector"] == counts["transform"] == len(handed) > 0
+    for block, got, out in zip(handed, repaired, returned):
+        assert got.tobytes() == repair_vector(inst, block, reach).tobytes()
+        for row, vector in zip(got, out):
+            opens = [f for f, bit in zip(inst.facilities, row) if bit]
+            want = reference_greedy_close(inst, opens, max_open[0], paths)
+            assert vector.tolist() == want.tolist()
+    # the memo closes each repaired row once, and only in close_rows
+    keys = [row.tobytes() for block in closed for row in block]
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == {row.tobytes() for block in repaired for row in block}
+    assert counts["close_rows"] <= counts["transform"]
+    assert counts["greedy_close"] == 0
+    if solver == "ghs":
+        # ghs evaluates nothing but rows the transform returned
+        out = {tuple(sorted(vector_ids(inst, row))) for block in returned for row in block}
+        assert sum(map(len, returned)) >= result.stats.evaluations
+        assert {tuple(ids) for ids in priced} <= out
     chunk = greedy_variants.CLOSE_CELLS // len(inst.customers)
     steps = 0
-    for block in repaired:
+    for block in closed:
         for start in range(0, len(block), chunk):
             steps += max(
                 len(_reference_steps(inst, row, max_open[0], paths))
                 for row in block[start : start + chunk]
             )
-    assert counts["closing_scores"] == steps > counts["transform"]
+    assert counts["closing_scores"] == steps > counts["close_rows"]
+
+
+def test_ghs_closes_each_row_once(tiny1, monkeypatch):
+    closed: list[bytes] = []
+    close = greedy_variants.close_rows
+
+    def recording(closer, rows, max_open):
+        closed.extend(row.tobytes() for row in rows)
+        return close(closer, rows, max_open)
+
+    monkeypatch.setattr(greedy_variants, "close_rows", recording)
+    result = ghs_solve(tiny1, HarmonyParams(hms=10, max_no_improve=50), seed=2)
+    # tiny1 has 4 root-open rows, so the fill's blocks repeat rows and the
+    # loop improvises the same ones again and again
+    assert len(closed) == len(set(closed)) <= 4
+    assert result.stats.iterations == 50
 
 
 def _reference_steps(inst: Instance, row: np.ndarray, max_open: int, paths) -> list:
