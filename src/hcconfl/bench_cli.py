@@ -36,6 +36,16 @@ from .oracle import exact_solve
 
 CSV_HEADER = "instance,algo,hop,seed,obj,cpu_seconds,iterations,open_count"
 
+# each algorithm parameter, by argparse dest, and the --algo values that read it
+READ_BY = {
+    "hms": ("hs", "ghs"),
+    "hmcr": ("hs", "ghs"),
+    "max_no_improve": ("hs", "ghs"),
+    "max_open": ("ghs",),
+    "top_k": ("hybrid",),
+    "samples": ("hybrid",),
+}
+
 
 @dataclass
 class RunRow:
@@ -86,15 +96,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="report cpu_seconds as 0.000 for byte-identical output",
     )
 
-    knobs = parser.add_argument_group("algorithm parameters")
-    knobs.add_argument("--hms", type=int, help="harmony memory size")
-    knobs.add_argument("--hmcr", type=float, help="initial memory recall rate")
+    knobs = parser.add_argument_group("algorithm parameters", "read only by the --algo named")
+    knobs.add_argument("--hms", type=int, help="harmony memory size (hs, ghs)")
+    knobs.add_argument("--hmcr", type=float, help="initial memory recall rate (hs, ghs)")
     knobs.add_argument(
-        "--max-no-improve", type=int, help="stop after this many stale iterations"
+        "--max-no-improve", type=int, help="stop after this many stale iterations (hs, ghs)"
     )
-    knobs.add_argument("--max-open", type=int, help="greedy closing keeps at most this many")
-    knobs.add_argument("--top-k", type=int, help="hybrid shortlist size")
-    knobs.add_argument("--samples", type=int, help="hybrid sampling rounds")
+    knobs.add_argument("--max-open", type=int, help="greedy closing keeps at most this many (ghs)")
+    knobs.add_argument("--top-k", type=int, help="shortlist size (hybrid)")
+    knobs.add_argument("--samples", type=int, help="sampling rounds (hybrid)")
     return parser
 
 
@@ -150,22 +160,18 @@ def greedy_params(args: argparse.Namespace) -> GreedyParams:
 
 def run_once(instance: Instance, label: str, args: argparse.Namespace, seed: int) -> RunRow:
     cpu_start = time.process_time()
-    if args.algo == "hs":
-        result = hs_solve(instance, params=harmony_params(args), seed=seed)
-        solution, iterations = result.solution, result.stats.iterations
-    elif args.algo == "ghs":
-        result = ghs_solve(
-            instance,
-            params=harmony_params(args),
-            greedy=greedy_params(args),
-            seed=seed,
-        )
-        solution, iterations = result.solution, result.stats.iterations
-    elif args.algo == "hybrid":
-        result = hybrid_solve(instance, greedy=greedy_params(args), seed=seed)
-        solution, iterations = result.solution, result.stats.iterations
-    else:
+    if args.algo == "oracle":
         solution, iterations = exact_solve(instance), 0
+    else:
+        if args.algo == "hs":
+            result = hs_solve(instance, params=harmony_params(args), seed=seed)
+        elif args.algo == "ghs":
+            result = ghs_solve(
+                instance, params=harmony_params(args), greedy=greedy_params(args), seed=seed
+            )
+        else:
+            result = hybrid_solve(instance, greedy=greedy_params(args), seed=seed)
+        solution, iterations = result.solution, result.stats.iterations
     cpu = 0.0 if args.zero_time else time.process_time() - cpu_start
 
     if not solution.feasible:
@@ -205,10 +211,12 @@ def format_csv(rows: list[RunRow]) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.repeats < 1:
-        print("error: --repeats must be >= 1", file=sys.stderr)
-        return 2
     try:
+        if args.repeats < 1:
+            raise ValueError("--repeats must be >= 1")
+        for dest, algos in READ_BY.items():
+            if getattr(args, dest) is not None and args.algo not in algos:
+                raise ValueError(f"--{dest.replace('_', '-')} does not apply to --algo {args.algo}")
         instance = load_instance(args)
         label = instance_label(args)
         rows = [

@@ -10,14 +10,17 @@ limit:
   and each required node with its insertion epoch;
 * phase 2 rebuilds the final tree, visiting required nodes in reverse epoch
   order and connecting each one either through a freshly computed path into
-  the current tree or through its phase-1 route, whichever is cheaper.
+  the current tree or through its phase-1 route, whichever is cheaper; if
+  neither fits the hop limit, it returns the tree of the phase-1 chains
+  alone, which always fits.
 
-Ties are broken by cost, then fewer hops, then smallest id pair, so
-results are deterministic.  Both phases read whole hop-table rows at once:
-phase 1 keeps the best known connection to every node and refreshes it only
-from the nodes whose label the last insertion set or lowered; phase 2
-prices every tree node for a facility with one gather over the stacked
-tables of ``HopTableCache``.
+Every tree is made by ``tree_from_parents``, which takes the root from the
+instance.  Ties are broken by cost, then fewer hops, then smallest id pair,
+so results are deterministic.  Both phases read whole hop-table rows at
+once: phase 1 keeps the best known connection to every node and refreshes
+it only from the nodes whose label the last insertion set or lowered;
+phase 2 prices every tree node for a facility with one gather over the
+stacked tables of ``HopTableCache``.
 """
 
 from __future__ import annotations
@@ -77,15 +80,15 @@ class SteinerTree:
 
 
 def tree_from_parents(
-    instance: Instance, root: int, parent: dict[int, int], depth: dict[int, int]
+    instance: Instance, parent: dict[int, int], depth: dict[int, int]
 ) -> SteinerTree:
     """The tree on the keys of ``depth`` whose edges are the ``parent`` links.
 
-    Its cost is the sum of its edge costs taken in sorted edge order.
+    Rooted at the instance's root; its cost sums its edge costs in sorted order.
     """
     edges = frozenset(canon_edge(p, v) for v, p in parent.items())
     return SteinerTree(
-        root=root,
+        root=instance.root,
         nodes=frozenset(depth),
         edges=edges,
         depth=depth,
@@ -188,44 +191,28 @@ def _parent_chain(state: NrbiState, node: int, stop: dict[int, int]) -> list[int
     return chain
 
 
-def _parent_tree(instance: Instance, state: NrbiState) -> SteinerTree:
-    """Fallback tree: union of the phase-1 parent walks of all required nodes.
+def _attach(depth: dict[int, int], parent: dict[int, int], path: list[int]) -> None:
+    """Hang ``path`` below ``path[0]``, a node already in the tree."""
+    for prev, node in zip(path, path[1:]):
+        depth[node] = depth[prev] + 1
+        parent[node] = prev
 
-    The phase-1 labels strictly increase along parent links, so this union
-    is a tree whose depths stay within the hop limit.  Only used when the
-    regular phase-2 attachment cannot place a node without breaking the
-    limit, which requires a rather contorted graph.
+
+def _parent_tree(instance: Instance, state: NrbiState) -> SteinerTree:
+    """Fallback tree: the phase-1 chains of the required nodes alone.
+
+    The chains are hung in insertion order, each down to the first node
+    already hung.  Phase-1 labels rise by at least one along every parent
+    link, so no depth exceeds its label: the tree always fits the hop limit.
     """
-    root = instance.root
+    depth = {instance.root: 0}
     parent: dict[int, int] = {}
     for v in state.insertion_epoch:
-        x = v
-        while x != root and x not in parent:
-            parent[x] = state.parent[x]
-            x = parent[x]
-    depth = {root: 0}
-
-    def resolve(x: int) -> int:
-        trail = []
-        while x not in depth:
-            trail.append(x)
-            x = parent[x]
-        d = depth[x]
-        for y in reversed(trail):
-            d += 1
-            depth[y] = d
-        return d
-
-    for v in parent:
-        resolve(v)
-    return tree_from_parents(instance, root, parent, depth)
+        _attach(depth, parent, _parent_chain(state, v, depth))
+    return tree_from_parents(instance, parent, depth)
 
 
-def nrbi_phase2(
-    instance: Instance,
-    state: NrbiState,
-    cache: HopTableCache,
-) -> SteinerTree:
+def nrbi_phase2(instance: Instance, state: NrbiState, cache: HopTableCache) -> SteinerTree:
     """Assemble the final tree from the phase-1 structure.
 
     Required nodes are processed from the newest insertion epoch to the
@@ -236,31 +223,26 @@ def nrbi_phase2(
     candidates of a facility come from one gather over the table store.
     """
     hops = instance.hop_limit
-    root = instance.root
-    depth = {root: 0}  # its keys are the tree's nodes
+    depth = {instance.root: 0}  # its keys are the tree's nodes
     parent: dict[int, int] = {}
     # tree nodes in attach order, their depths and phase-1 labels (the
     # depth for nodes phase 1 never reached)
     members = np.zeros(instance.num_nodes, dtype=np.int64)
     member_depth = np.zeros(instance.num_nodes, dtype=np.int64)
     member_label = np.zeros(instance.num_nodes, dtype=np.int64)
-    members[0] = root
+    members[0] = instance.root
     size = 1
 
     def attach(path: list[int]) -> None:
         nonlocal size
-        prev = path[0]
+        _attach(depth, parent, path)
         for node in path[1:]:
-            depth[node] = depth[prev] + 1
-            parent[node] = prev
             members[size] = node
             member_depth[size] = depth[node]
             member_label[size] = state.hops_from_root.get(node, depth[node])
             size += 1
-            prev = node
 
-    order = sorted(state.insertion_epoch, key=lambda v: -state.insertion_epoch[v])
-    for v in order:
+    for v in reversed(state.insertion_epoch):
         if v in depth:
             continue
         bound = state.hops_from_root[v]
@@ -297,10 +279,10 @@ def nrbi_phase2(
             attach(chain)
         else:
             # neither attachment fits the hop limit from here; fall back to
-            # the raw phase-1 parent tree, which always does
+            # the phase-1 chains alone, which always fit
             return _parent_tree(instance, state)
 
-    return tree_from_parents(instance, root, parent, depth)
+    return tree_from_parents(instance, parent, depth)
 
 
 def nrbi(

@@ -19,6 +19,7 @@ Supported input formats:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -67,6 +68,14 @@ class Instance:
     customer_index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        for name in ("num_nodes", "hop_limit"):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, bool):  # operator.index takes Python bools
+                    raise TypeError
+                operator.index(value)  # refuses floats, 2.0 included
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.num_nodes < 1:
             raise ValueError("instance needs at least one core node")
         if self.hop_limit < 1:

@@ -113,7 +113,7 @@ def _prune_tree(instance: Instance, tree: SteinerTree, keep: set[int]) -> Steine
         if children[p] == 0 and p != tree.root and p not in keep:
             stack.append(p)
     depth = {v: d for v, d in tree.depth.items() if v in parent or v == tree.root}
-    return tree_from_parents(instance, tree.root, parent, depth)
+    return tree_from_parents(instance, parent, depth)
 
 
 def evaluate(
@@ -177,7 +177,7 @@ def validate(instance: Instance, solution: Solution) -> list[Violation]:
 
     if tree is None:
         out.append(Violation("tree-structure", "solution has no tree"))
-        tree = SteinerTree(root, frozenset({root}), frozenset(), {root: 0}, {}, 0.0)
+        tree = tree_from_parents(instance, {}, {root: 0})
 
     depth = tree.depth
     incoming: dict[int, int] = {}

@@ -79,7 +79,7 @@ def _cheapest_tree(
     depth = {instance.root: 0}
     depth.update(zip(nodes, levels[nodes].tolist()))
     parent = dict(zip(nodes, rows.parents[idx, nodes].tolist()))
-    return tree_from_parents(instance, instance.root, parent, depth)
+    return tree_from_parents(instance, parent, depth)
 
 
 class HcstOracle:

@@ -399,6 +399,39 @@ def tree_is_valid(instance: Instance, tree, required) -> bool:
     return math.isclose(total, tree.cost, abs_tol=1e-9)
 
 
+def reference_parent_tree(instance: Instance, state):
+    """Phase 2's fallback tree as its own parent walk and depth pass.
+
+    The union of the phase-1 parent walks of the required nodes, taken in
+    insertion order; returns ``(edges, depth, parent, cost)``.
+    """
+    root = instance.root
+    parent: dict[int, int] = {}
+    for v in state.insertion_epoch:
+        x = v
+        while x != root and x not in parent:
+            parent[x] = state.parent[x]
+            x = parent[x]
+    depth = {root: 0}
+
+    def resolve(x: int) -> int:
+        trail = []
+        while x not in depth:
+            trail.append(x)
+            x = parent[x]
+        d = depth[x]
+        for y in reversed(trail):
+            d += 1
+            depth[y] = d
+        return d
+
+    for v in parent:
+        resolve(v)
+    edges = frozenset((min(v, p), max(v, p)) for v, p in parent.items())
+    cost = float(sum(instance.edge_cost(u, v) for u, v in sorted(edges)))
+    return edges, depth, parent, cost
+
+
 def _reference_min_hops(table, node: int, budget: int) -> int:
     """Fewest edges realizing ``dist[budget][node]``, straight from the column."""
     col = table.dist[: budget + 1, node]

@@ -177,6 +177,23 @@ def test_bad_parameter_value_exits_2(capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "algo, option, value",
+    [
+        ("hs", "--top-k", "5"),
+        ("hs", "--max-open", "3"),
+        ("ghs", "--samples", "10"),
+        ("hybrid", "--max-open", "0"),
+        ("hybrid", "--hmcr", "0.5"),
+        ("oracle", "--hms", "7"),
+    ],
+)
+def test_option_the_algorithm_never_reads_exits_2(capsys, algo, option, value):
+    code, out, err = run(capsys, "--tiny", str(TINY), "--algo", algo, option, value)
+    assert code == 2 and out == ""
+    assert err == f"error: {option} does not apply to --algo {algo}\n"
+
+
 def test_instance_label_maps_benchmark_names():
     import argparse
 

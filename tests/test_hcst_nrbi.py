@@ -3,14 +3,15 @@ import random
 import numpy as np
 import pytest
 
-from hcconfl import Instance, TreeInfeasibleError, exact_hcst, nrbi
-from hcconfl.hcst_nrbi import _parent_tree, nrbi_phase1, nrbi_phase2
+from hcconfl import Instance, TreeInfeasibleError, exact_hcst, hcst_nrbi, nrbi
+from hcconfl.hcst_nrbi import NrbiState, _parent_tree, nrbi_phase1, nrbi_phase2
 from hcconfl.hop_paths import HopTableCache
 
 from corpus_util import (
     random_graph_instance,
     random_tiny_instance,
     reference_nrbi,
+    reference_parent_tree,
     tree_is_valid,
 )
 
@@ -171,8 +172,51 @@ def test_parent_tree_is_valid_on_phase1_states():
                 continue
             tree = _parent_tree(inst, state)
             assert tree_is_valid(inst, tree, opens)
+            got = (tree.edges, tree.depth, tree.parent, tree.cost)
+            assert got == reference_parent_tree(inst, state)
             # the tree keeps phase-1 parents, so no node sits below its label
             assert all(state.parent[v] == p for v, p in tree.parent.items())
             assert all(d <= state.hops_from_root[v] for v, d in tree.depth.items())
             checked += 1
     assert checked >= 500
+
+
+def test_phase2_falls_back_to_the_phase1_chains(monkeypatch):
+    # a hand-built phase-1 state: phase 2 hangs 4 and 8 along the fresh
+    # paths 1-7-4 and 7-3-8, which puts 3 at depth 2 and 8 at depth 3, so
+    # neither a fresh path to 2 nor its chain 3-6-2 fits three hops
+    edges = (
+        (1, 3, 50.0), (1, 5, 5.0), (1, 7, 2.0), (2, 6, 50.0), (2, 8, 1.0), (3, 4, 1.0),
+        (3, 6, 2.0), (3, 7, 5.0), (3, 8, 5.0), (4, 6, 2.0), (4, 7, 1.0), (5, 7, 2.0),
+        (5, 8, 50.0), (6, 8, 2.0),
+    )
+    facilities = tuple(range(1, 9))
+    inst = Instance(
+        name="fallback",
+        num_nodes=8,
+        core_edges=edges,
+        facilities=facilities,
+        root=1,
+        customers=(),
+        opening_costs={f: 0.0 for f in facilities},
+        assignment_costs=np.zeros((len(facilities), 0)),
+        hop_limit=3,
+    )
+    epochs = (7, 6, 3, 2, 8, 4)
+    state = NrbiState(
+        hops_from_root={1: 0, 3: 1, 6: 2, 2: 3, 8: 3, 4: 3, 7: 1, 5: 2},
+        insertion_epoch={v: k for k, v in enumerate(epochs, start=1)},
+        parent={3: 1, 6: 3, 2: 6, 8: 6, 4: 6, 7: 1, 5: 7},
+        insertion_cost={v: 1.0 if v in (6, 3) else 1e9 for v in epochs},
+    )
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _parent_tree(*args)
+
+    monkeypatch.setattr(hcst_nrbi, "_parent_tree", counting)
+    tree = nrbi_phase2(inst, state, HopTableCache(inst))
+    assert len(calls) == 1
+    assert tree_is_valid(inst, tree, epochs)
+    assert tree.edges == frozenset({(1, 3), (1, 7), (2, 6), (3, 6), (4, 6), (6, 8)})

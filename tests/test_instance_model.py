@@ -167,6 +167,11 @@ def test_merge_rejects_too_many_facilities():
         merge_instances(parse_stp(STP_TEXT), uflp, hop_limit=2)
 
 
+def test_merge_rejects_a_fractional_hop_limit():
+    with pytest.raises(ValueError, match=r"^hop_limit must be an integer, got 2\.5$"):
+        merge_instances(parse_stp(STP_TEXT), parse_uflp(UFLP_BEASLEY), hop_limit=2.5)
+
+
 def test_parse_tiny_fixture(tiny1):
     assert tiny1.num_nodes == 4
     assert tiny1.facilities == (1, 2, 3)
@@ -286,6 +291,10 @@ def _instance_kwargs(**changes) -> dict:
         ({"assignment_costs": np.full((3, 2), -1.0)}, "assignment costs must be finite and >= 0"),
         ({"assignment_costs": np.full((3, 2), np.nan)}, "assignment costs must be finite and >= 0"),
         ({"core_edges": EDGES + ((1, 2.5, 1.0),)}, "edge (1,2.5) references unknown node"),
+        ({"hop_limit": 2.5}, "hop_limit must be an integer, got 2.5"),
+        ({"hop_limit": 2.0}, "hop_limit must be an integer, got 2.0"),
+        ({"hop_limit": True}, "hop_limit must be an integer, got True"),
+        ({"num_nodes": 4.0}, "num_nodes must be an integer, got 4.0"),
     ],
 )
 def test_instance_rejects_bad_input(changes, message):
