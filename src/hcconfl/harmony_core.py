@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hop_paths import HopTableCache
+from .hop_paths import HopTableCache, cache_for
 from .instance_model import Instance
 from .objective import COST_TOL, Solution, evaluate, validate
 
@@ -284,7 +284,7 @@ def harmony_solve(
     params = params or HarmonyParams()
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
-    cache = cache or HopTableCache(instance)
+    cache = cache_for(instance, cache)
 
     if transform is None:
         reach = np.isfinite(root_path_costs(instance, cache))

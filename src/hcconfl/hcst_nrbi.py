@@ -16,11 +16,11 @@ limit:
 
 Every tree is made by ``tree_from_parents``, which takes the root from the
 instance.  Ties are broken by cost, then fewer hops, then smallest id pair,
-so results are deterministic.  Both phases read whole hop-table rows at
-once: phase 1 keeps the best known connection to every node and refreshes
-it only from the nodes whose label the last insertion set or lowered;
-phase 2 prices every tree node for a facility with one gather over the
-stacked tables of ``HopTableCache``.
+so results are deterministic.  Both phases read the hop tables only at the
+open facilities' columns: phase 1 keeps the best known connection to each
+missing facility and refreshes it only from the nodes whose label the last
+insertion set or lowered; phase 2 prices every tree node for a facility
+with one gather over the stacked tables of ``HopTableCache``.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .hop_paths import HopTableCache, extract_path
-from .instance_model import Instance, canon_edge
+from .hop_paths import HopTableCache, cache_for, extract_path
+from .instance_model import Instance
 
 
 class TreeInfeasibleError(ValueError):
@@ -86,14 +86,14 @@ def tree_from_parents(
 
     Rooted at the instance's root; its cost sums its edge costs in sorted order.
     """
-    edges = frozenset(canon_edge(p, v) for v, p in parent.items())
+    edges = frozenset((p, v) if p < v else (v, p) for v, p in parent.items())
     return SteinerTree(
         root=instance.root,
         nodes=frozenset(depth),
         edges=edges,
         depth=depth,
         parent=parent,
-        cost=float(sum(instance.edge_cost(u, v) for u, v in sorted(edges))),
+        cost=float(sum(map(instance.edge_costs.__getitem__, sorted(edges)))),
     )
 
 
@@ -106,6 +106,7 @@ def _insert_phase1_path(
     than its label.  Facilities of ``remaining`` on the path are attached
     and leave it.
     """
+    edge_costs = instance.edge_costs
     base = state.hops_from_root[path[0]]
     prev = path[0]
     cost = 0.0
@@ -113,7 +114,7 @@ def _insert_phase1_path(
     for pos in range(1, len(path)):
         node = path[pos]
         label = base + pos
-        cost += instance.edge_cost(prev, node)
+        cost += edge_costs[(prev, node) if prev < node else (node, prev)]
         if label < state.hops_from_root.get(node, math.inf):
             # new, or a cheaper-in-hops route found later: relabel so the
             # stored walk to the root never exceeds the label
@@ -137,11 +138,12 @@ def nrbi_phase1(
 
     Each round attaches the lexicographically smallest (cost, hops, u, v)
     path from a partial node ``u`` within its remaining hop budget to a
-    missing facility ``v``.  ``best_*`` hold, per node, the smallest
-    (cost, hops, u) seen so far and are refreshed only from relabeled
-    nodes.  That is exact: a relabel only raises ``u``'s budget, table rows
-    never increase with the budget, and an equal cost keeps the same fewest
-    hops, so a stale entry never beats the fresh one.
+    missing facility ``v``.  ``best`` holds, per missing facility, the
+    smallest (cost, hops, u) seen so far, refreshed only from relabeled
+    nodes, which read their table rows at the missing facilities' columns.
+    That is exact: a relabel only raises ``u``'s budget, table rows never
+    increase with the budget, and an equal cost keeps the same fewest hops,
+    so a stale entry never beats the fresh one.
     """
     hops = instance.hop_limit
     root = instance.root
@@ -149,33 +151,25 @@ def nrbi_phase1(
     state.hops_from_root[root] = 0
     remaining = {f for f in open_facilities if f != root}
 
-    best_cost = np.full(instance.num_nodes + 1, np.inf)
-    best_hops = np.zeros(instance.num_nodes + 1, dtype=cache.first.dtype)
-    best_from = np.zeros(instance.num_nodes + 1, dtype=np.int64)
+    # an unreachable facility's entries are (inf, 0, u) and never displace this
+    best = dict.fromkeys(remaining, (math.inf, 0, 0))
     relabeled = [root]
     while remaining:
+        targets = sorted(remaining)
+        columns = np.array(targets)
         for u in relabeled:
             budget = hops - state.hops_from_root[u]
             if budget < 1:
                 continue
             table = cache.table(u)
-            cost = table.dist[budget]
-            fewest = table.first[budget]
-            better = (cost < best_cost) | (
-                (cost == best_cost)
-                & ((fewest < best_hops) | ((fewest == best_hops) & (u < best_from)))
-            )
-            np.copyto(best_cost, cost, where=better)
-            np.copyto(best_hops, fewest, where=better)
-            best_from[better] = u
-        targets = np.fromiter(sorted(remaining), dtype=np.int64)
-        pick = np.lexsort(
-            (targets, best_from[targets], best_hops[targets], best_cost[targets])
-        )[0]
-        if not math.isfinite(best_cost[targets[pick]]):
+            costs = table.dist[budget][columns].tolist()
+            fewest = table.first[budget][columns].tolist()
+            for v, cost, h in zip(targets, costs, fewest):
+                if (cost, h, u) < best[v]:
+                    best[v] = (cost, h, u)
+        cost, _, u_star, v_star = min((*best[v], v) for v in targets)
+        if not math.isfinite(cost):
             raise TreeInfeasibleError(min(remaining), hops)
-        v_star = int(targets[pick])
-        u_star = int(best_from[v_star])
         path = extract_path(cache.table(u_star), v_star, hops - state.hops_from_root[u_star])
         assert path is not None
         relabeled = _insert_phase1_path(instance, state, remaining, path)
@@ -225,10 +219,10 @@ def nrbi_phase2(instance: Instance, state: NrbiState, cache: HopTableCache) -> S
     hops = instance.hop_limit
     depth = {instance.root: 0}  # its keys are the tree's nodes
     parent: dict[int, int] = {}
-    # tree nodes in attach order, their depths and phase-1 labels (the
-    # depth for nodes phase 1 never reached)
+    # tree nodes in attach order, the hops left below each (hops - depth)
+    # and their phase-1 labels (the depth for nodes phase 1 never reached)
     members = np.zeros(instance.num_nodes, dtype=np.int64)
-    member_depth = np.zeros(instance.num_nodes, dtype=np.int64)
+    member_room = np.full(instance.num_nodes, hops, dtype=np.int64)
     member_label = np.zeros(instance.num_nodes, dtype=np.int64)
     members[0] = instance.root
     size = 1
@@ -238,7 +232,7 @@ def nrbi_phase2(instance: Instance, state: NrbiState, cache: HopTableCache) -> S
         _attach(depth, parent, path)
         for node in path[1:]:
             members[size] = node
-            member_depth[size] = depth[node]
+            member_room[size] = hops - depth[node]
             member_label[size] = state.hops_from_root.get(node, depth[node])
             size += 1
 
@@ -248,7 +242,7 @@ def nrbi_phase2(instance: Instance, state: NrbiState, cache: HopTableCache) -> S
         bound = state.hops_from_root[v]
 
         # cheapest fresh connection from any current tree node
-        budgets = np.minimum(bound - member_label[:size], hops - member_depth[:size])
+        budgets = np.minimum(bound - member_label[:size], member_room[:size])
         usable = budgets >= 1
         us = members[:size][usable]
         budgets = budgets[usable]
@@ -290,7 +284,10 @@ def nrbi(
     open_facilities: Iterable[int],
     cache: HopTableCache | None = None,
 ) -> SteinerTree:
-    """Build a hop-feasible tree spanning root plus ``open_facilities``."""
-    cache = cache or HopTableCache(instance)
+    """Build a hop-feasible tree spanning root plus ``open_facilities``.
+
+    ``cache`` must have been built for ``instance``: ValueError otherwise.
+    """
+    cache = cache_for(instance, cache)
     state = nrbi_phase1(instance, open_facilities, cache)
     return nrbi_phase2(instance, state, cache)

@@ -160,9 +160,12 @@ class HopTableCache:
 
     def slots(self, sources: np.ndarray) -> np.ndarray:
         """Store slots of ``sources``, building any table not built yet."""
-        for source in sources[self.slot[sources] < 0]:
-            self.table(int(source))
-        return self.slot[sources]
+        slots = self.slot[sources]
+        if (slots < 0).any():
+            for source in sources[slots < 0]:
+                self.table(int(source))
+            slots = self.slot[sources]
+        return slots
 
     def _view(self, tab: HopDistanceTable, k: int) -> HopDistanceTable:
         """``tab`` reading its distances and min-hops from store slot ``k``."""
@@ -182,3 +185,16 @@ class HopTableCache:
             source: self._view(tab, self.slot[source])
             for source, tab in self._tables.items()
         }
+
+
+def cache_for(instance: Instance, cache: HopTableCache | None) -> HopTableCache:
+    """``cache``, or a new cache for ``instance`` when it is None.
+
+    A cache built for another instance is refused with ValueError: its
+    tables describe another graph, or the same graph with other edge costs.
+    """
+    if cache is None:
+        return HopTableCache(instance)
+    if cache.instance is not instance:
+        raise ValueError("the hop-table cache was built for another instance")
+    return cache

@@ -125,7 +125,7 @@ def evaluate(
     opened = as_open_set(instance, open_facilities)
     opened.add(instance.root)
     try:
-        tree = nrbi(instance, opened, cache or HopTableCache(instance))
+        tree = nrbi(instance, opened, cache)
     except TreeInfeasibleError:
         tree = None
     return price(instance, opened, tree)

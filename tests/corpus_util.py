@@ -158,6 +158,47 @@ def random_dense_instance(
     )
 
 
+def random_deep_instance(
+    rng: random.Random,
+    nodes: int = 250,
+    edges: int = 312,
+    facilities: int = 100,
+    customers: int = 100,
+    hop_limit: int = 5,
+) -> Instance:
+    """A sparse, deep instance on which harmony search opens many facilities.
+
+    A random spanning tree plus extra edges (integer costs 1-10), random
+    facility sites with one of them the root, opening costs 50-250 and
+    assignment costs 20-400: the shape of the benchmark's ``hs-deep``
+    workload, scaled down.
+    """
+    order = list(range(1, nodes + 1))
+    rng.shuffle(order)
+    graph: dict[tuple[int, int], float] = {}
+    for i in range(1, nodes):
+        u, v = order[i], order[rng.randrange(i)]
+        graph[(min(u, v), max(u, v))] = float(rng.randint(1, 10))
+    while len(graph) < edges:
+        u, v = rng.sample(range(1, nodes + 1), 2)
+        graph.setdefault((min(u, v), max(u, v)), float(rng.randint(1, 10)))
+    sites = tuple(sorted(rng.sample(range(1, nodes + 1), facilities)))
+    names = tuple(f"c{j}" for j in range(customers))
+    return Instance(
+        name=f"deep{nodes}",
+        num_nodes=nodes,
+        core_edges=tuple((u, v, c) for (u, v), c in sorted(graph.items())),
+        facilities=sites,
+        root=rng.choice(sites),
+        customers=names,
+        opening_costs={f: float(rng.randint(50, 250)) for f in sites},
+        assignment_costs=np.array(
+            [[float(rng.randint(20, 400)) for _ in names] for _ in sites]
+        ),
+        hop_limit=hop_limit,
+    )
+
+
 def reference_closing_scores(
     instance: Instance, open_ids: list[int], root_paths: np.ndarray
 ) -> np.ndarray:
@@ -275,13 +316,15 @@ def reference_fill_memory(instance, params, rng, bias, transform, evaluator):
 def golden_cases() -> tuple[dict[str, Instance], dict[str, dict]]:
     """The instances and seed->result goldens of ``data/solver_goldens.json``.
 
-    Besides the file's two ``exact-small`` instances there are ``tiny1``
-    and ``dense40``, a 40x40 :func:`random_dense_instance`.
+    Besides the file's two ``exact-small`` instances there are ``tiny1``,
+    ``dense40``, a 40x40 :func:`random_dense_instance`, and ``deep250``, a
+    :func:`random_deep_instance` on which ``hs`` opens 13 facilities.
     """
     spec = json.loads(GOLDENS.read_text())
     instances = {
         "tiny1": parse_tiny((GOLDENS.parent / "tiny1.txt").read_text(), name="tiny1"),
         "dense40": random_dense_instance(random.Random(10), facilities=40, customers=40),
+        "deep250": random_deep_instance(random.Random(3)),
     }
     for name, kw in spec["instances"].items():
         instances[name] = Instance(
@@ -430,6 +473,70 @@ def reference_parent_tree(instance: Instance, state):
     edges = frozenset((min(v, p), max(v, p)) for v, p in parent.items())
     cost = float(sum(instance.edge_cost(u, v) for u, v in sorted(edges)))
     return edges, depth, parent, cost
+
+
+def reference_phase1(instance: Instance, open_facilities):
+    """Phase 1 keeping its best known connection to every node in whole rows.
+
+    Per node, ``best_*`` hold the smallest (cost, hops, u) seen so far,
+    refreshed from each relabeled node's full table row; each round picks
+    the smallest (cost, hops, u, v) over the missing facilities with one
+    ``np.lexsort``.  Returns the package's ``NrbiState``, with insertion
+    costs summed edge by edge from the path's first node.
+    """
+    from hcconfl import NrbiState, TreeInfeasibleError, extract_path, hop_bellman_ford
+
+    hops = instance.hop_limit
+    root = instance.root
+    tables: dict = {}
+    state = NrbiState()
+    state.hops_from_root[root] = 0
+    remaining = {f for f in open_facilities if f != root}
+
+    best_cost = np.full(instance.num_nodes + 1, np.inf)
+    best_hops = np.zeros(instance.num_nodes + 1, dtype=np.int64)
+    best_from = np.zeros(instance.num_nodes + 1, dtype=np.int64)
+    relabeled = [root]
+    while remaining:
+        for u in relabeled:
+            budget = hops - state.hops_from_root[u]
+            if budget < 1:
+                continue
+            if u not in tables:
+                tables[u] = hop_bellman_ford(instance, u)
+            cost = tables[u].dist[budget]
+            fewest = tables[u].first[budget].astype(np.int64)
+            better = (cost < best_cost) | (
+                (cost == best_cost)
+                & ((fewest < best_hops) | ((fewest == best_hops) & (u < best_from)))
+            )
+            best_cost[better] = cost[better]
+            best_hops[better] = fewest[better]
+            best_from[better] = u
+        targets = np.array(sorted(remaining), dtype=np.int64)
+        pick = np.lexsort(
+            (targets, best_from[targets], best_hops[targets], best_cost[targets])
+        )[0]
+        if not math.isfinite(best_cost[targets[pick]]):
+            raise TreeInfeasibleError(min(remaining), hops)
+        v_star = int(targets[pick])
+        u_star = int(best_from[v_star])
+        path = extract_path(tables[u_star], v_star, hops - state.hops_from_root[u_star])
+        base = state.hops_from_root[path[0]]
+        cost = 0.0
+        relabeled = []
+        for pos in range(1, len(path)):
+            prev, node = path[pos - 1], path[pos]
+            cost += instance.edge_cost(prev, node)
+            if base + pos < state.hops_from_root.get(node, math.inf):
+                state.hops_from_root[node] = base + pos
+                state.parent[node] = prev
+                relabeled.append(node)
+            if node in remaining:
+                remaining.discard(node)
+                state.insertion_epoch[node] = len(state.insertion_epoch) + 1
+                state.insertion_cost[node] = cost
+    return state
 
 
 def _reference_min_hops(table, node: int, budget: int) -> int:

@@ -1,17 +1,29 @@
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 
-from hcconfl import Instance, TreeInfeasibleError, exact_hcst, hcst_nrbi, nrbi
+from hcconfl import (
+    HarmonyParams,
+    Instance,
+    TreeInfeasibleError,
+    evaluate,
+    exact_hcst,
+    harmony_solve,
+    hcst_nrbi,
+    nrbi,
+)
 from hcconfl.hcst_nrbi import NrbiState, _parent_tree, nrbi_phase1, nrbi_phase2
 from hcconfl.hop_paths import HopTableCache
 
 from corpus_util import (
+    random_dense_instance,
     random_graph_instance,
     random_tiny_instance,
     reference_nrbi,
     reference_parent_tree,
+    reference_phase1,
     tree_is_valid,
 )
 
@@ -220,3 +232,62 @@ def test_phase2_falls_back_to_the_phase1_chains(monkeypatch):
     assert len(calls) == 1
     assert tree_is_valid(inst, tree, epochs)
     assert tree.edges == frozenset({(1, 3), (1, 7), (2, 6), (3, 6), (4, 6), (6, 8)})
+
+
+def _phase1_outcome(build):
+    """A phase-1 state with its dict orders and float bits, or the facility named infeasible."""
+    try:
+        state = build()
+    except TreeInfeasibleError as err:
+        return ("infeasible", err.facility)
+    return (
+        list(state.hops_from_root.items()),
+        state.parent,
+        list(state.insertion_epoch.items()),
+        [(v, cost.hex()) for v, cost in state.insertion_cost.items()],
+    )
+
+
+def _recosted(inst, cost):
+    """``inst`` with every edge cost redrawn by ``cost()``."""
+    edges = tuple((u, v, cost()) for u, v, _ in inst.core_edges)
+    return dataclasses.replace(inst, core_edges=edges)
+
+
+def test_phase1_matches_whole_row_reference():
+    rng = random.Random(2468)
+    # the open sets of test_matches_plain_loop_reference, drawn in the same order
+    cases = [(random_tiny_instance(rng, max_facilities=6, max_hop=4), 3, 0.7) for _ in range(400)]
+    for nodes, edges, hops in ((40, 60, 3), (50, 90, 4), (60, 100, 5), (80, 120, 6)):
+        cases.append((random_graph_instance(rng, nodes, edges, hops), 5, 0.6))
+    extra = random.Random(97531)  # leaves rng's open-set draws as they were
+    for nodes, edges, hops in ((40, 60, 3), (50, 90, 4), (60, 100, 5), (80, 120, 6)):
+        graph = random_graph_instance(extra, nodes, edges, hops)
+        # non-integer costs, then costs of 1 or 2, where ties are everywhere
+        cases.append((_recosted(graph, lambda: extra.uniform(0.5, 10.0)), 10, 0.6))
+        cases.append((_recosted(graph, lambda: float(extra.randint(1, 2))), 10, 0.6))
+    cases.append((random_dense_instance(extra, facilities=40, customers=0), 10, 0.5))
+    checked = infeasible = 0
+    for inst, draws, share in cases:
+        cache = HopTableCache(inst)
+        for _ in range(draws):
+            opens = {f for f in inst.facilities if rng.random() < share}
+            got = _phase1_outcome(lambda: nrbi_phase1(inst, opens, cache))
+            assert got == _phase1_outcome(lambda: reference_phase1(inst, opens))
+            checked += 1
+            infeasible += got[0] == "infeasible"
+    assert checked >= 1200
+    assert 0 < infeasible < checked / 2
+
+
+def test_cache_of_another_instance_is_refused(tiny1):
+    other_graph = random_tiny_instance(random.Random(5), max_nodes=8)
+    other_costs = _recosted(tiny1, lambda: 1.0)
+    for other in (other_graph, other_costs):
+        cache = HopTableCache(other)
+        with pytest.raises(ValueError, match="another instance"):
+            nrbi(tiny1, {1, 2, 3}, cache)
+        with pytest.raises(ValueError, match="another instance"):
+            evaluate(tiny1, {1, 2, 3}, cache)
+        with pytest.raises(ValueError, match="another instance"):
+            harmony_solve(tiny1, HarmonyParams(hms=2), cache=cache)
