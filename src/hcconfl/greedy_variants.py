@@ -204,8 +204,8 @@ def closing_scores(state: ClosingState) -> np.ndarray:
     live, width = len(state.live), len(closer.rows)
     scores = closer.base
     if len(closer.ranked):  # with no customers nothing is added, not even 0.0 to -0.0
-        slots = state.best_at + (np.arange(live) * width)[:, None]
-        sums = np.bincount(slots.ravel(), state.regret.ravel(), minlength=live * width)
+        bins = state.best_at + (np.arange(live) * width)[:, None]
+        sums = np.bincount(bins.ravel(), state.regret.ravel(), minlength=live * width)
         scores = scores + sums.reshape(live, width)
     return np.where(state.opened[state.live], scores, math.inf)
 

@@ -20,7 +20,9 @@ so results are deterministic.  Both phases read the hop tables only at the
 open facilities' columns: phase 1 keeps the best known connection to each
 missing facility and refreshes it only from the nodes whose label the last
 insertion set or lowered; phase 2 prices every tree node for a facility
-with one gather over the stacked tables of ``HopTableCache``.
+with one gather from that facility's own table, since on an undirected
+graph the cheapest walk from ``v`` to ``u`` is the reverse of one from ``u``
+to ``v``.
 """
 
 from __future__ import annotations
@@ -149,7 +151,7 @@ def nrbi_phase1(
     root = instance.root
     state = NrbiState()
     state.hops_from_root[root] = 0
-    remaining = {f for f in open_facilities if f != root}
+    remaining = instance.core_nodes(open_facilities) - {root}
 
     # an unreachable facility's entries are (inf, 0, u) and never displace this
     best = dict.fromkeys(remaining, (math.inf, 0, 0))
@@ -214,7 +216,10 @@ def nrbi_phase2(instance: Instance, state: NrbiState, cache: HopTableCache) -> S
     path from a current tree node, or via its phase-1 route when its
     recorded insertion cost is no more than that.  Tree nodes, depths
     and labels also sit in arrays that ``attach`` appends to, so all fresh
-    candidates of a facility come from one gather over the table store.
+    candidates of facility ``v`` come from one gather over ``v``'s own
+    table: distances are symmetric, so its entry at tree node ``u`` is
+    ``u``'s entry at ``v``.  The chosen path is still read from ``u``'s
+    table, so its tie-breaks are those of a walk from ``u``.
     """
     hops = instance.hop_limit
     depth = {instance.root: 0}  # its keys are the tree's nodes
@@ -246,9 +251,9 @@ def nrbi_phase2(instance: Instance, state: NrbiState, cache: HopTableCache) -> S
         usable = budgets >= 1
         us = members[:size][usable]
         budgets = budgets[usable]
-        slots = cache.slots(us)
-        costs = cache.dist[slots, budgets, v]
-        fewest = cache.first[slots, budgets, v]
+        table_v = cache.table(v)
+        costs = table_v.dist[budgets, us]
+        fewest = table_v.first[budgets, us]
         fresh_pick: tuple[float, list[int]] | None = None
         for k in np.lexsort((us, fewest, costs)):
             if not math.isfinite(costs[k]):

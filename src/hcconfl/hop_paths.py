@@ -6,15 +6,18 @@ Bellman-Ford sweep over hop levels.  Rows are nonincreasing in ``h``.  Ties
 between equal-cost paths are broken toward fewer hops, then toward the
 smaller predecessor id, which makes extracted paths deterministic.
 
-``HopTableCache`` builds tables lazily and also stacks every table it built
-into ``(slots, H+1, n+1)`` arrays, so the tree heuristic can read many
-sources at once with one gather.
+``HopTableCache`` builds tables lazily and keeps one per source.  The graph
+is undirected, so ``dist[h][v]`` of ``u``'s table is ``dist[h][u]`` of
+``v``'s table, and ``first`` matches the same way: a cheapest walk from
+``u`` to ``v``, reversed, is one from ``v`` to ``u``.  With integer edge
+costs the two are bit-identical; with other costs the sums are taken from
+opposite ends and may differ in the last bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,8 +60,7 @@ class HopDistanceTable:
 
 def hop_bellman_ford(instance: Instance, source: int) -> HopDistanceTable:
     """Build one source's distance/predecessor table up to the hop limit."""
-    if source not in range(1, instance.num_nodes + 1):
-        raise ValueError(f"source {source} is not a core node")
+    (source,) = instance.core_nodes([source], "source")
     hops = instance.hop_limit
     n = instance.num_nodes
     dist = np.full((hops + 1, n + 1), np.inf)
@@ -84,8 +86,9 @@ def hop_bellman_ford(instance: Instance, source: int) -> HopDistanceTable:
         dist[h] = cur
         pred[h] = cur_pred
     # rows never increase and carried-over entries are bit-identical copies,
-    # so a value equal to the level below was first reached there
-    first = np.zeros((hops + 1, n + 1), dtype=_hop_dtype(hops))
+    # so a value equal to the level below was first reached there; the
+    # smallest signed type holding -(hops + 1) holds every count 0..hops
+    first = np.zeros((hops + 1, n + 1), dtype=np.min_scalar_type(-hops - 1))
     for h in range(1, hops + 1):
         first[h] = np.where(dist[h] == dist[h - 1], first[h - 1], h)
     for arr in (dist, pred, first):
@@ -93,12 +96,6 @@ def hop_bellman_ford(instance: Instance, source: int) -> HopDistanceTable:
     return HopDistanceTable(
         source=source, hop_limit=hops, dist=dist, pred=pred, first=first
     )
-
-
-def _hop_dtype(hop_limit: int) -> np.dtype:
-    """Smallest signed integer type holding hop counts 0..``hop_limit``."""
-    # a signed type holds +h whenever it holds -(h + 1)
-    return np.min_scalar_type(-hop_limit - 1)
 
 
 def extract_path(
@@ -126,65 +123,20 @@ def extract_path(
 
 
 class HopTableCache:
-    """Lazy per-source table cache for the lifetime of one solver run.
+    """Lazy per-source table memo for the lifetime of one solver run.
 
-    Every table reaches the instance's hop limit and lives in a stacked
-    store: ``dist[k]`` and ``first[k]`` hold the table of the source whose
-    ``slot`` entry is ``k`` (-1 = not built yet), and the table's own
-    ``dist``/``first`` are views of them.
-    The store grows with the number of sources built, not with the node
-    count, and is reallocated when it fills, so read ``dist``/``first``
-    again after anything that may build a table.
+    Every table reaches the instance's hop limit.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
         self._tables: dict[int, HopDistanceTable] = {}
-        shape = (instance.hop_limit + 1, instance.num_nodes + 1)
-        self.dist = np.empty((0, *shape))
-        self.first = np.empty((0, *shape), dtype=_hop_dtype(instance.hop_limit))
-        self.slot = np.full(instance.num_nodes + 1, -1, dtype=np.int64)
 
     def table(self, source: int) -> HopDistanceTable:
         tab = self._tables.get(source)
         if tab is None:
-            built = hop_bellman_ford(self.instance, source)
-            k = len(self._tables)
-            if k == len(self.dist):
-                self._grow(k + max(8, k // 2))
-            self.dist[k] = built.dist
-            self.first[k] = built.first
-            self.slot[source] = k
-            tab = self._tables[source] = self._view(built, k)
+            tab = self._tables[source] = hop_bellman_ford(self.instance, source)
         return tab
-
-    def slots(self, sources: np.ndarray) -> np.ndarray:
-        """Store slots of ``sources``, building any table not built yet."""
-        slots = self.slot[sources]
-        if (slots < 0).any():
-            for source in sources[slots < 0]:
-                self.table(int(source))
-            slots = self.slot[sources]
-        return slots
-
-    def _view(self, tab: HopDistanceTable, k: int) -> HopDistanceTable:
-        """``tab`` reading its distances and min-hops from store slot ``k``."""
-        dist, first = self.dist[k], self.first[k]
-        dist.setflags(write=False)
-        first.setflags(write=False)
-        return replace(tab, dist=dist, first=first)
-
-    def _grow(self, capacity: int) -> None:
-        for name in ("dist", "first"):
-            old = getattr(self, name)
-            new = np.empty((capacity, *old.shape[1:]), dtype=old.dtype)
-            new[: len(old)] = old
-            setattr(self, name, new)
-        # re-point every table at the new store so the old one is freed
-        self._tables = {
-            source: self._view(tab, self.slot[source])
-            for source, tab in self._tables.items()
-        }
 
 
 def cache_for(instance: Instance, cache: HopTableCache | None) -> HopTableCache:

@@ -22,6 +22,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
@@ -37,6 +38,24 @@ class MergeError(ValueError):
 def canon_edge(u: int, v: int) -> tuple[int, int]:
     """The edge {u, v} as ``(smaller id, larger id)``."""
     return (u, v) if u < v else (v, u)
+
+
+def _is_integer(value: object) -> bool:
+    """Whether ``value`` is an integer: NumPy integers are, bools are not.
+
+    Floats are not either, 2.0 included.  This is the rule for the
+    instance's counts and node ids, and, through ``Instance.core_nodes``,
+    for the node ids the solvers take.
+    """
+    if type(value) is int:  # the usual case, and the cheapest test
+        return True
+    if isinstance(value, bool):  # operator.index takes Python bools
+        return False
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,29 +89,24 @@ class Instance:
     def __post_init__(self) -> None:
         for name in ("num_nodes", "hop_limit"):
             value = getattr(self, name)
-            try:
-                if isinstance(value, bool):  # operator.index takes Python bools
-                    raise TypeError
-                operator.index(value)  # refuses floats, 2.0 included
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            if not _is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.num_nodes < 1:
             raise ValueError("instance needs at least one core node")
         if self.hop_limit < 1:
             raise ValueError(f"hop limit must be >= 1, got {self.hop_limit}")
         if len(set(self.facilities)) != len(self.facilities):
             raise ValueError("duplicate facility ids")
-        nodes = range(1, self.num_nodes + 1)
-        for f in self.facilities:
-            if f not in nodes:
-                raise ValueError(f"facility {f} is not a core node")
+        self.core_nodes(self.facilities, "facility")
+        self.core_nodes([self.root], "root")
         if self.root not in self.facilities:
             raise ValueError(f"root {self.root} is not a facility")
         if len(set(self.customers)) != len(self.customers):
             raise ValueError("duplicate customer ids")
         seen: set[tuple[int, int]] = set()
+        n = self.num_nodes
         for u, v, cost in self.core_edges:
-            if u not in nodes or v not in nodes:
+            if not (_is_integer(u) and _is_integer(v) and 1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"edge ({u},{v}) references unknown node")
             if u == v:
                 raise ValueError(f"self loop on node {u}")
@@ -179,6 +193,21 @@ class Instance:
         opening = np.array([self.opening_costs[f] for f in self.facilities])
         opening.setflags(write=False)
         return opening
+
+    def core_nodes(self, nodes: Iterable[object], what: str = "required node") -> set[int]:
+        """``nodes`` as a set of core node ids: integers in 1..num_nodes.
+
+        ValueError names ``what`` and the first of ``nodes`` that is no
+        core node.  This is the check of every solver entry point that
+        takes node ids, and of the instance's facilities and root.
+        """
+        ids: set[int] = set()
+        n = self.num_nodes
+        for v in nodes:
+            if not (_is_integer(v) and 1 <= v <= n):
+                raise ValueError(f"{what} {v} is not a core node")
+            ids.add(operator.index(v))
+        return ids
 
     def edge_cost(self, u: int, v: int) -> float:
         """Cost of core edge {u, v}; KeyError if the edge does not exist."""

@@ -45,11 +45,7 @@ class OracleLimitError(ValueError):
 
 def _required_nodes(instance: Instance, required: Iterable[int]) -> list[int]:
     """Sorted non-root nodes of ``required``; each must be a core node."""
-    needed = sorted(set(required) - {instance.root})
-    for v in needed:
-        if v not in range(1, instance.num_nodes + 1):
-            raise ValueError(f"required node {v} is not a core node")
-    return needed
+    return sorted(instance.core_nodes(required) - {instance.root})
 
 
 class _Rows(NamedTuple):

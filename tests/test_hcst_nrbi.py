@@ -280,6 +280,42 @@ def test_phase1_matches_whole_row_reference():
     assert 0 < infeasible < checked / 2
 
 
+def _non_integer_cases(rng):
+    """Graphs with uniform and with decimal edge costs, and the open-set draws for each."""
+    decimals = (0.1, 0.2, 0.3, 0.7, 1.1)
+    cases = []
+    for nodes, edges, hops in ((30, 45, 3), (40, 60, 4), (50, 90, 5), (60, 100, 6)):
+        graph = random_graph_instance(rng, nodes, edges, hops)
+        cases.append((_recosted(graph, lambda: rng.uniform(0.5, 10.0)), 15))
+        cases.append((_recosted(graph, lambda: rng.choice(decimals)), 15))
+    for _ in range(100):
+        tiny = random_tiny_instance(rng, max_facilities=6, max_hop=4)
+        cases.append((_recosted(tiny, lambda: rng.choice(decimals)), 2))
+    return cases
+
+
+def test_trees_valid_on_non_integer_costs():
+    # phase 2 reads facility v's table at tree node u, whose sums run from
+    # the other end than u's table at v: with non-integer costs the two may
+    # differ in the last bit and break an exact tie the other way than
+    # reference_nrbi does.  The trees must stay valid all the same.
+    rng = random.Random(8642)
+    checked = 0
+    for inst, draws in _non_integer_cases(rng):
+        cache = HopTableCache(inst)
+        for _ in range(draws):
+            opens = {f for f in inst.facilities if rng.random() < 0.6}
+            try:
+                tree = nrbi(inst, opens, cache)
+            except TreeInfeasibleError as err:
+                # phase 1 alone decides feasibility
+                assert _outcome(lambda: reference_nrbi(inst, opens)) == ("infeasible", err.facility)
+                continue
+            assert tree_is_valid(inst, tree, opens)
+            checked += 1
+    assert checked >= 200
+
+
 def test_cache_of_another_instance_is_refused(tiny1):
     other_graph = random_tiny_instance(random.Random(5), max_nodes=8)
     other_costs = _recosted(tiny1, lambda: 1.0)

@@ -144,21 +144,22 @@ def test_min_hop_table_is_first_level_holding_the_value():
                 assert table.first[b, v] == np.argmax(col == col[b])
 
 
-def test_cache_store_stacks_every_built_table():
-    inst = random_graph_instance(random.Random(5), 30, 45, 4)
-    cache = HopTableCache(inst)
-    built = [7, 3, 30, 1, 12, 9, 22, 18, 5, 14, 27]  # more than one growth
-    slots = cache.slots(np.array(built[:4]))
-    for source in built[4:]:
-        cache.table(source)
-    assert list(slots) == list(cache.slot[built[:4]])
-    for source in built:
-        k = cache.slot[source]
-        fresh = hop_bellman_ford(inst, source)
-        assert (cache.dist[k] == fresh.dist).all()
-        assert (cache.first[k] == fresh.first).all()
-        tab = cache.table(source)
-        assert (tab.dist == fresh.dist).all() and (tab.pred == fresh.pred).all()
-        assert not tab.dist.flags.writeable and not tab.first.flags.writeable
-    assert (np.delete(cache.slot, [0, *built]) == -1).all()
-    assert len(cache.dist) < inst.num_nodes
+def test_cached_tables_are_fresh_read_only_and_symmetric():
+    # nrbi's phase 2 prices tree node u for facility v from v's own table,
+    # so on integer costs v's entries at u must be u's entries at v, bit for bit
+    rng = random.Random(5)
+    cases = [random_tiny_instance(rng, max_hop=5) for _ in range(150)]
+    cases += [random_graph_instance(rng, n, m, h) for n, m, h in ((30, 45, 4), (40, 90, 6))]
+    for inst in cases:
+        cache = HopTableCache(inst)
+        nodes = range(1, inst.num_nodes + 1)
+        for source in nodes:
+            tab, fresh = cache.table(source), hop_bellman_ford(inst, source)
+            for name in ("dist", "pred", "first"):
+                assert (getattr(tab, name) == getattr(fresh, name)).all()
+                assert not getattr(tab, name).flags.writeable
+        for u in nodes:
+            for name in ("dist", "first"):
+                # column u of every table, against u's own rows
+                column = np.stack([getattr(cache.table(v), name)[:, u] for v in nodes], axis=1)
+                assert (column == getattr(cache.table(u), name)[:, 1:]).all()

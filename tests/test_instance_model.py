@@ -10,7 +10,10 @@ from hcconfl import (
     Instance,
     MergeError,
     ParseError,
+    exact_hcst,
+    hop_bellman_ford,
     merge_instances,
+    nrbi,
     parse_stp,
     parse_tiny,
     parse_uflp,
@@ -295,11 +298,45 @@ def _instance_kwargs(**changes) -> dict:
         ({"hop_limit": 2.0}, "hop_limit must be an integer, got 2.0"),
         ({"hop_limit": True}, "hop_limit must be an integer, got True"),
         ({"num_nodes": 4.0}, "num_nodes must be an integer, got 4.0"),
+        # ids equal to a core node but not integers: 2.0 == 2 and True == 1
+        ({"facilities": (1, 2.0, 3)}, "facility 2.0 is not a core node"),
+        ({"facilities": (True, 2, 3)}, "facility True is not a core node"),
+        ({"root": True}, "root True is not a core node"),
+        ({"root": 1.0}, "root 1.0 is not a core node"),
+        ({"core_edges": EDGES + ((1, 3.0, 1.0),)}, "edge (1,3.0) references unknown node"),
+        ({"core_edges": EDGES + ((True, 3, 1.0),)}, "edge (True,3) references unknown node"),
     ],
 )
 def test_instance_rejects_bad_input(changes, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Instance(**_instance_kwargs(**changes))
+
+
+def test_instance_takes_numpy_integer_ids():
+    inst = Instance(
+        **_instance_kwargs(
+            facilities=(np.int64(1), np.int32(2), 3),
+            root=np.int16(1),
+            core_edges=((np.int64(1), np.int64(2), 2.0),) + EDGES[1:],
+        )
+    )
+    assert inst == Instance(**_instance_kwargs())
+
+
+@pytest.mark.parametrize("node", [7, 0, 2.0, True])
+@pytest.mark.parametrize(
+    "entry, what",
+    [
+        (lambda inst, v: nrbi(inst, [v]), "required node"),
+        (lambda inst, v: exact_hcst(inst, [v]), "required node"),
+        (hop_bellman_ford, "source"),
+    ],
+    ids=["nrbi", "exact_hcst", "hop_bellman_ford"],
+)
+def test_solver_entry_points_take_only_core_nodes(tiny1, entry, what, node):
+    # tiny1 has nodes 1..4; 2.0 and True would pass for nodes 2 and 1
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{what} {node} is not a core node')}$"):
+        entry(tiny1, node)
 
 
 @pytest.mark.parametrize("derived", ["facility_index", "customer_index"])
