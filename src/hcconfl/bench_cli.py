@@ -100,7 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
     knobs.add_argument("--hms", type=int, help="harmony memory size (hs, ghs)")
     knobs.add_argument("--hmcr", type=float, help="initial memory recall rate (hs, ghs)")
     knobs.add_argument(
-        "--max-no-improve", type=int, help="stop after this many stale iterations (hs, ghs)"
+        "--max-no-improve",
+        type=int,
+        help="stop after this many stale iterations (hs, ghs); the loop is skipped "
+        "once the memory fill has covered every root-open pattern, and the "
+        "iterations column counts the improvisations run",
     )
     knobs.add_argument("--max-open", type=int, help="greedy closing keeps at most this many (ghs)")
     knobs.add_argument("--top-k", type=int, help="shortlist size (hybrid)")

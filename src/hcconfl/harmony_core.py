@@ -65,6 +65,14 @@ class HarmonyParams:
 
 @dataclass
 class RunStats:
+    """What a solve did.
+
+    ``iterations`` counts the improvisations the harmony loop ran, 0 when
+    the fill already held every transformed pattern (``hybrid_solve``
+    counts its enumerated subsets); ``evaluations`` counts the open sets
+    priced.
+    """
+
     iterations: int = 0
     evaluations: int = 0
     wall_seconds: float = 0.0
@@ -209,7 +217,7 @@ def _fill_memory(
     bias: np.ndarray,
     transform: Transform,
     evaluator: Callable[[np.ndarray], Solution],
-) -> tuple[HarmonyMemory, list[tuple[np.ndarray, Solution]]]:
+) -> tuple[HarmonyMemory, list[tuple[np.ndarray, Solution]], bool]:
     """Seed the memory with distinct transformed vectors.
 
     Random bias draws come first, until ``DUPLICATE_DRAW_LIMIT`` duplicate
@@ -218,6 +226,10 @@ def _fill_memory(
     rows left before a limit, so they draw and keep what one row at a time
     would.  The memory shrinks, with a log note saying which of the two
     ran out, when they leave it short.
+
+    The flag returned is true when the memory holds the transform's whole
+    image of the root-open patterns: the sweep ran out of patterns, or
+    the memory kept one distinct row per pattern.
     """
     width = len(instance.facilities)
     root_index = instance.facility_index[instance.root]
@@ -249,6 +261,7 @@ def _fill_memory(
         while block := list(islice(patterns, target - len(evaluated))):
             keep(np.insert(np.array(block, dtype=np.uint8), root_index, 1, axis=1))
 
+    covered = (swept and len(evaluated) < target) or len(evaluated) == 2**free_bits
     if len(evaluated) < target:
         if swept:
             rest = f"a sweep of all {2**free_bits} root-open patterns found no more"
@@ -266,7 +279,7 @@ def _fill_memory(
         np.array([vector for vector, _ in evaluated], dtype=np.uint8),
         np.array([solution.total for _, solution in evaluated]),
     )
-    return memory, evaluated
+    return memory, evaluated, covered
 
 
 def harmony_solve(
@@ -279,7 +292,11 @@ def harmony_solve(
     """Run the harmony loop until improvement stalls.
 
     ``transform`` maps a block of rows to the rows evaluated and stored,
-    keeping the root open; the default repairs reachability only.
+    keeping the root open; the default repairs reachability only.  The
+    loop is skipped when the fill has left the transform's whole image of
+    the root-open patterns in memory: every improvised vector is
+    root-open, so each would transform into a row memory already holds.
+    ``stats.iterations`` counts the improvisations run, 0 in that case.
     """
     params = params or HarmonyParams()
     start = time.perf_counter()
@@ -297,7 +314,7 @@ def harmony_solve(
         return evaluate(instance, vector_ids(instance, vector), cache)
 
     static_bias = init_bias(instance)
-    memory, evaluated = _fill_memory(
+    memory, evaluated, covered = _fill_memory(
         instance, params, rng, static_bias, transform, evaluator
     )
     best_solution = min((solution for _, solution in evaluated), key=lambda s: s.total)
@@ -306,7 +323,7 @@ def harmony_solve(
 
     no_improve = 0
     iteration = 0
-    while no_improve < params.max_no_improve:
+    while not covered and no_improve < params.max_no_improve:
         iteration += 1
         vector = transform(improvise(rng, memory, bias, params.hmcr(iteration))[None])[0]
         improved = False

@@ -214,10 +214,11 @@ def nrbi_phase2(instance: Instance, state: NrbiState, cache: HopTableCache) -> S
     Required nodes are processed from the newest insertion epoch to the
     oldest.  Each is attached either via the cheapest fresh hop-feasible
     path from a current tree node, or via its phase-1 route when its
-    recorded insertion cost is no more than that.  Tree nodes, depths
-    and labels also sit in arrays that ``attach`` appends to, so all fresh
-    candidates of facility ``v`` come from one gather over ``v``'s own
-    table: distances are symmetric, so its entry at tree node ``u`` is
+    recorded insertion cost is no more than that; when the route fits and
+    no candidate costs less, no fresh path is read at all.  Tree nodes,
+    depths and labels also sit in arrays that ``attach`` appends to, so all
+    fresh candidates of facility ``v`` come from one gather over ``v``'s
+    own table: distances are symmetric, so its entry at tree node ``u`` is
     ``u``'s entry at ``v``.  The chosen path is still read from ``u``'s
     table, so its tie-breaks are those of a walk from ``u``.
     """
@@ -246,6 +247,10 @@ def nrbi_phase2(instance: Instance, state: NrbiState, cache: HopTableCache) -> S
             continue
         bound = state.hops_from_root[v]
 
+        # phase-1 route: the surviving parent-walk segment into the tree
+        chain = _parent_chain(state, v, depth)
+        chain_ok = depth[chain[0]] + len(chain) - 1 <= hops
+
         # cheapest fresh connection from any current tree node
         budgets = np.minimum(bound - member_label[:size], member_room[:size])
         usable = budgets >= 1
@@ -253,6 +258,11 @@ def nrbi_phase2(instance: Instance, state: NrbiState, cache: HopTableCache) -> S
         budgets = budgets[usable]
         table_v = cache.table(v)
         costs = table_v.dist[budgets, us]
+        # a fresh path must cost less than the chain, and the first one that
+        # fits costs no less than the cheapest candidate
+        if chain_ok and not (costs < state.insertion_cost[v]).any():
+            attach(chain)
+            continue
         fewest = table_v.first[budgets, us]
         fresh_pick: tuple[float, list[int]] | None = None
         for k in np.lexsort((us, fewest, costs)):
@@ -265,10 +275,6 @@ def nrbi_phase2(instance: Instance, state: NrbiState, cache: HopTableCache) -> S
             if depth[suffix[0]] + len(suffix) - 1 <= hops:
                 fresh_pick = (float(costs[k]), suffix)
                 break
-
-        # phase-1 route: the surviving parent-walk segment into the tree
-        chain = _parent_chain(state, v, depth)
-        chain_ok = depth[chain[0]] + len(chain) - 1 <= hops
 
         if fresh_pick is not None and (
             not chain_ok or fresh_pick[0] < state.insertion_cost[v]

@@ -18,7 +18,6 @@ they break so tests can pinpoint them.
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
@@ -28,7 +27,7 @@ import numpy as np
 
 from .hcst_nrbi import SteinerTree, TreeInfeasibleError, nrbi, tree_from_parents
 from .hop_paths import HopTableCache
-from .instance_model import Instance
+from .instance_model import Instance, _is_integer
 
 COST_TOL = 1e-9
 
@@ -75,15 +74,10 @@ def as_open_set(instance: Instance, open_facilities: Iterable[int]) -> set[int]:
     1.  A 0/1 vector over three or more facilities always repeats a value,
     so it fails here instead of being read as ids.
     """
-    values = list(open_facilities)
-    try:
-        ids = list(map(operator.index, values))
-    except TypeError:
-        ids = None
-    # operator.index refuses NumPy bools but not Python ones
-    if ids is None or bool in set(map(type, values)):
+    ids = list(open_facilities)
+    if not all(map(_is_integer, ids)):
         raise ValueError("facility ids must be integers")
-    opened = set(ids)
+    opened = set(map(int, ids))
     if len(opened) != len(ids):
         raise ValueError("open set repeats a facility id")
     unknown = opened.difference(instance.facility_index)

@@ -260,7 +260,9 @@ def reference_fill_memory(instance, params, rng, bias, transform, evaluator):
 
     ``transform`` maps rows to rows and is handed one row per call.  The
     shrink note goes to the ``corpus_util`` logger, worded as the
-    package's.
+    package's.  Also returns whether the memory is known to hold every
+    transformed root-open pattern: the sweep ran through them all with
+    the memory still short, or it kept as many rows as there are patterns.
     """
     width = len(instance.facilities)
     root_index = instance.facility_index[instance.root]
@@ -287,11 +289,14 @@ def reference_fill_memory(instance, params, rng, bias, transform, evaluator):
             misses += 1
 
     swept = len(evaluated) < target and free_bits <= EXHAUSTIVE_FILL_BITS
+    ran_out = False
     if swept:
         for bits in product((0, 1), repeat=free_bits):
             if len(evaluated) >= target:
                 break
             keep(np.insert(np.array(bits, dtype=np.uint8), root_index, 1))
+        else:
+            ran_out = len(evaluated) < target
 
     if len(evaluated) < target:
         if swept:
@@ -310,7 +315,7 @@ def reference_fill_memory(instance, params, rng, bias, transform, evaluator):
         np.array([vector for vector, _ in evaluated], dtype=np.uint8),
         np.array([solution.total for _, solution in evaluated]),
     )
-    return memory, evaluated
+    return memory, evaluated, ran_out or len(evaluated) == 2**free_bits
 
 
 def golden_cases() -> tuple[dict[str, Instance], dict[str, dict]]:

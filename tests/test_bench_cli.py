@@ -119,8 +119,8 @@ def test_stp_uflp_pair_golden_csv(capsys, orlib_pair):
     assert code == 0
     assert out == (
         "instance,algo,hop,seed,obj,cpu_seconds,iterations,open_count\n"
-        "C5mp1,ghs,2,1,10.00,0.000,1000,2\n"
-        "C5mp1,ghs,2,best,10.00,0.000,1000,2\n"
+        "C5mp1,ghs,2,1,10.00,0.000,0,2\n"
+        "C5mp1,ghs,2,best,10.00,0.000,0,2\n"
     )
 
 

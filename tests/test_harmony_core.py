@@ -166,7 +166,7 @@ def test_fill_memory_exhausts_small_pattern_space(tiny1):
     reach = np.isfinite(root_path_costs(tiny1, cache))
     rng = np.random.default_rng(3)
     params = HarmonyParams(hms=50)
-    memory, evaluated = _fill_memory(
+    memory, evaluated, covered = _fill_memory(
         tiny1,
         params,
         rng,
@@ -175,6 +175,7 @@ def test_fill_memory_exhausts_small_pattern_space(tiny1):
         lambda v: evaluate(tiny1, vector_ids(tiny1, v), cache),
     )
     # only 4 distinct root-open vectors exist
+    assert covered
     assert len(memory) == 4
     assert len(evaluated) == 4
     assert list(memory.totals) == sorted(memory.totals)
@@ -204,7 +205,7 @@ def test_fill_memory_warning_says_what_ran_out(tiny1, caplog):
         root_only[inst.facility_index[inst.root]] = 1
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="hcconfl.harmony_core"):
-            memory, _ = _fill_memory(
+            memory, _, covered = _fill_memory(
                 inst,
                 HarmonyParams(hms=10),
                 np.random.default_rng(1),
@@ -213,6 +214,8 @@ def test_fill_memory_warning_says_what_ran_out(tiny1, caplog):
                 lambda v: evaluate(inst, vector_ids(inst, v)),
             )
         assert len(memory) == 1
+        # only the sweep establishes that nothing else is left
+        assert covered == (inst is tiny1)
         assert caplog.messages == [
             "memory reduced to 1 rows (10 requested): the random fill stopped "
             f"after {DUPLICATE_DRAW_LIMIT} duplicate draws and {rest}"
@@ -238,7 +241,7 @@ def test_block_fill_matches_one_draw_at_a_time(case, transform, tiny1, caplog, m
         rng = np.random.default_rng(11)
         caplog.clear()
         with caplog.at_level(logging.WARNING):
-            memory, evaluated = fill(
+            memory, evaluated, covered = fill(
                 inst,
                 HarmonyParams(hms=150),
                 rng,
@@ -252,6 +255,7 @@ def test_block_fill_matches_one_draw_at_a_time(case, transform, tiny1, caplog, m
                 memory.totals.tobytes(),
                 [(v.tobytes(), float(s.total).hex()) for v, s in evaluated],
                 caplog.messages,
+                covered,
                 rng.random(),  # both consumed the same stream
             )
         )
@@ -269,15 +273,116 @@ def test_harmony_solve_hands_the_loop_one_row_at_a_time(tiny1):
         sizes.append(len(rows))
         return repair_vector(tiny1, rows, reach)
 
-    params = HarmonyParams(hms=10, max_no_improve=50)
+    # 3 rows, below tiny1's 4 root-open patterns, so the loop runs
+    params = HarmonyParams(hms=3, max_no_improve=50)
     got = harmony_core.harmony_solve(tiny1, params, seed=2, transform=transform, cache=cache)
     want = hs_solve(tiny1, params, seed=2)
     assert got.solution.total == want.solution.total
     assert got.stats.evaluations == want.stats.evaluations
     assert got.stats.iterations == want.stats.iterations == 50
-    # the fill's blocks, the first as large as its target of 2**2 rows,
-    # then one row per iteration
-    assert sizes[0] == 4 and sizes[-50:] == [1] * 50
+    # the fill's blocks, the first as large as its target of 3 rows, then
+    # one row per iteration
+    assert sizes[0] == 3 and sizes[-50:] == [1] * 50
+
+
+def _transforms(inst, cache):
+    """The rows -> rows maps of hs (repair) and ghs (repair and close)."""
+    reach = np.isfinite(root_path_costs(inst, cache))
+    return {
+        "hs": lambda rows: repair_vector(inst, rows, reach),
+        "ghs": greedy_variants._repair_and_close(inst, cache, 6),
+    }
+
+
+def test_covered_memory_holds_every_improvisation():
+    rng = random.Random(4321)
+    fired = skipped = 0
+    for _ in range(40):
+        inst = random_tiny_instance(rng, max_nodes=8, max_facilities=6, max_hop=4)
+        cache = HopTableCache(inst)
+        for name, transform in _transforms(inst, cache).items():
+            # 3 rows fall short of many of these pattern spaces, 150 of none
+            for hms in (3, 150):
+                draws = np.random.default_rng(rng.randrange(10**6))
+                static = init_bias(inst)
+                memory, _, covered = _fill_memory(
+                    inst,
+                    HarmonyParams(hms=hms),
+                    draws,
+                    static,
+                    transform,
+                    lambda v: evaluate(inst, vector_ids(inst, v), cache),
+                )
+                if not covered:
+                    skipped += 1
+                    continue
+                fired += 1
+                bias = update_bias(inst, static, memory)
+                vectors = [improvise(draws, memory, bias, draws.random()) for _ in range(200)]
+                assert all(map(memory.contains, transform(np.array(vectors)))), name
+    assert fired >= 100 and skipped >= 10
+
+
+def test_skipped_loop_changes_no_result(monkeypatch):
+    # the same solves with the loop forced to run: it could only have
+    # improvised rows the memory already held
+    rng = random.Random(8765)
+    instances = [random_tiny_instance(rng, max_facilities=6, max_hop=4) for _ in range(30)]
+    instances += [GOLDEN_INSTANCES["small-1-0"], GOLDEN_INSTANCES["small-2-5"]]
+    fill = harmony_core._fill_memory
+
+    def runs():
+        out = []
+        for inst in instances:
+            for solve in (hs_solve, greedy_variants.ghs_solve):
+                result = solve(inst, HarmonyParams(hms=150, max_no_improve=200), seed=7)
+                stats = result.stats
+                out.append(
+                    (
+                        float(result.solution.total).hex(),
+                        result.solution.open_facilities,
+                        stats.evaluations,
+                        stats.incumbent_history,
+                        stats.iterations,
+                    )
+                )
+        return out
+
+    skipping = runs()
+    monkeypatch.setattr(harmony_core, "_fill_memory", lambda *a: (*fill(*a)[:2], False))
+    looping = runs()
+    assert [run[:4] for run in skipping] == [run[:4] for run in looping]
+    assert all(run[4] == 200 for run in looping)
+    assert sum(run[4] == 0 for run in skipping) >= len(skipping) // 2
+
+
+@pytest.mark.parametrize(
+    "case, solver, hms, loops",
+    [
+        ("tiny1", "hs", 150, False),  # the memory holds one row per pattern
+        ("tiny1", "ghs", 150, False),  # closing leaves 3 rows: the sweep ran out
+        ("tiny1", "hs", 3, True),  # filled to hms
+        ("small-1-0", "hs", 10, True),  # filled to hms
+        ("line22", "hs", 10, True),  # 8 rows fit the hop limit, 21 free bits are not swept
+    ],
+)
+def test_improvise_runs_only_while_memory_may_miss_a_row(
+    case, solver, hms, loops, tiny1, monkeypatch
+):
+    inst = {"tiny1": tiny1, "line22": LINE22, "small-1-0": GOLDEN_INSTANCES["small-1-0"]}[case]
+    solve = {"hs": hs_solve, "ghs": greedy_variants.ghs_solve}[solver]
+    calls, sweeps = [], []
+    original = harmony_core.improvise
+    monkeypatch.setattr(
+        harmony_core, "improvise", lambda *args: calls.append(1) or original(*args)
+    )
+    monkeypatch.setattr(
+        harmony_core, "product", lambda *args, **kw: sweeps.append(1) or product(*args, **kw)
+    )
+    result = solve(inst, HarmonyParams(hms=hms, max_no_improve=30), seed=3)
+    assert bool(sweeps) == (solver == "ghs")
+    assert len(calls) == result.stats.iterations
+    assert result.stats.iterations >= 30 if loops else result.stats.iterations == 0
 
 
 def test_hs_finds_fixture_optimum(tiny1):

@@ -18,6 +18,7 @@ from hcconfl.hcst_nrbi import NrbiState, _parent_tree, nrbi_phase1, nrbi_phase2
 from hcconfl.hop_paths import HopTableCache
 
 from corpus_util import (
+    random_deep_instance,
     random_dense_instance,
     random_graph_instance,
     random_tiny_instance,
@@ -166,6 +167,45 @@ def test_matches_plain_loop_reference():
     assert 0 < infeasible < checked / 2
 
 
+def test_matches_reference_where_the_phase1_chain_wins(monkeypatch):
+    # the hs-deep shape, scaled down: most facilities hang on their phase-1
+    # chain, and phase 2 then reads no fresh path for them
+    rng = random.Random(1122)
+    events: list[tuple[str, int]] = []
+    chain, extract = hcst_nrbi._parent_chain, hcst_nrbi.extract_path
+    monkeypatch.setattr(
+        hcst_nrbi,
+        "_parent_chain",
+        lambda state, v, stop: events.append(("chain", v)) or chain(state, v, stop),
+    )
+    monkeypatch.setattr(
+        hcst_nrbi,
+        "extract_path",
+        lambda table, v, budget: events.append(("path", v)) or extract(table, v, budget),
+    )
+    chains = chain_only = 0
+    for hops in (3, 5, 10):
+        for _ in range(3):
+            inst = random_deep_instance(rng, customers=0, hop_limit=hops)
+            cache = HopTableCache(inst)
+            # open only what the root reaches, as the solvers' repair does
+            reach = cache.table(inst.root).dist[hops, list(inst.facilities)]
+            sites = [f for f, d in zip(inst.facilities, reach) if np.isfinite(d)]
+            for _ in range(6):
+                opens = set(rng.sample(sites, min(20, len(sites)))) | {inst.root}
+                events.clear()
+                got = _outcome(lambda: nrbi(inst, opens, cache))
+                assert got == _outcome(lambda: reference_nrbi(inst, opens))
+                # phase 2 reads the chain, then fresh paths only if one may win
+                chains += sum(kind == "chain" for kind, _ in events)
+                chain_only += sum(
+                    kind == "chain" and (i + 1 == len(events) or events[i + 1][0] == "chain")
+                    for i, (kind, _) in enumerate(events)
+                )
+    assert chains >= 500
+    assert chain_only >= chains / 2
+
+
 def test_parent_tree_is_valid_on_phase1_states():
     # phase 2 falls back to this tree only on contorted graphs that random
     # instances do not produce, so it is built from phase-1 states directly
@@ -193,10 +233,13 @@ def test_parent_tree_is_valid_on_phase1_states():
     assert checked >= 500
 
 
-def test_phase2_falls_back_to_the_phase1_chains(monkeypatch):
-    # a hand-built phase-1 state: phase 2 hangs 4 and 8 along the fresh
-    # paths 1-7-4 and 7-3-8, which puts 3 at depth 2 and 8 at depth 3, so
-    # neither a fresh path to 2 nor its chain 3-6-2 fits three hops
+def _fallback_case(cost_of_2: float):
+    """A hand-built phase-1 state on which phase 2 can hang 2 neither way.
+
+    Phase 2 hangs 4 and 8 along the fresh paths 1-7-4 and 7-3-8, which
+    puts 3 at depth 2 and 8 at depth 3, so neither a fresh path to 2 nor
+    its chain 3-6-2 fits three hops.  ``cost_of_2`` is 2's insertion cost.
+    """
     edges = (
         (1, 3, 50.0), (1, 5, 5.0), (1, 7, 2.0), (2, 6, 50.0), (2, 8, 1.0), (3, 4, 1.0),
         (3, 6, 2.0), (3, 7, 5.0), (3, 8, 5.0), (4, 6, 2.0), (4, 7, 1.0), (5, 7, 2.0),
@@ -221,6 +264,12 @@ def test_phase2_falls_back_to_the_phase1_chains(monkeypatch):
         parent={3: 1, 6: 3, 2: 6, 8: 6, 4: 6, 7: 1, 5: 7},
         insertion_cost={v: 1.0 if v in (6, 3) else 1e9 for v in epochs},
     )
+    state.insertion_cost[2] = cost_of_2
+    return inst, state
+
+
+def test_phase2_falls_back_to_the_phase1_chains(monkeypatch):
+    inst, state = _fallback_case(1e9)
     calls = []
 
     def counting(*args):
@@ -230,7 +279,16 @@ def test_phase2_falls_back_to_the_phase1_chains(monkeypatch):
     monkeypatch.setattr(hcst_nrbi, "_parent_tree", counting)
     tree = nrbi_phase2(inst, state, HopTableCache(inst))
     assert len(calls) == 1
-    assert tree_is_valid(inst, tree, epochs)
+    assert tree_is_valid(inst, tree, state.insertion_epoch)
+    assert tree.edges == frozenset({(1, 3), (1, 7), (2, 6), (3, 6), (4, 6), (6, 8)})
+
+
+def test_phase2_never_hangs_a_chain_that_overflows():
+    # no fresh path to 2 costs less than its insertion cost of 0, yet its
+    # chain does not fit: phase 2 must still fall back
+    inst, state = _fallback_case(0.0)
+    tree = nrbi_phase2(inst, state, HopTableCache(inst))
+    assert tree_is_valid(inst, tree, state.insertion_epoch)
     assert tree.edges == frozenset({(1, 3), (1, 7), (2, 6), (3, 6), (4, 6), (6, 8)})
 
 
