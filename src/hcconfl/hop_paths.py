@@ -2,9 +2,10 @@
 
 The central object is a per-source table ``dist[h][v]`` = cheapest cost of a
 walk from the source to ``v`` using at most ``h`` edges, computed by a
-Bellman-Ford sweep over hop levels.  Rows are nonincreasing in ``h``.  Ties
-between equal-cost paths are broken toward fewer hops, then toward the
-smaller predecessor id, which makes extracted paths deterministic.
+Bellman-Ford sweep over hop levels, one scatter-minimum per level.  Rows are
+nonincreasing in ``h``.  Ties between equal-cost paths are broken toward
+fewer hops, then toward the smaller predecessor id, taken as a minimum over
+the arcs that reach the cost; this makes extracted paths deterministic.
 
 ``HopTableCache`` builds tables lazily and keeps one per source.  The graph
 is undirected, so ``dist[h][v]`` of ``u``'s table is ``dist[h][u]`` of
@@ -59,43 +60,35 @@ class HopDistanceTable:
 
 
 def hop_bellman_ford(instance: Instance, source: int) -> HopDistanceTable:
-    """Build one source's distance/predecessor table up to the hop limit."""
+    """Build one source's distance/predecessor table up to the hop limit.
+
+    Level ``h`` scatter-minimizes level ``h - 1`` over every arc; where a
+    cost strictly falls, ``first`` is ``h`` and ``pred`` the smallest source
+    among the arcs that reach the new cost.
+    """
     (source,) = instance.core_nodes([source], "source")
     hops = instance.hop_limit
     n = instance.num_nodes
     dist = np.full((hops + 1, n + 1), np.inf)
     pred = np.zeros((hops + 1, n + 1), dtype=np.int32)
+    # the smallest signed type holding -(hops + 1) holds every count 0..hops
+    first = np.zeros((hops + 1, n + 1), dtype=np.min_scalar_type(-hops - 1))
     dist[0, source] = 0.0
     src, dst, wgt = instance.arcs
     for h in range(1, hops + 1):
-        prev = dist[h - 1]
+        prev, cur = dist[h - 1], dist[h]
         cand = prev[src] + wgt
-        # per destination pick the min candidate, ties toward smaller source
-        order = np.lexsort((src, cand))
-        best_at = np.full(n + 1, -1, dtype=np.int64)
-        best_at[dst[order[::-1]]] = order[::-1]
-        cur = prev.copy()
-        cur_pred = pred[h - 1].copy()
-        nodes = np.nonzero(best_at >= 0)[0]
-        picks = best_at[nodes]
-        vals = cand[picks]
-        better = vals < cur[nodes]  # strict: equal cost keeps the shorter walk
-        upd = nodes[better]
-        cur[upd] = vals[better]
-        cur_pred[upd] = src[picks[better]]
-        dist[h] = cur
-        pred[h] = cur_pred
-    # rows never increase and carried-over entries are bit-identical copies,
-    # so a value equal to the level below was first reached there; the
-    # smallest signed type holding -(hops + 1) holds every count 0..hops
-    first = np.zeros((hops + 1, n + 1), dtype=np.min_scalar_type(-hops - 1))
-    for h in range(1, hops + 1):
-        first[h] = np.where(dist[h] == dist[h - 1], first[h - 1], h)
+        cur[:] = prev
+        np.minimum.at(cur, dst, cand)
+        won = (cand < prev[dst]) & (cand == cur[dst])
+        fell = dst[won]
+        pred[h], first[h] = pred[h - 1], first[h - 1]
+        first[h, fell] = h
+        pred[h, fell] = n + 1  # above every id, so the minimum is a source
+        np.minimum.at(pred[h], fell, src[won])
     for arr in (dist, pred, first):
         arr.setflags(write=False)
-    return HopDistanceTable(
-        source=source, hop_limit=hops, dist=dist, pred=pred, first=first
-    )
+    return HopDistanceTable(source, hops, dist, pred, first)
 
 
 def extract_path(

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hcconfl import HarmonyMemory, Instance, parse_tiny
+from hcconfl import HarmonyMemory, HopDistanceTable, Instance, parse_tiny
 from hcconfl.harmony_core import DUPLICATE_DRAW_LIMIT, EXHAUSTIVE_FILL_BITS
 
 GOLDENS = Path(__file__).parent / "data" / "solver_goldens.json"
@@ -373,6 +373,46 @@ def naive_hop_costs(instance: Instance, source: int, hop_limit: int) -> dict:
             if best < math.inf:
                 dist[(h, v)] = best
     return dist
+
+
+def reference_hop_bellman_ford(instance: Instance, source: int):
+    """One source's hop table with a per-level sort, for differential tests.
+
+    Per level, an ``np.lexsort`` of all arcs by (candidate, source) and a
+    reversed scatter pick each destination's cheapest arc with the smaller
+    source on ties; a node takes it only where that strictly beats the
+    level below.  The reversed scatter relies on NumPy applying repeated
+    fancy-assignment indices in order, which it does not document.
+    ``first`` comes from a second pass over the finished rows.  Returns the
+    package's ``HopDistanceTable``.
+    """
+    hops = instance.hop_limit
+    n = instance.num_nodes
+    dist = np.full((hops + 1, n + 1), np.inf)
+    pred = np.zeros((hops + 1, n + 1), dtype=np.int32)
+    dist[0, source] = 0.0
+    src, dst, wgt = instance.arcs
+    for h in range(1, hops + 1):
+        prev = dist[h - 1]
+        cand = prev[src] + wgt
+        order = np.lexsort((src, cand))
+        best_at = np.full(n + 1, -1, dtype=np.int64)
+        best_at[dst[order[::-1]]] = order[::-1]
+        cur = prev.copy()
+        cur_pred = pred[h - 1].copy()
+        nodes = np.nonzero(best_at >= 0)[0]
+        picks = best_at[nodes]
+        vals = cand[picks]
+        better = vals < cur[nodes]
+        upd = nodes[better]
+        cur[upd] = vals[better]
+        cur_pred[upd] = src[picks[better]]
+        dist[h] = cur
+        pred[h] = cur_pred
+    first = np.zeros((hops + 1, n + 1), dtype=np.min_scalar_type(-hops - 1))
+    for h in range(1, hops + 1):
+        first[h] = np.where(dist[h] == dist[h - 1], first[h - 1], h)
+    return HopDistanceTable(source, hops, dist, pred, first)
 
 
 def naive_cheapest_paths(

@@ -292,6 +292,33 @@ def test_phase2_never_hangs_a_chain_that_overflows():
     assert tree.edges == frozenset({(1, 3), (1, 7), (2, 6), (3, 6), (4, 6), (6, 8)})
 
 
+def test_phase2_hangs_the_chain_when_no_fresh_path_fits(monkeypatch):
+    # some tree node reaches 13 more cheaply than 13's phase-1 chain, so
+    # phase 2 reads fresh paths for it; none fits the hop limit once cut at
+    # the tree, and the chain does, so 13 hangs on its chain
+    inst = random_deep_instance(
+        random.Random(5472), nodes=60, edges=75, facilities=25, customers=3, hop_limit=6
+    )
+    opens = [3, 6, 9, 12, 13, 21, 22, 30, 31, 40, 58]
+    cache = HopTableCache(inst)
+    state = nrbi_phase1(inst, opens, cache)
+    reads = []
+    extract = hcst_nrbi.extract_path
+    monkeypatch.setattr(
+        hcst_nrbi,
+        "extract_path",
+        lambda table, v, budget: reads.append(v) or extract(table, v, budget),
+    )
+    monkeypatch.setattr(
+        hcst_nrbi, "_parent_tree", lambda *args: pytest.fail("phase 2 fell back")
+    )
+    tree = nrbi_phase2(inst, state, cache)
+    assert (tree.edges, tree.depth, tree.parent, tree.cost) == reference_nrbi(inst, opens)
+    assert tree.cost == 132.0
+    assert 13 in reads
+    assert all(tree.parent[x] == state.parent[x] for x in (13, 42, 7, 31))
+
+
 def _phase1_outcome(build):
     """A phase-1 state with its dict orders and float bits, or the facility named infeasible."""
     try:

@@ -6,14 +6,16 @@ import re
 import numpy as np
 import pytest
 
-from hcconfl import HopTableCache, extract_path, hop_bellman_ford
+from hcconfl import HopTableCache, Instance, extract_path, hop_bellman_ford
 
 from corpus_util import (
     naive_cheapest_paths,
     naive_hop_costs,
     path_cost,
+    random_dense_instance,
     random_graph_instance,
     random_tiny_instance,
+    reference_hop_bellman_ford,
 )
 
 
@@ -81,8 +83,6 @@ def test_extracted_paths_are_feasible_and_priced_right():
 
 
 def test_tie_break_prefers_fewer_hops_then_smaller_predecessor():
-    from hcconfl import Instance
-
     # equal-cost two-hop routes to node 4 via 2 or via 3; direct costs more
     inst = Instance(
         name="ties",
@@ -163,3 +163,56 @@ def test_cached_tables_are_fresh_read_only_and_symmetric():
                 # column u of every table, against u's own rows
                 column = np.stack([getattr(cache.table(v), name)[:, u] for v in nodes], axis=1)
                 assert (column == getattr(cache.table(u), name)[:, 1:]).all()
+
+
+def _one_node_instance():
+    return Instance(
+        name="one",
+        num_nodes=1,
+        core_edges=(),
+        facilities=(1,),
+        root=1,
+        customers=(),
+        opening_costs={1: 0.0},
+        assignment_costs=np.zeros((1, 0)),
+        hop_limit=2,
+    )
+
+
+def _shuffled_edges(rng, inst):
+    edges = list(inst.core_edges)
+    rng.shuffle(edges)
+    return dataclasses.replace(inst, core_edges=tuple(edges))
+
+
+# each entry builds a list of instances; integer edge costs 1-10 (and the
+# dense ones drawn from 3 values) make equal-cost candidates common, so the
+# predecessor tie rule decides many entries
+HOP_CORPORA = {
+    "tiny": lambda rng: [random_tiny_instance(rng, max_hop=5) for _ in range(300)],
+    "dense": lambda rng: [
+        random_dense_instance(rng, facilities=40, customers=2, cost_values=3 if i % 2 else None)
+        for i in range(40)
+    ],
+    # the benchmark's graph shapes: 500 nodes, (edges, hop limit) of each workload
+    "steinc-shaped": lambda rng: [
+        random_graph_instance(rng, 500, m, h) for m, h in ((625, 5), (625, 10), (2500, 3))
+    ],
+    "shuffled-edges": lambda rng: [
+        _shuffled_edges(rng, random_graph_instance(rng, 60, 150, h)) for h in (4, 10)
+    ],
+    "one-node": lambda rng: [_one_node_instance()],
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(HOP_CORPORA))
+def test_tables_match_the_sorting_reference(corpus):
+    rng = random.Random(1509)
+    for inst in HOP_CORPORA[corpus](rng):
+        for source in range(1, inst.num_nodes + 1):
+            table = hop_bellman_ford(inst, source)
+            ref = reference_hop_bellman_ford(inst, source)
+            for name in ("dist", "pred", "first"):
+                got, want = getattr(table, name), getattr(ref, name)
+                assert got.dtype == want.dtype, (inst.name, source, name)
+                assert np.array_equal(got, want), (inst.name, source, name)

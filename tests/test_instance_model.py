@@ -370,10 +370,25 @@ def test_assignment_matrix_is_write_locked(tiny1):
         tiny1.assignment_costs[0, 0] = 99.0
 
 
+def _non_integer_costs(rng, inst):
+    """``inst`` with every cost drawn from 2.5, 0.1 + 0.2 (inexact in binary) and 7."""
+
+    def cost():
+        return rng.choice((2.5, 0.1 + 0.2, 7.0))
+
+    return dataclasses.replace(
+        inst,
+        core_edges=tuple((u, v, cost()) for u, v, _ in inst.core_edges),
+        opening_costs={f: cost() for f in inst.facilities},
+        assignment_costs=np.array([[cost() for _ in inst.customers] for _ in inst.facilities]),
+    )
+
+
 def test_serialize_tiny_round_trip():
     rng = random.Random(4242)
-    for _ in range(50):
-        inst = random_tiny_instance(rng)
+    cases = [random_tiny_instance(rng) for _ in range(50)]
+    cases += [_non_integer_costs(rng, inst) for inst in cases[:10]]
+    for inst in cases:
         again = parse_tiny(serialize_tiny(inst), name=inst.name)
         assert again == inst
         # canonical form is a fixed point
