@@ -234,9 +234,7 @@ def _fill_memory(
     width = len(instance.facilities)
     root_index = instance.facility_index[instance.root]
     free_bits = width - 1
-    target = params.hms
-    if free_bits <= 30:
-        target = min(target, 2**free_bits)
+    target = min(params.hms, 2**free_bits)
 
     evaluated: list[tuple[np.ndarray, Solution]] = []
     seen: set[bytes] = set()

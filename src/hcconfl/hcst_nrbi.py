@@ -15,14 +15,15 @@ limit:
   alone, which always fits.
 
 Every tree is made by ``tree_from_parents``, which takes the root from the
-instance.  Ties are broken by cost, then fewer hops, then smallest id pair,
-so results are deterministic.  Both phases read the hop tables only at the
-open facilities' columns: phase 1 keeps the best known connection to each
-missing facility and refreshes it only from the nodes whose label the last
-insertion set or lowered; phase 2 prices every tree node for a facility
-with one gather from that facility's own table, since on an undirected
-graph the cheapest walk from ``v`` to ``u`` is the reverse of one from ``u``
-to ``v``.
+instance.  Candidate paths are ranked by cost, then by the smallest id
+pair, never by hop count, so results are deterministic; each path has the
+fewest edges among its own source's equal-cost walks.  Both phases read the
+hop tables only at the open facilities' columns: phase 1 keeps the best
+known connection to each missing facility and refreshes it only from the
+nodes whose label the last insertion set or lowered; phase 2 prices every
+tree node for a facility with one gather from that facility's own table,
+since on an undirected graph the cheapest walk from ``v`` to ``u`` is the
+reverse of one from ``u`` to ``v``.
 """
 
 from __future__ import annotations
@@ -138,14 +139,13 @@ def nrbi_phase1(
 ) -> NrbiState:
     """Grow the partial structure until every open facility is attached.
 
-    Each round attaches the lexicographically smallest (cost, hops, u, v)
-    path from a partial node ``u`` within its remaining hop budget to a
-    missing facility ``v``.  ``best`` holds, per missing facility, the
-    smallest (cost, hops, u) seen so far, refreshed only from relabeled
-    nodes, which read their table rows at the missing facilities' columns.
-    That is exact: a relabel only raises ``u``'s budget, table rows never
-    increase with the budget, and an equal cost keeps the same fewest hops,
-    so a stale entry never beats the fresh one.
+    Each round attaches the lexicographically smallest (cost, u, v) path
+    from a partial node ``u`` within its remaining hop budget to a missing
+    facility ``v``.  ``best`` holds, per missing facility, the smallest
+    (cost, u) seen so far, refreshed only from relabeled nodes, which read
+    their table rows at the missing facilities' columns.  That is exact: a
+    relabel only raises ``u``'s budget and table rows never increase with
+    the budget, so a stale entry never beats the fresh one.
     """
     hops = instance.hop_limit
     root = instance.root
@@ -153,8 +153,8 @@ def nrbi_phase1(
     state.hops_from_root[root] = 0
     remaining = instance.core_nodes(open_facilities) - {root}
 
-    # an unreachable facility's entries are (inf, 0, u) and never displace this
-    best = dict.fromkeys(remaining, (math.inf, 0, 0))
+    # an unreachable facility's entries are (inf, u) and never displace this
+    best = dict.fromkeys(remaining, (math.inf, 0))
     relabeled = [root]
     while remaining:
         targets = sorted(remaining)
@@ -164,12 +164,10 @@ def nrbi_phase1(
             if budget < 1:
                 continue
             table = cache.table(u)
-            costs = table.dist[budget][columns].tolist()
-            fewest = table.first[budget][columns].tolist()
-            for v, cost, h in zip(targets, costs, fewest):
-                if (cost, h, u) < best[v]:
-                    best[v] = (cost, h, u)
-        cost, _, u_star, v_star = min((*best[v], v) for v in targets)
+            for v, cost in zip(targets, table.dist[budget][columns].tolist()):
+                if (cost, u) < best[v]:
+                    best[v] = (cost, u)
+        cost, u_star, v_star = min((*best[v], v) for v in targets)
         if not math.isfinite(cost):
             raise TreeInfeasibleError(min(remaining), hops)
         path = extract_path(cache.table(u_star), v_star, hops - state.hops_from_root[u_star])
@@ -213,14 +211,15 @@ def nrbi_phase2(instance: Instance, state: NrbiState, cache: HopTableCache) -> S
 
     Required nodes are processed from the newest insertion epoch to the
     oldest.  Each is attached either via the cheapest fresh hop-feasible
-    path from a current tree node, or via its phase-1 route when its
-    recorded insertion cost is no more than that; when the route fits and
-    no candidate costs less, no fresh path is read at all.  Tree nodes,
-    depths and labels also sit in arrays that ``attach`` appends to, so all
-    fresh candidates of facility ``v`` come from one gather over ``v``'s
-    own table: distances are symmetric, so its entry at tree node ``u`` is
-    ``u``'s entry at ``v``.  The chosen path is still read from ``u``'s
-    table, so its tie-breaks are those of a walk from ``u``.
+    path from a current tree node (the smallest node on ties), or via its
+    phase-1 route when its recorded insertion cost is no more than that;
+    when the route fits and no candidate costs less, no fresh path is read
+    at all.  Tree nodes, depths and labels also sit in arrays that
+    ``attach`` appends to, so all fresh candidates of facility ``v`` come
+    from one gather over ``v``'s own table: distances are symmetric, so its
+    entry at tree node ``u`` is ``u``'s entry at ``v``.  The chosen path is
+    still read from ``u``'s table, so its tie-breaks are those of a walk
+    from ``u``.
     """
     hops = instance.hop_limit
     depth = {instance.root: 0}  # its keys are the tree's nodes
@@ -263,9 +262,8 @@ def nrbi_phase2(instance: Instance, state: NrbiState, cache: HopTableCache) -> S
         if chain_ok and not (costs < state.insertion_cost[v]).any():
             attach(chain)
             continue
-        fewest = table_v.first[budgets, us]
         fresh_pick: tuple[float, list[int]] | None = None
-        for k in np.lexsort((us, fewest, costs)):
+        for k in np.lexsort((us, costs)):
             if not math.isfinite(costs[k]):
                 break
             path = extract_path(cache.table(int(us[k])), v, int(budgets[k]))

@@ -490,7 +490,6 @@ def parse_tiny(text: str, name: str = "tiny") -> Instance:
     edge_keys: set[tuple[int, int]] = set()
     openings: dict[int, float] = {}
     assign: dict[tuple[int, str], float] = {}
-    f_lines: list[int] = []
 
     def fail(lineno: int, msg: str) -> ParseError:
         return ParseError(f"line {lineno}: {msg}")
@@ -532,7 +531,6 @@ def parse_tiny(text: str, name: str = "tiny") -> Instance:
             if fid in openings:
                 raise fail(lineno, f"duplicate facility {fid}")
             openings[fid] = cost
-            f_lines.append(fid)
         elif kind == "a":
             if len(parts) != 4:
                 raise fail(lineno, "assignment line needs 'a facility customer cost'")

@@ -382,9 +382,8 @@ def reference_hop_bellman_ford(instance: Instance, source: int):
     reversed scatter pick each destination's cheapest arc with the smaller
     source on ties; a node takes it only where that strictly beats the
     level below.  The reversed scatter relies on NumPy applying repeated
-    fancy-assignment indices in order, which it does not document.
-    ``first`` comes from a second pass over the finished rows.  Returns the
-    package's ``HopDistanceTable``.
+    fancy-assignment indices in order, which it does not document.  Returns
+    the package's ``HopDistanceTable``.
     """
     hops = instance.hop_limit
     n = instance.num_nodes
@@ -409,10 +408,7 @@ def reference_hop_bellman_ford(instance: Instance, source: int):
         cur_pred[upd] = src[picks[better]]
         dist[h] = cur
         pred[h] = cur_pred
-    first = np.zeros((hops + 1, n + 1), dtype=np.min_scalar_type(-hops - 1))
-    for h in range(1, hops + 1):
-        first[h] = np.where(dist[h] == dist[h - 1], first[h - 1], h)
-    return HopDistanceTable(source, hops, dist, pred, first)
+    return HopDistanceTable(source, hops, dist, pred)
 
 
 def naive_cheapest_paths(
@@ -523,9 +519,9 @@ def reference_parent_tree(instance: Instance, state):
 def reference_phase1(instance: Instance, open_facilities):
     """Phase 1 keeping its best known connection to every node in whole rows.
 
-    Per node, ``best_*`` hold the smallest (cost, hops, u) seen so far,
-    refreshed from each relabeled node's full table row; each round picks
-    the smallest (cost, hops, u, v) over the missing facilities with one
+    Per node, ``best_*`` hold the smallest (cost, u) seen so far, refreshed
+    from each relabeled node's full table row; each round picks the
+    smallest (cost, u, v) over the missing facilities with one
     ``np.lexsort``.  Returns the package's ``NrbiState``, with insertion
     costs summed edge by edge from the path's first node.
     """
@@ -539,7 +535,6 @@ def reference_phase1(instance: Instance, open_facilities):
     remaining = {f for f in open_facilities if f != root}
 
     best_cost = np.full(instance.num_nodes + 1, np.inf)
-    best_hops = np.zeros(instance.num_nodes + 1, dtype=np.int64)
     best_from = np.zeros(instance.num_nodes + 1, dtype=np.int64)
     relabeled = [root]
     while remaining:
@@ -550,18 +545,11 @@ def reference_phase1(instance: Instance, open_facilities):
             if u not in tables:
                 tables[u] = hop_bellman_ford(instance, u)
             cost = tables[u].dist[budget]
-            fewest = tables[u].first[budget].astype(np.int64)
-            better = (cost < best_cost) | (
-                (cost == best_cost)
-                & ((fewest < best_hops) | ((fewest == best_hops) & (u < best_from)))
-            )
+            better = (cost < best_cost) | ((cost == best_cost) & (u < best_from))
             best_cost[better] = cost[better]
-            best_hops[better] = fewest[better]
             best_from[better] = u
         targets = np.array(sorted(remaining), dtype=np.int64)
-        pick = np.lexsort(
-            (targets, best_from[targets], best_hops[targets], best_cost[targets])
-        )[0]
+        pick = np.lexsort((targets, best_from[targets], best_cost[targets]))[0]
         if not math.isfinite(best_cost[targets[pick]]):
             raise TreeInfeasibleError(min(remaining), hops)
         v_star = int(targets[pick])
@@ -584,18 +572,12 @@ def reference_phase1(instance: Instance, open_facilities):
     return state
 
 
-def _reference_min_hops(table, node: int, budget: int) -> int:
-    """Fewest edges realizing ``dist[budget][node]``, straight from the column."""
-    col = table.dist[: budget + 1, node]
-    return int(np.argmax(col == col[budget]))
-
-
 def reference_nrbi(instance: Instance, open_facilities):
     """The two-phase tree heuristic as plain loops, for differential tests.
 
     Phase 1 rescans every partial node in every round; phase 2 prices every
     tree node for each facility one at a time.  Tie-breaks are those of
-    ``hcconfl.nrbi``: cost, then fewer hops, then the smallest node ids.
+    ``hcconfl.nrbi``: cost, then the smallest node ids.
     Returns ``(edges, depth, parent, cost)`` and raises the package's
     ``TreeInfeasibleError`` naming the same facility.
     """
@@ -638,10 +620,10 @@ def reference_nrbi(instance: Instance, open_facilities):
                 continue
             for v in targets:
                 if float(table(u).dist[budget, v]) == best_cost:
-                    cand = (_reference_min_hops(table(u), v, budget), u, v)
+                    cand = (u, v)
                     if best is None or cand < best:
                         best = cand
-        _, u_star, v_star = best
+        u_star, v_star = best
         path = extract_path(table(u_star), v_star, hops - label[u_star])
         base = label[path[0]]
         for pos in range(1, len(path)):
@@ -702,10 +684,10 @@ def reference_nrbi(instance: Instance, open_facilities):
                 continue
             cost = float(table(u).dist[budget, v])
             if math.isfinite(cost):
-                fresh.append((cost, _reference_min_hops(table(u), v, budget), u, budget))
+                fresh.append((cost, u, budget))
         fresh.sort()
         fresh_pick = None
-        for cost, _, u, budget in fresh:
+        for cost, u, budget in fresh:
             path = extract_path(table(u), v, budget)
             cut = max(i for i, x in enumerate(path) if x in tree_nodes)
             suffix = path[cut:]

@@ -115,6 +115,31 @@ def test_phase2_tie_goes_to_the_smaller_tree_node():
     assert tree.parent[7] == 4
     assert (tree.edges, tree.depth, tree.parent, tree.cost) == reference_nrbi(inst, facilities)
 
+    facilities = (1, 5, 7, 8)
+    hops_differ = Instance(
+        name="tie-hops",
+        num_nodes=8,
+        core_edges=(
+            (1, 2, 3.0), (1, 6, 1.0), (2, 3, 2.0), (2, 4, 1.0),
+            (3, 5, 2.0), (3, 8, 3.0), (4, 5, 1.0), (6, 7, 2.0),
+        ),
+        facilities=facilities,
+        root=1,
+        customers=(),
+        opening_costs={f: 0.0 for f in facilities},
+        assignment_costs=np.zeros((len(facilities), 0)),
+        hop_limit=3,
+    )
+    tree = nrbi(hops_differ, set(facilities))
+    # phase 1 attached 5 at cost 5 along 1-2-4-5; phase 2 hangs 8's chain
+    # 1-2-3-8 first, then reaches 5 for cost 2 from tree node 2 in two hops
+    # (2-4-5) and from tree node 3 in one: the smaller id wins
+    assert (tree.parent[5], tree.parent[4]) == (4, 2)
+    assert tree.cost == 13.0
+    assert (tree.edges, tree.depth, tree.parent, tree.cost) == reference_nrbi(
+        hops_differ, facilities
+    )
+
 
 def test_shared_cache_and_fresh_cache_agree(tiny1):
     cache = HopTableCache(tiny1)

@@ -28,12 +28,12 @@ def test_fixture_table_values(tiny1):
     assert not math.isfinite(table.cost(3, 1))
     # two hops: 1-4-3 beats nothing else
     assert table.cost(3) == 2.0
-    assert table.min_hops(3) == 2
+    assert len(extract_path(table, 3)) - 1 == 2
     assert extract_path(table, 3, 2) == [1, 4, 3]
     assert extract_path(table, 3, 1) is None
     # a negative budget reaches nothing, not the last row
     assert table.cost(1, -1) == math.inf
-    assert table.min_hops(1, -1) is None
+    assert extract_path(table, 1, -1) is None
 
 
 def test_rows_are_nonincreasing(tiny1):
@@ -98,7 +98,7 @@ def test_tie_break_prefers_fewer_hops_then_smaller_predecessor():
     table = hop_bellman_ford(inst, 1)
     # equal cost 2.0 at one hop (direct) and two hops: fewer hops wins
     assert table.cost(4) == 2.0
-    assert table.min_hops(4) == 1
+    assert len(extract_path(table, 4)) - 1 == 1
     assert extract_path(table, 4, 3) == [1, 4]
 
     # make the direct edge lose: now via-2 and via-3 tie at cost 2
@@ -115,7 +115,7 @@ def test_tie_break_prefers_fewer_hops_then_smaller_predecessor():
     )
     table2 = hop_bellman_ford(pricier, 1)
     assert table2.cost(4) == 2.0
-    assert table2.min_hops(4) == 2
+    assert len(extract_path(table2, 4)) - 1 == 2
     assert extract_path(table2, 4, 2) == [1, 2, 4]  # smaller predecessor id
 
 
@@ -134,14 +134,19 @@ def test_cache_reuses_tables(tiny1):
 def test_min_hop_table_is_first_level_holding_the_value():
     rng = random.Random(4711)
     for _ in range(300):
-        inst = random_tiny_instance(rng, max_nodes=10)
-        inst = dataclasses.replace(inst, hop_limit=rng.randint(1, 6))
+        inst = dataclasses.replace(
+            random_tiny_instance(rng, max_nodes=10), hop_limit=rng.randint(1, 6)
+        )
         table = hop_bellman_ford(inst, rng.randint(1, inst.num_nodes))
-        hops = inst.hop_limit
-        for b in range(hops + 1):
-            for v in range(inst.num_nodes + 1):
+        for b in range(inst.hop_limit + 1):
+            for v in range(1, inst.num_nodes + 1):
                 col = table.dist[: b + 1, v]
-                assert table.first[b, v] == np.argmax(col == col[b])
+                path = extract_path(table, v, b)
+                if not math.isfinite(col[b]):
+                    assert path is None
+                    continue
+                # the fewest edges that reach the budget's cost
+                assert len(path) - 1 == np.argmax(col == col[b])
 
 
 def test_cached_tables_are_fresh_read_only_and_symmetric():
@@ -155,14 +160,13 @@ def test_cached_tables_are_fresh_read_only_and_symmetric():
         nodes = range(1, inst.num_nodes + 1)
         for source in nodes:
             tab, fresh = cache.table(source), hop_bellman_ford(inst, source)
-            for name in ("dist", "pred", "first"):
+            for name in ("dist", "pred"):
                 assert (getattr(tab, name) == getattr(fresh, name)).all()
                 assert not getattr(tab, name).flags.writeable
         for u in nodes:
-            for name in ("dist", "first"):
-                # column u of every table, against u's own rows
-                column = np.stack([getattr(cache.table(v), name)[:, u] for v in nodes], axis=1)
-                assert (column == getattr(cache.table(u), name)[:, 1:]).all()
+            # column u of every table, against u's own rows
+            column = np.stack([cache.table(v).dist[:, u] for v in nodes], axis=1)
+            assert (column == cache.table(u).dist[:, 1:]).all()
 
 
 def _one_node_instance():
@@ -212,7 +216,7 @@ def test_tables_match_the_sorting_reference(corpus):
         for source in range(1, inst.num_nodes + 1):
             table = hop_bellman_ford(inst, source)
             ref = reference_hop_bellman_ford(inst, source)
-            for name in ("dist", "pred", "first"):
+            for name in ("dist", "pred"):
                 got, want = getattr(table, name), getattr(ref, name)
                 assert got.dtype == want.dtype, (inst.name, source, name)
                 assert np.array_equal(got, want), (inst.name, source, name)

@@ -391,6 +391,8 @@ def test_serialize_tiny_round_trip():
     for inst in cases:
         again = parse_tiny(serialize_tiny(inst), name=inst.name)
         assert again == inst
+        # an instance never equals its text
+        assert inst != serialize_tiny(inst)
         # canonical form is a fixed point
         assert serialize_tiny(again) == serialize_tiny(inst)
 
