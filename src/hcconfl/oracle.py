@@ -18,9 +18,11 @@ when the row is no tree), and its parent and depth by node id.
   each node set keeps its cheapest.  Slower, and kept both as the fallback
   and as a cross-check of the profile method.
 
-A query takes the first cheapest row whose mask covers the required nodes,
-so each strategy's row order is its tie rule.  Both strategies are
-exhaustive by construction; the unit tests compare them on random instances.
+Once the rows are filled, one table holds, for each of the 2^(n-1) sets of
+non-root nodes, the first cheapest row whose mask covers that set, so a
+query is one lookup.  Each strategy's row order stays its tie rule.  Both
+strategies are exhaustive by construction; the unit tests compare them on
+random instances, and compare the lookups with a scan of the rows.
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ class OracleLimitError(ValueError):
     """Instance exceeds the size envelope the oracle is willing to handle."""
 
 
-def _required_nodes(instance: Instance, required: Iterable[int]) -> list[int]:
-    """Sorted non-root nodes of ``required``; each must be a core node."""
-    return sorted(instance.core_nodes(required) - {instance.root})
+def _required_nodes(instance: Instance, required: Iterable[int]) -> set[int]:
+    """The non-root nodes of ``required``; each must be a core node."""
+    return instance.core_nodes(required) - {instance.root}
 
 
 class _Rows(NamedTuple):
@@ -61,14 +63,37 @@ class _Rows(NamedTuple):
     depths: np.ndarray
 
 
+def _pack(masks, root: int):
+    """Id-bit masks (int or array), root bit clear, as n - 1 bits in id order."""
+    below = masks & (1 << root) - 1  # ids under the root; bit 0 is never set
+    return below >> 1 | masks >> root + 1 << root - 1
+
+
+def _first_covering(instance: Instance, rows: _Rows) -> np.ndarray:
+    """For each packed set of non-root nodes, the index of the first
+    cheapest row whose mask covers it, or -1 when no finite row does.
+
+    A stable sort ranks the rows by ``(cost, index)``; each exact mask keeps
+    its least rank, and one pass per bit hands the least rank down from
+    ``m | bit`` to ``m``.  The 2^(n-1) entries never outnumber the profile
+    strategy's (H+1)^(n-1) rows, and 20 edges connect at most 21 nodes.
+    """
+    bits = instance.num_nodes - 1
+    order = np.argsort(rows.costs, kind="stable")[: np.isfinite(rows.costs).sum()]
+    rank = np.full(1 << bits, len(order))
+    np.minimum.at(rank, _pack(rows.masks[order], instance.root), np.arange(len(order)))
+    for bit in range(bits):
+        pair = rank.reshape(-1, 2, 1 << bit)  # [:, 0] lacks the bit, [:, 1] has it
+        np.minimum(pair[:, 0], pair[:, 1], out=pair[:, 0])
+    return np.append(order, -1)[rank]
+
+
 def _cheapest_tree(
-    instance: Instance, rows: _Rows, needed: list[int]
+    instance: Instance, rows: _Rows, table: np.ndarray, needed: set[int]
 ) -> SteinerTree | None:
     """The first cheapest row spanning root plus ``needed``, or None."""
-    want = sum(1 << v for v in needed)
-    costs = np.where(rows.masks & want == want, rows.costs, np.inf)
-    idx = int(np.argmin(costs))  # first minimum: the row order breaks ties
-    if not np.isfinite(costs[idx]):
+    idx = int(table[_pack(sum(1 << v for v in needed), instance.root)])
+    if idx < 0:
         return None
     levels = rows.depths[idx]
     nodes = np.flatnonzero(levels >= 1).tolist()  # the root sits at depth 0
@@ -81,7 +106,9 @@ def _cheapest_tree(
 class HcstOracle:
     """Exact hop-constrained Steiner trees for one instance.
 
-    Fills one strategy's rows once, then answers any required-node subset.
+    Fills one strategy's rows once and finds, for every set of non-root
+    nodes, the first cheapest row that covers it; each query is then one
+    lookup in that table of 2^(n-1) entries.
     """
 
     def __init__(self, instance: Instance):
@@ -89,12 +116,12 @@ class HcstOracle:
         profile_rows = (instance.hop_limit + 1) ** (instance.num_nodes - 1)
         self._by_profile = profile_rows <= PROFILE_ROW_CAP
         self._rows = (_profile_rows if self._by_profile else _subset_rows)(instance)
+        self._table = _first_covering(instance, self._rows)
 
     def solve(self, required: Iterable[int]) -> SteinerTree | None:
         """Cheapest hop-feasible tree spanning root plus ``required``."""
-        return _cheapest_tree(
-            self.instance, self._rows, _required_nodes(self.instance, required)
-        )
+        needed = _required_nodes(self.instance, required)
+        return _cheapest_tree(self.instance, self._rows, self._table, needed)
 
 
 def _profile_rows(instance: Instance) -> _Rows:
@@ -213,7 +240,8 @@ def exact_hcst_edge_subsets(
 ) -> SteinerTree | None:
     """Edge-subset reference enumeration, exposed for cross-checking."""
     needed = _required_nodes(instance, required)
-    return _cheapest_tree(instance, _subset_rows(instance), needed)
+    rows = _subset_rows(instance)
+    return _cheapest_tree(instance, rows, _first_covering(instance, rows), needed)
 
 
 def exact_solve(instance: Instance) -> Solution:

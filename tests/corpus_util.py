@@ -483,6 +483,31 @@ def tree_is_valid(instance: Instance, tree, required) -> bool:
     return math.isclose(total, tree.cost, abs_tol=1e-9)
 
 
+def reference_cheapest_tree(instance: Instance, rows, required):
+    """The first cheapest of the oracle's ``rows`` whose nodes hold
+    ``required``, as ``(edges, depth, cost)``, or None when none of finite
+    cost does.
+
+    A plain scan in row order, which is each oracle strategy's tie rule.
+    """
+    want = sum(1 << v for v in set(required) - {instance.root})
+    best = None
+    best_cost = math.inf
+    for i, (mask, cost) in enumerate(zip(rows.masks.tolist(), rows.costs.tolist())):
+        if mask & want == want and cost < best_cost:
+            best, best_cost = i, cost
+    if best is None:
+        return None
+    depths = rows.depths[best].tolist()
+    parents = rows.parents[best].tolist()
+    nodes = range(1, instance.num_nodes + 1)
+    depth = {v: depths[v] for v in nodes if depths[v] >= 0}
+    edges = {
+        (min(v, parents[v]), max(v, parents[v])) for v in depth if v != instance.root
+    }
+    return edges, depth, sum(instance.edge_cost(u, v) for u, v in edges)
+
+
 def reference_parent_tree(instance: Instance, state):
     """Phase 2's fallback tree as its own parent walk and depth pass.
 

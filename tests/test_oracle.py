@@ -21,7 +21,14 @@ from hcconfl import (
     validate,
 )
 
-from corpus_util import naive_assignment, random_tiny_instance, tree_is_valid
+from hcconfl.oracle import _subset_rows
+
+from corpus_util import (
+    naive_assignment,
+    random_tiny_instance,
+    reference_cheapest_tree,
+    tree_is_valid,
+)
 
 
 def test_fixture_tree_for_all_facilities(tiny1):
@@ -162,6 +169,84 @@ def test_oracle_answers_match_per_query_solvers():
                 assert a.cost == pytest.approx(b.cost)
 
 
+def _rooted_at(inst: Instance, root: int) -> Instance:
+    facilities = tuple(sorted({*inst.facilities, root}))
+    return dataclasses.replace(
+        inst,
+        facilities=facilities,
+        root=root,
+        opening_costs=dict.fromkeys(facilities, 0.0),
+        assignment_costs=np.ones((len(facilities), len(inst.customers))),
+    )
+
+
+def _same_tree(tree, reference) -> bool:
+    if tree is None or reference is None:
+        return tree is reference
+    return (set(tree.edges), dict(tree.depth), tree.cost) == reference
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_lookups_match_a_scan_of_the_rows(where):
+    # the root's place decides how node ids pack into the table's n - 1 bits
+    rng = random.Random(f"lookup:{where}")
+    seen = {"profile": 0, "edge_subsets": 0, "none": 0, "tree": 0}
+    for i in range(60):
+        inst = random_tiny_instance(rng, max_nodes=8)
+        n = inst.num_nodes
+        root = {"first": 1, "middle": (n + 1) // 2, "last": n}[where]
+        # H = 1000 puts every instance of 3 or more nodes past the profile cap
+        hop_limit = rng.choice([1, 2, 3]) if i % 2 else 1000
+        inst = _rooted_at(dataclasses.replace(inst, hop_limit=hop_limit), root)
+        oracle = HcstOracle(inst)
+        seen["profile" if oracle._by_profile else "edge_subsets"] += 1
+        subset_rows = _subset_rows(inst)
+        nodes = list(range(1, n + 1))
+        queries = [[], nodes, list(inst.facilities)] + [
+            rng.sample(nodes, rng.randint(1, n)) for _ in range(6)
+        ]
+        for required in queries:
+            expected = reference_cheapest_tree(inst, oracle._rows, required)
+            assert _same_tree(oracle.solve(required), expected)
+            assert _same_tree(
+                exact_hcst_edge_subsets(inst, required),
+                reference_cheapest_tree(inst, subset_rows, required),
+            )
+            seen["none" if expected is None else "tree"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_largest_profile_table_has_one_entry_per_node_set():
+    # 19 nodes at H = 1 give 2**18 profiles, the most under the profile cap;
+    # the path 1..19 plus spokes from the root at 10 reach every node in one hop
+    n, root = 19, 10
+    edges = {(min(v, root), max(v, root)): 2.0 + v % 3 for v in range(1, n + 1) if v != root}
+    edges.update({(v, v + 1): 1.0 for v in range(1, n)})
+    inst = Instance(
+        name="path19",
+        num_nodes=n,
+        core_edges=tuple((u, v, c) for (u, v), c in sorted(edges.items())),
+        facilities=(root,),
+        root=root,
+        customers=("c",),
+        opening_costs={root: 0.0},
+        assignment_costs=np.ones((1, 1)),
+        hop_limit=1,
+    )
+    oracle = HcstOracle(inst)
+    assert oracle._by_profile and len(oracle._rows.costs) == 2**18
+    assert len(oracle._table) == 2 ** (n - 1)
+    rng = random.Random(19)
+    others = [v for v in range(1, n + 1) if v != root]
+    queries = [[], others, [1], [9, 11], [19, root]] + [
+        rng.sample(others, rng.randint(1, n - 1)) for _ in range(5)
+    ]
+    for required in queries:
+        expected = reference_cheapest_tree(inst, oracle._rows, required)
+        assert expected is not None
+        assert _same_tree(oracle.solve(required), expected)
+
+
 def test_exact_solve_never_beaten_by_any_open_set():
     rng = random.Random(606)
     for _ in range(60):
@@ -211,7 +296,8 @@ def test_edge_limit_enforced_for_subset_strategy():
         exact_hcst_edge_subsets(inst, {2})
 
 
-@pytest.mark.parametrize("node", [0, 5, 2.5])
+# an unchecked id would shift into the lookup entry of another node set
+@pytest.mark.parametrize("node", [0, 5, 2.5, True, "x"])
 def test_required_nodes_must_be_core_nodes(tiny1, node):
     message = f"^{re.escape(f'required node {node} is not a core node')}$"
     with pytest.raises(ValueError, match=message):
