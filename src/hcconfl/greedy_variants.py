@@ -41,7 +41,7 @@ from .harmony_core import (
     root_path_costs,
 )
 from .hop_paths import HopTableCache
-from .instance_model import Instance
+from .instance_model import Instance, _check_integers
 from .objective import Solution, as_open_set, evaluate, root_open_subsets, validate
 
 EXHAUSTIVE_BIT_LIMIT = 24
@@ -68,6 +68,9 @@ class GreedyParams:
     sample_count: int = 1500
 
     def __post_init__(self) -> None:
+        _check_integers(
+            max_open=self.max_open, top_k=self.top_k, sample_count=self.sample_count
+        )
         if self.max_open < 1:
             raise ValueError("max_open must be >= 1")
         if not 1 <= self.top_k <= EXHAUSTIVE_BIT_LIMIT:
@@ -245,6 +248,7 @@ def greedy_close(
     ``closer`` is the :class:`Closer` of ``instance``, built here from
     :func:`root_path_costs` when not given.
     """
+    _check_integers(max_open=max_open)
     if max_open < 1:
         raise ValueError("max_open must be >= 1")
     if closer is None:

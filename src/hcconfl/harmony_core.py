@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .hop_paths import HopTableCache, cache_for
-from .instance_model import Instance
+from .instance_model import Instance, _check_integers
 from .objective import COST_TOL, Solution, evaluate, validate
 
 logger = logging.getLogger(__name__)
@@ -51,6 +51,7 @@ class HarmonyParams:
     max_no_improve: int = 1000
 
     def __post_init__(self) -> None:
+        _check_integers(hms=self.hms, max_no_improve=self.max_no_improve)
         if self.hms < 2:
             raise ValueError("hms must be >= 2")
         if not 0.0 < self.hmcr_start <= 1.0:

@@ -212,14 +212,15 @@ def nrbi_phase2(instance: Instance, state: NrbiState, cache: HopTableCache) -> S
     Required nodes are processed from the newest insertion epoch to the
     oldest.  Each is attached either via the cheapest fresh hop-feasible
     path from a current tree node (the smallest node on ties), or via its
-    phase-1 route when its recorded insertion cost is no more than that;
-    when the route fits and no candidate costs less, no fresh path is read
-    at all.  Tree nodes, depths and labels also sit in arrays that
-    ``attach`` appends to, so all fresh candidates of facility ``v`` come
-    from one gather over ``v``'s own table: distances are symmetric, so its
-    entry at tree node ``u`` is ``u``'s entry at ``v``.  The chosen path is
-    still read from ``u``'s table, so its tie-breaks are those of a walk
-    from ``u``.
+    phase-1 route when that fits and its recorded insertion cost is no more
+    than the fresh path's.  One scan reads the candidates in (cost, node)
+    order while they cost less than that route (any finite cost when the
+    route does not fit), and reads no fresh path when none does.  Tree
+    nodes, depths and labels also sit in arrays that ``attach`` appends to,
+    so all fresh candidates of facility ``v`` come from one gather over
+    ``v``'s own table: distances are symmetric, so its entry at tree node
+    ``u`` is ``u``'s entry at ``v``.  The chosen path is still read from
+    ``u``'s table, so its tie-breaks are those of a walk from ``u``.
     """
     hops = instance.hop_limit
     depth = {instance.root: 0}  # its keys are the tree's nodes
@@ -255,35 +256,26 @@ def nrbi_phase2(instance: Instance, state: NrbiState, cache: HopTableCache) -> S
         usable = budgets >= 1
         us = members[:size][usable]
         budgets = budgets[usable]
-        table_v = cache.table(v)
-        costs = table_v.dist[budgets, us]
-        # a fresh path must cost less than the chain, and the first one that
-        # fits costs no less than the cheapest candidate
-        if chain_ok and not (costs < state.insertion_cost[v]).any():
-            attach(chain)
-            continue
-        fresh_pick: tuple[float, list[int]] | None = None
-        for k in np.lexsort((us, costs)):
-            if not math.isfinite(costs[k]):
-                break
-            path = extract_path(cache.table(int(us[k])), v, int(budgets[k]))
-            assert path is not None
-            cut = max(i for i, x in enumerate(path) if x in depth)
-            suffix = path[cut:]
-            if depth[suffix[0]] + len(suffix) - 1 <= hops:
-                fresh_pick = (float(costs[k]), suffix)
-                break
-
-        if fresh_pick is not None and (
-            not chain_ok or fresh_pick[0] < state.insertion_cost[v]
-        ):
-            attach(fresh_pick[1])
-        elif chain_ok:
-            attach(chain)
-        else:
+        costs = cache.table(v).dist[budgets, us]
+        # the first fresh suffix that fits and costs less than the limit wins
+        limit = state.insertion_cost[v] if chain_ok else math.inf
+        pick = chain if chain_ok else None
+        if (costs < limit).any():
+            for k in np.lexsort((us, costs)):
+                if not costs[k] < limit:
+                    break
+                path = extract_path(cache.table(int(us[k])), v, int(budgets[k]))
+                assert path is not None
+                cut = max(i for i, x in enumerate(path) if x in depth)
+                suffix = path[cut:]
+                if depth[suffix[0]] + len(suffix) - 1 <= hops:
+                    pick = suffix
+                    break
+        if pick is None:
             # neither attachment fits the hop limit from here; fall back to
             # the phase-1 chains alone, which always fit
             return _parent_tree(instance, state)
+        attach(pick)
 
     return tree_from_parents(instance, parent, depth)
 

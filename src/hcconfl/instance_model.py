@@ -58,6 +58,13 @@ def _is_integer(value: object) -> bool:
     return True
 
 
+def _check_integers(**values: object) -> None:
+    """ValueError naming the first of ``values`` that is no integer."""
+    for name, value in values.items():
+        if not _is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Instance:
     """Immutable problem instance.
@@ -68,9 +75,8 @@ class Instance:
 
     Derived views are never passed in.  ``facility_index`` and
     ``customer_index`` (id -> row/column) are set at construction.
-    ``adjacency``, ``edge_costs``, ``arcs`` and ``opening_cost_array`` are
-    built on first use and kept; the connectivity check builds
-    ``adjacency`` at construction.
+    ``edge_costs``, ``arcs`` and ``opening_cost_array`` are built on first
+    use and kept; construction builds none of them.
     """
 
     name: str
@@ -87,10 +93,7 @@ class Instance:
     customer_index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("num_nodes", "hop_limit"):
-            value = getattr(self, name)
-            if not _is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_integers(num_nodes=self.num_nodes, hop_limit=self.hop_limit)
         if self.num_nodes < 1:
             raise ValueError("instance needs at least one core node")
         if self.hop_limit < 1:
@@ -143,30 +146,18 @@ class Instance:
     # -- derived views ---------------------------------------------------------
 
     def _check_connected(self) -> None:
-        seen = {1}
-        stack = [1]
-        while stack:
-            x = stack.pop()
-            for y, _ in self.adjacency[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != self.num_nodes:
-            missing = min(set(range(1, self.num_nodes + 1)) - seen)
-            raise ValueError(f"core graph is disconnected (node {missing} unreachable)")
+        link = list(range(self.num_nodes + 1))  # union-find forest over node ids
 
-    @cached_property
-    def adjacency(self) -> dict[int, list[tuple[int, float]]]:
-        """Node -> its neighbours as (other endpoint, edge cost), id-sorted."""
-        adj: dict[int, list[tuple[int, float]]] = {
-            v: [] for v in range(1, self.num_nodes + 1)
-        }
-        for u, v, cost in self.core_edges:
-            adj[u].append((v, cost))
-            adj[v].append((u, cost))
-        for neighbours in adj.values():
-            neighbours.sort()
-        return adj
+        def find(x: int) -> int:
+            while link[x] != x:
+                link[x] = x = link[link[x]]
+            return x
+
+        for u, v, _ in self.core_edges:
+            link[find(u)] = find(v)
+        cut = [v for v in range(2, self.num_nodes + 1) if find(v) != find(1)]
+        if cut:
+            raise ValueError(f"core graph is disconnected (node {cut[0]} unreachable)")
 
     @cached_property
     def edge_costs(self) -> dict[tuple[int, int], float]:
@@ -477,6 +468,14 @@ def _fmt_cost(value: float) -> str:
     return repr(value)
 
 
+# record kind -> (name, layout, field types); the last field is the cost
+_TINY_RECORDS = {
+    "e": ("edge", "e u v cost", (int, int, float)),
+    "f": ("facility", "f id cost", (int, float)),
+    "a": ("assignment", "a facility customer cost", (int, str, float)),
+}
+
+
 def parse_tiny(text: str, name: str = "tiny") -> Instance:
     """Parse the tiny fixture format.
 
@@ -486,19 +485,16 @@ def parse_tiny(text: str, name: str = "tiny") -> Instance:
     must be complete (every facility x customer pair exactly once).
     """
     header: list[int] | None = None
-    edges: list[tuple[int, int, float]] = []
-    edge_keys: set[tuple[int, int]] = set()
-    openings: dict[int, float] = {}
-    assign: dict[tuple[int, str], float] = {}
+    # kind -> the fields before the cost, canonical for an edge -> the cost
+    records: dict[str, dict[tuple, float]] = {kind: {} for kind in _TINY_RECORDS}
 
     def fail(lineno: int, msg: str) -> ParseError:
         return ParseError(f"line {lineno}: {msg}")
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
         if header is None:
             if len(parts) != 5:
                 raise fail(lineno, "header needs 5 fields")
@@ -508,73 +504,45 @@ def parse_tiny(text: str, name: str = "tiny") -> Instance:
                 raise fail(lineno, "header fields must be integers") from None
             continue
         kind = parts[0]
-        if kind == "e":
-            if len(parts) != 4:
-                raise fail(lineno, "edge line needs 'e u v cost'")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-                cost = float(parts[3])
-            except ValueError:
-                raise fail(lineno, "bad edge line") from None
-            key = canon_edge(u, v)
-            if key in edge_keys:
-                raise fail(lineno, f"duplicate edge ({u},{v})")
-            edge_keys.add(key)
-            edges.append((key[0], key[1], cost))
-        elif kind == "f":
-            if len(parts) != 3:
-                raise fail(lineno, "facility line needs 'f id cost'")
-            try:
-                fid, cost = int(parts[1]), float(parts[2])
-            except ValueError:
-                raise fail(lineno, "bad facility line") from None
-            if fid in openings:
-                raise fail(lineno, f"duplicate facility {fid}")
-            openings[fid] = cost
-        elif kind == "a":
-            if len(parts) != 4:
-                raise fail(lineno, "assignment line needs 'a facility customer cost'")
-            try:
-                fid = int(parts[1])
-                cost = float(parts[3])
-            except ValueError:
-                raise fail(lineno, "bad assignment line") from None
-            cust = parts[2]
-            if (fid, cust) in assign:
-                raise fail(lineno, f"duplicate assignment ({fid},{cust})")
-            assign[(fid, cust)] = cost
-        else:
+        if kind not in _TINY_RECORDS:
             raise fail(lineno, f"unknown record type {kind!r}")
+        what, layout, types = _TINY_RECORDS[kind]
+        if len(parts) != len(types) + 1:
+            raise fail(lineno, f"{what} line needs '{layout}'")
+        try:
+            *fields, cost = [convert(p) for convert, p in zip(types, parts[1:])]
+        except ValueError:
+            raise fail(lineno, f"bad {what} line") from None
+        key = canon_edge(*fields) if kind == "e" else tuple(fields)
+        if key in records[kind]:
+            label = ",".join(map(str, fields))
+            label = label if len(fields) == 1 else f"({label})"
+            raise fail(lineno, f"duplicate {what} {label}")
+        records[kind][key] = cost
 
     if header is None:
         raise ParseError("line 1: empty file")
     num_nodes, num_fac, num_cust, hop_limit, root = header
+    openings = {f: cost for (f,), cost in records["f"].items()}
+    assign = records["a"]
     facilities = tuple(sorted(openings))
     if len(facilities) != num_fac:
-        raise ParseError(
-            f"header declares {num_fac} facilities, file has {len(facilities)}"
-        )
+        raise ParseError(f"header declares {num_fac} facilities, file has {len(facilities)}")
     customers = tuple(sorted({cust for _, cust in assign}))
     if len(customers) != num_cust:
-        raise ParseError(
-            f"header declares {num_cust} customers, file has {len(customers)}"
-        )
-    missing = [
-        (f, c) for f in facilities for c in customers if (f, c) not in assign
-    ]
+        raise ParseError(f"header declares {num_cust} customers, file has {len(customers)}")
+    pairs = [(f, c) for f in facilities for c in customers]
+    missing = [pair for pair in pairs if pair not in assign]
     if missing:
         raise ParseError(f"missing assignment cost for {missing[0]}")
-    if len(assign) != num_fac * num_cust:
-        extra = sorted(set(assign) - {(f, c) for f in facilities for c in customers})
-        raise ParseError(f"assignment for unknown pair {extra[0]}")
-    matrix = np.array(
-        [[assign[(f, c)] for c in customers] for f in facilities], dtype=np.float64
-    )
+    if len(assign) != len(pairs):
+        raise ParseError(f"assignment for unknown pair {min(set(assign) - set(pairs))}")
+    matrix = np.reshape([assign[pair] for pair in pairs], (len(facilities), len(customers)))
     try:
         return Instance(
             name=name,
             num_nodes=num_nodes,
-            core_edges=tuple(sorted(edges)),
+            core_edges=tuple(sorted((u, v, cost) for (u, v), cost in records["e"].items())),
             facilities=facilities,
             root=root,
             customers=customers,

@@ -147,10 +147,13 @@ def _profile_rows(instance: Instance) -> _Rows:
     masks = np.zeros(count, dtype=np.int64)
     total = np.zeros(count)
     parents = np.zeros(shape, dtype=np.int32, order="F")  # read only on the tree
+    src, dst, weight = instance.arcs
     for v in others:
         best = np.full(count, np.inf)
         best_u = parents[:, v]  # a view: filled in place
-        for u, w in instance.adjacency[v]:  # ascending u: ties keep smaller id
+        into = np.flatnonzero(dst == v)  # the arcs u -> v
+        # sorted by neighbour id, as core_edges need not be: ties keep smaller u
+        for u, w in sorted(zip(src[into].tolist(), weight[into].tolist())):
             upd = (levels[:, u] == levels[:, v] - 1) & (w < best)
             best[upd] = w
             best_u[upd] = u

@@ -362,13 +362,25 @@ def naive_assignment(instance: Instance, open_ids) -> tuple[dict[str, int], floa
     return assign, total
 
 
+def neighbour_lists(instance: Instance) -> dict[int, list[tuple[int, float]]]:
+    """Node -> its (neighbour, edge cost) pairs, read from ``core_edges`` alone."""
+    adjacency: dict[int, list[tuple[int, float]]] = {
+        v: [] for v in range(1, instance.num_nodes + 1)
+    }
+    for u, v, cost in instance.core_edges:
+        adjacency[u].append((v, cost))
+        adjacency[v].append((u, cost))
+    return adjacency
+
+
 def naive_hop_costs(instance: Instance, source: int, hop_limit: int) -> dict:
     """Cheapest cost to each node using at most h edges, plain dict DP."""
+    adjacency = neighbour_lists(instance)
     dist = {(0, source): 0.0}
     for h in range(1, hop_limit + 1):
         for v in range(1, instance.num_nodes + 1):
             best = dist.get((h - 1, v), math.inf)
-            for u, w in instance.adjacency[v]:
+            for u, w in adjacency[v]:
                 best = min(best, dist.get((h - 1, u), math.inf) + w)
             if best < math.inf:
                 dist[(h, v)] = best
@@ -415,12 +427,13 @@ def naive_cheapest_paths(
     instance: Instance, source: int, hop_limit: int
 ) -> dict[int, float]:
     """Cheapest simple path costs within the hop budget, by DFS enumeration."""
+    adjacency = neighbour_lists(instance)
     best = {source: 0.0}
 
     def walk(node: int, cost: float, hops: int, seen: set[int]) -> None:
         if hops == hop_limit:
             return
-        for nxt, w in instance.adjacency[node]:
+        for nxt, w in adjacency[node]:
             if nxt in seen:
                 continue
             total = cost + w

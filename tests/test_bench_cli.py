@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -6,7 +7,8 @@ from hcconfl.bench_cli import instance_label, main
 
 from test_instance_model import STP_TEXT, UFLP_BEASLEY
 
-DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).parent.parent
+DATA = ROOT / "tests" / "data"
 TINY = DATA / "tiny1.txt"
 
 GOLDEN_ORACLE = """\
@@ -28,6 +30,18 @@ def test_oracle_golden_csv(capsys):
     )
     assert code == 0 and err == ""
     assert out == GOLDEN_ORACLE
+
+
+def test_readme_ghs_example_prints_what_the_readme_shows(capsys, monkeypatch):
+    command = "hcconfl-bench --tiny tests/data/tiny1.txt --algo ghs --repeats 3 --zero-time"
+    readme = (ROOT / "README.md").read_text()
+    # the command's block is followed at once by the block of its stdout
+    shown = re.search(re.escape(command) + r"\n```\n\n```\n(.*?)```", readme, re.S)
+    assert shown is not None
+    monkeypatch.chdir(ROOT)
+    code, out, _ = run(capsys, *command.split()[1:])
+    assert code == 0
+    assert out == shown.group(1)
 
 
 def test_repeats_emit_one_row_per_seed_plus_best(capsys):

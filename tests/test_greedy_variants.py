@@ -69,6 +69,9 @@ def test_greedy_close_respects_max_open(tiny1):
     assert list(vec) == [1, 0, 0]
     with pytest.raises(ValueError, match="^max_open must be >= 1$"):
         greedy_close(tiny1, {1, 2, 3}, max_open=0)
+    for bad in (1.5, True):
+        with pytest.raises(ValueError, match=f"^max_open must be an integer, got {bad}$"):
+            greedy_close(tiny1, {1, 2, 3}, max_open=bad)
 
 
 def test_greedy_close_drops_unreachable_facilities(tiny1):
@@ -405,11 +408,19 @@ def test_solvers_never_beat_oracle_and_stay_feasible():
         {"top_k": EXHAUSTIVE_BIT_LIMIT + 1},
         {"sample_count": 0},
         {"sample_count": -3},
+        # counts must be integers: 1.5 and True used to run as 1, and
+        # 2.5 to fail later with a TypeError
+        {"max_open": 1.5},
+        {"max_open": True},
+        {"top_k": 2.5},
+        {"top_k": True},
+        {"sample_count": 3.5},
+        {"sample_count": True},
     ],
 )
 def test_greedy_params_validate_their_ranges(bad):
     (name,) = bad
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(ValueError, match=f"^{name} must be "):
         GreedyParams(**bad)
 
 

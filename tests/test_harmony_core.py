@@ -445,3 +445,10 @@ def test_params_validate_their_ranges():
         HarmonyParams(hmcr_start=0.0)
     with pytest.raises(ValueError, match="max_no_improve"):
         HarmonyParams(max_no_improve=0)
+    # counts must be integers: 2.5 used to fail later inside the fill, and
+    # True would count as 1
+    for name in ("hms", "max_no_improve"):
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad}$"):
+                HarmonyParams(**{name: bad})
+    assert HarmonyParams(hms=np.int64(3)).hms == 3

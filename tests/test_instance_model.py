@@ -183,7 +183,6 @@ def test_parse_tiny_fixture(tiny1):
     assert tiny1.hop_limit == 2
     assert tiny1.assignment_cost(2, "a") == 1.0
     assert tiny1.edge_cost(4, 3) == 1.0
-    assert tiny1.adjacency[1] == [(2, 2.0), (4, 1.0)]
 
 
 PARSE_TINY_ERRORS = [
@@ -229,19 +228,63 @@ def test_parse_tiny_without_customers_or_facilities():
         parse_tiny(header_only.replace("4 3 0 2 1", "4 0 0 2 1"))
 
 
+def _one_facility_graph(num_nodes, edges) -> Instance:
+    """The instance on ``edges`` (cost 1 each) with node 1 its only facility."""
+    return Instance(
+        name="x",
+        num_nodes=num_nodes,
+        core_edges=tuple((u, v, 1.0) for u, v in edges),
+        facilities=(1,),
+        root=1,
+        customers=(),
+        opening_costs={1: 0.0},
+        assignment_costs=np.zeros((1, 0)),
+        hop_limit=1,
+    )
+
+
 def test_instance_requires_connected_core():
     with pytest.raises(ValueError, match="disconnected"):
-        Instance(
-            name="x",
-            num_nodes=3,
-            core_edges=((1, 2, 1.0),),
-            facilities=(1,),
-            root=1,
-            customers=(),
-            opening_costs={1: 0.0},
-            assignment_costs=np.zeros((1, 0)),
-            hop_limit=1,
-        )
+        _one_facility_graph(3, ((1, 2),))
+
+
+@pytest.mark.parametrize(
+    "num_nodes, edges, missing",
+    [
+        (4, ((2, 3), (3, 4)), 2),
+        (6, ((1, 2), (3, 4), (5, 6)), 3),
+        (6, ((1, 6), (2, 5), (3, 4)), 2),
+        (5, ((1, 2), (1, 3), (4, 5)), 4),
+        # the last edge joins node 1's component to 4's, not to 2's
+        (5, ((2, 3), (4, 5), (1, 4)), 2),
+    ],
+)
+def test_disconnected_core_names_its_smallest_unreachable_node(num_nodes, edges, missing):
+    message = f"core graph is disconnected (node {missing} unreachable)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _one_facility_graph(num_nodes, edges)
+
+
+def test_connectivity_matches_a_graph_search():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        edges = rng.sample(pairs, rng.randint(0, len(pairs)))
+        reached, frontier = {1}, [1]
+        while frontier:
+            x = frontier.pop()
+            for u, v in edges:
+                for a, b in ((u, v), (v, u)):
+                    if a == x and b not in reached:
+                        reached.add(b)
+                        frontier.append(b)
+        unreachable = sorted(set(range(1, n + 1)) - reached)
+        if unreachable:
+            with pytest.raises(ValueError, match=f"node {unreachable[0]} unreachable"):
+                _one_facility_graph(n, edges)
+        else:
+            assert _one_facility_graph(n, edges).num_nodes == n
 
 
 EDGES = ((1, 2, 2.0), (1, 4, 1.0), (2, 3, 5.0), (3, 4, 1.0))
@@ -345,10 +388,9 @@ def test_instance_takes_no_derived_arguments(derived):
         Instance(**_instance_kwargs(**{derived: {}}))
 
 
-def test_derived_views(tiny1):
+def test_derived_views():
     inst = Instance(**_instance_kwargs())
-    # built on first use, except the adjacency the connectivity check reads
-    assert "adjacency" in vars(inst)
+    # built on first use: construction builds none of them
     assert not {"edge_costs", "arcs", "opening_cost_array"} & set(vars(inst))
     assert inst.facility_index == {1: 0, 2: 1, 3: 2}
     assert inst.customer_index == {"a": 0, "b": 1}
@@ -362,7 +404,6 @@ def test_derived_views(tiny1):
     # replace() builds the views afresh for the new instance
     one_hop = dataclasses.replace(inst, hop_limit=1, customers=("b", "a"))
     assert one_hop.customer_index == {"b": 0, "a": 1}
-    assert one_hop.adjacency == inst.adjacency == tiny1.adjacency
 
 
 def test_assignment_matrix_is_write_locked(tiny1):

@@ -153,6 +153,45 @@ def test_cost_invariant_under_edge_permutation(tiny1):
         assert exact_hcst(shuffled, {2, 3}).cost == base
 
 
+def _answers(inst):
+    """Every query's tree as (edges, depth, cost), and the exact solution."""
+    oracle = HcstOracle(inst)
+    trees = []
+    for mask in range(2**inst.num_nodes):
+        tree = oracle.solve(v for v in range(1, inst.num_nodes + 1) if mask >> (v - 1) & 1)
+        trees.append(tree and (tree.edges, tree.depth, tree.cost))
+    best = exact_solve(inst)
+    return trees, best.open_facilities, best.tree.edges, best.total
+
+
+def test_profile_answers_do_not_depend_on_the_order_of_core_edges():
+    # every node is a facility that serves one customer best, so all open;
+    # node 4 then hangs below 2 or 3 at equal cost, and the smaller id must
+    # win whichever of the two edges core_edges lists first
+    diamond = Instance(
+        name="diamond",
+        num_nodes=4,
+        core_edges=((1, 2, 1.0), (1, 3, 1.0), (2, 4, 1.0), (3, 4, 1.0)),
+        facilities=(1, 2, 3, 4),
+        root=1,
+        customers=("c1", "c2", "c3", "c4"),
+        opening_costs=dict.fromkeys((1, 2, 3, 4), 0.0),
+        assignment_costs=np.where(np.eye(4), 1.0, 9.0),
+        hop_limit=2,
+    )
+    assert HcstOracle(diamond)._by_profile
+    assert exact_solve(diamond).tree.edges == {(1, 2), (1, 3), (2, 4)}
+    reversed_edges = dataclasses.replace(diamond, core_edges=diamond.core_edges[::-1])
+    assert _answers(reversed_edges) == _answers(diamond)
+    rng = random.Random(31)
+    for _ in range(20):
+        inst = random_tiny_instance(rng, max_nodes=7, max_hop=2)
+        assert HcstOracle(inst)._by_profile
+        edges = list(inst.core_edges)
+        rng.shuffle(edges)
+        assert _answers(dataclasses.replace(inst, core_edges=tuple(edges))) == _answers(inst)
+
+
 def test_oracle_answers_match_per_query_solvers():
     rng = random.Random(2024)
     for _ in range(50):
