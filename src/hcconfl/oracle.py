@@ -20,9 +20,10 @@ when the row is no tree), and its parent and depth by node id.
 
 Once the rows are filled, one table holds, for each of the 2^(n-1) sets of
 non-root nodes, the first cheapest row whose mask covers that set, so a
-query is one lookup.  Each strategy's row order stays its tie rule.  Both
-strategies are exhaustive by construction; the unit tests compare them on
-random instances, and compare the lookups with a scan of the rows.
+query is one lookup, and only the rows the table names are kept.  Each
+strategy's row order stays its tie rule.  Both strategies are exhaustive
+by construction; the unit tests compare them on random instances, and
+compare the lookups with a scan of the kept rows.
 """
 
 from __future__ import annotations
@@ -108,15 +109,23 @@ class HcstOracle:
 
     Fills one strategy's rows once and finds, for every set of non-root
     nodes, the first cheapest row that covers it; each query is then one
-    lookup in that table of 2^(n-1) entries.
+    lookup in that table of 2^(n-1) entries.  Only the rows the table
+    names are kept.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
         profile_rows = (instance.hop_limit + 1) ** (instance.num_nodes - 1)
         self._by_profile = profile_rows <= PROFILE_ROW_CAP
-        self._rows = (_profile_rows if self._by_profile else _subset_rows)(instance)
-        self._table = _first_covering(instance, self._rows)
+        rows = (_profile_rows if self._by_profile else _subset_rows)(instance)
+        # keep only the rows the table names, in row order, so a scan of them
+        # still meets each query's answer first; the appended -1 (no tree)
+        # becomes kept[0], so every entry moves down by one
+        kept, table = np.unique(
+            np.append(_first_covering(instance, rows), -1), return_inverse=True
+        )
+        self._rows = _Rows(*(field[kept[1:]] for field in rows))
+        self._table = table[:-1] - 1
 
     def solve(self, required: Iterable[int]) -> SteinerTree | None:
         """Cheapest hop-feasible tree spanning root plus ``required``."""

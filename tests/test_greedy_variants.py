@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from collections import Counter, defaultdict
@@ -23,6 +24,7 @@ from hcconfl.greedy_variants import (
     EXHAUSTIVE_BIT_LIMIT,
     Closer,
     ClosingState,
+    RowClosingState,
     close_rows,
     closing_scores,
 )
@@ -75,8 +77,6 @@ def test_greedy_close_respects_max_open(tiny1):
 
 
 def test_greedy_close_drops_unreachable_facilities(tiny1):
-    import dataclasses
-
     one_hop = dataclasses.replace(tiny1, hop_limit=1)
     vec = greedy_close(one_hop, {1, 2, 3})
     assert vec[2] == 0  # facility 3 sits two hops out
@@ -110,24 +110,28 @@ def _reference_checker(monkeypatch):
 
     Each block of open sets goes through ``close_rows`` whole, under three
     chunk sizes (the default, three rows, and one row with one-entry
-    ranking reads), and through ``greedy_close`` one set at a time.  Every
-    row must come back as the reference's, and every row's scores over its
-    open facilities, step by step, must equal the reference's as raw
-    float64 bytes.  A chunk calls ``closing_scores`` once per step of its
-    longest row.
+    ranking reads), then one row at a time, which ``close_rows`` hands to
+    ``RowClosingState``, and through ``greedy_close`` one set at a time.
+    Every row must come back as the reference's, and every row's scores
+    over its open facilities, step by step, must equal the reference's as
+    raw float64 bytes.  A chunk calls ``closing_scores`` once per step of
+    its longest row.
     """
-    states: list = []  # the ClosingState of each chunk, in order
+    states: list = []  # the state of each chunk, in order
     got_steps: defaultdict[int, list[bytes]] = defaultdict(list)
     calls: Counter[int] = Counter()  # closing_scores calls per chunk
     scores_of = greedy_variants.closing_scores
     default_cells = greedy_variants.CLOSE_CELLS
 
-    class RecordedState(greedy_variants.ClosingState):
-        def __init__(self, closer, rows):
-            super().__init__(closer, rows)
-            self.first = sum(len(s.opened) for s in states)
-            self.chunk = len(states)
-            states.append(self)
+    def recorded(state_class):
+        class Recorded(state_class):
+            def __init__(self, closer, rows):
+                super().__init__(closer, rows)
+                self.first = sum(len(s.opened) for s in states)
+                self.chunk = len(states)
+                states.append(self)
+
+        return Recorded
 
     def recording(state):
         scores = scores_of(state)
@@ -136,7 +140,8 @@ def _reference_checker(monkeypatch):
             got_steps[state.first + r].append(scores[n][state.opened[r]].tobytes())
         return scores
 
-    monkeypatch.setattr(greedy_variants, "ClosingState", RecordedState)
+    for name in ("ClosingState", "RowClosingState"):
+        monkeypatch.setattr(greedy_variants, name, recorded(getattr(greedy_variants, name)))
     monkeypatch.setattr(greedy_variants, "closing_scores", recording)
 
     def check(inst: Instance, block, max_open: int) -> None:
@@ -150,14 +155,20 @@ def _reference_checker(monkeypatch):
             want_steps.append([s.astype(np.float64).tobytes() for s in steps])
             row[[inst.facility_index[f] for f in opens]] = 1
         customers = max(1, len(inst.customers))
-        for cells in (default_cells, 3 * customers, 1):
+        passes = [(cells, [rows]) for cells in (default_cells, 3 * customers, 1)]
+        passes.append((default_cells, [row[None] for row in rows]))
+        for cells, blocks in passes:
             monkeypatch.setattr(greedy_variants, "CLOSE_CELLS", cells)
             states.clear()
             got_steps.clear()
             calls.clear()
-            assert close_rows(closer, rows, max_open).tolist() == want
+            got = [row for b in blocks for row in close_rows(closer, b, max_open).tolist()]
+            assert got == want
             assert [got_steps[r] for r in range(len(block))] == want_steps
+            # the block's size alone picks the state
+            kind = RowClosingState if len(blocks[0]) == 1 else ClosingState
             for chunk, state in enumerate(states):
+                assert type(state).__mro__[1] is kind
                 rows_in = range(state.first, state.first + len(state.opened))
                 assert calls[chunk] == max(len(want_steps[r]) for r in rows_in)
         for opens, vector in zip(block, want):
@@ -202,15 +213,14 @@ def test_greedy_close_matches_reference_on_dense_instances(shape, monkeypatch):
     inst = random_dense_instance(rng, **shape)
     block = [
         [f for f in inst.facilities if rng.random() < density]
-        for density in (0.02, 0.1, 0.3, 0.5, 0.7)
+        for density in (0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
     ]
     for max_open in (1, 6, 18, 200):
         check(inst, block, max_open)
 
 
-def test_close_rows_on_a_single_facility_and_an_empty_block(monkeypatch):
-    check = _reference_checker(monkeypatch)
-    inst = Instance(
+def _one_facility_instance() -> Instance:
+    return Instance(
         name="one",
         num_nodes=2,
         core_edges=((1, 2, 1.0),),
@@ -221,9 +231,59 @@ def test_close_rows_on_a_single_facility_and_an_empty_block(monkeypatch):
         assignment_costs=np.array([[1.0, 2.0]]),
         hop_limit=1,
     )
+
+
+def test_close_rows_on_a_single_facility_and_an_empty_block(monkeypatch):
+    check = _reference_checker(monkeypatch)
+    inst = _one_facility_instance()
     check(inst, [[], [2]], 1)
     closer = Closer(inst, root_path_costs(inst, HopTableCache(inst)))
     assert close_rows(closer, np.zeros((0, 1), dtype=np.uint8), 6).shape == (0, 1)
+
+
+def _one_row_cases(tiny1):
+    rng = random.Random(77)
+    ties = random_dense_instance(rng, facilities=40, customers=30, cost_values=5, shuffled=True)
+    edges = list(ties.core_edges)
+    rng.shuffle(edges)
+    ties = dataclasses.replace(ties, core_edges=tuple(edges))
+    dense = random_dense_instance(rng, facilities=30, customers=25)
+    half = [rng.random() < 0.5 for _ in dense.facilities]
+    return {
+        "root-only": (tiny1, [1, 0, 0], 6),
+        "all-zero": (tiny1, [0, 0, 0], 6),
+        "one-facility": (_one_facility_instance(), [1], 6),
+        "no-customers": (random_dense_instance(rng, facilities=30, customers=0), half, 6),
+        "max-open-1": (dense, half, 1),
+        "ties-out-of-id-order": (ties, [rng.random() < 0.6 for _ in ties.facilities], 3),
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["root-only", "all-zero", "one-facility", "no-customers", "max-open-1", "ties-out-of-id-order"],
+)
+def test_one_row_state_matches_the_lockstep_kernel(case, tiny1, monkeypatch):
+    # the same row closes alone, through RowClosingState, and as the first
+    # row of a 2-row block, through ClosingState, beside an all-open row
+    inst, row, max_open = _one_row_cases(tiny1)[case]
+    closer = Closer(inst, root_path_costs(inst, HopTableCache(inst)))
+    steps: dict[str, list[bytes]] = defaultdict(list)
+    scores_of = greedy_variants.closing_scores
+
+    def recording(state):
+        scores = scores_of(state)
+        for n in np.flatnonzero(state.live == 0):
+            steps[type(state).__name__].append(scores[n].tobytes())
+        return scores
+
+    monkeypatch.setattr(greedy_variants, "closing_scores", recording)
+    row = np.array([row], dtype=np.uint8)
+    block = np.vstack([row, np.ones_like(row)])
+    alone = close_rows(closer, row, max_open)
+    assert alone.tolist() == close_rows(closer, block, max_open)[:1].tolist()
+    assert steps["RowClosingState"] == steps["ClosingState"]
+    assert alone[0, inst.facility_index[inst.root]] == 1
 
 
 @pytest.mark.parametrize("solver", ["ghs", "hybrid"])

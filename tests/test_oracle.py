@@ -239,6 +239,9 @@ def test_lookups_match_a_scan_of_the_rows(where):
         inst = _rooted_at(dataclasses.replace(inst, hop_limit=hop_limit), root)
         oracle = HcstOracle(inst)
         seen["profile" if oracle._by_profile else "edge_subsets"] += 1
+        # it keeps the rows its table names, and no other
+        named = np.unique(oracle._table[oracle._table >= 0])
+        assert named.tolist() == list(range(len(oracle._rows.costs)))
         subset_rows = _subset_rows(inst)
         nodes = list(range(1, n + 1))
         queries = [[], nodes, list(inst.facilities)] + [
@@ -273,8 +276,8 @@ def test_largest_profile_table_has_one_entry_per_node_set():
         hop_limit=1,
     )
     oracle = HcstOracle(inst)
-    assert oracle._by_profile and len(oracle._rows.costs) == 2**18
-    assert len(oracle._table) == 2 ** (n - 1)
+    assert oracle._by_profile and len(oracle._table) == 2 ** (n - 1)
+    assert len(oracle._rows.costs) == len(np.unique(oracle._table[oracle._table >= 0]))
     rng = random.Random(19)
     others = [v for v in range(1, n + 1) if v != root]
     queries = [[], others, [1], [9, 11], [19, root]] + [
