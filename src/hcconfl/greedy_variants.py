@@ -395,6 +395,7 @@ def hybrid_solve(
             stats.incumbent_history.append((stats.evaluations, candidate.total))
     assert best is not None
     stats.iterations = stats.evaluations
+    stats.counters = cache.counters()
     stats.wall_seconds = time.perf_counter() - start
     if best.feasible:
         problems = validate(instance, best)

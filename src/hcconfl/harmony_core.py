@@ -70,14 +70,18 @@ class RunStats:
 
     ``iterations`` counts the improvisations the harmony loop ran, 0 when
     the fill already held every transformed pattern (``hybrid_solve``
-    counts its enumerated subsets); ``evaluations`` counts the open sets
-    priced.
+    counts its enumerated subsets); ``evaluations`` counts the ``evaluate``
+    calls, each one priced whether its tree was built or reused.
+    ``counters`` holds the solve's cache counters
+    (:meth:`HopTableCache.counters`): ``tables_built`` hop tables, and
+    ``trees_reused``, the evaluations whose open set had been seen before.
     """
 
     iterations: int = 0
     evaluations: int = 0
     wall_seconds: float = 0.0
     incumbent_history: list[tuple[int, float]] = field(default_factory=list)
+    counters: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -338,6 +342,7 @@ def harmony_solve(
         no_improve = 0 if improved else no_improve + 1
 
     stats.iterations = iteration
+    stats.counters = cache.counters()
     stats.wall_seconds = time.perf_counter() - start
     if best_solution.feasible:
         problems = validate(instance, best_solution)

@@ -8,7 +8,8 @@ its cost strictly falls, so the chosen walk has the fewest edges among
 equal-cost walks from the source; among the arcs that reach that cost, the
 smallest predecessor id wins.  This makes extracted paths deterministic.
 
-``HopTableCache`` builds tables lazily and keeps one per source.  The graph
+``HopTableCache`` builds tables lazily and keeps one per source; it also
+keeps the tree of each open set ``objective.evaluate`` prices.  The graph
 is undirected, so ``dist[h][v]`` of ``u``'s table is ``dist[h][u]`` of
 ``v``'s table: a cheapest walk from ``u`` to ``v``, reversed, is one from
 ``v`` to ``u``.  With integer edge costs the two are bit-identical; with
@@ -104,14 +105,23 @@ def extract_path(
 
 
 class HopTableCache:
-    """Lazy per-source table memo for the lifetime of one solver run.
+    """The per-solve memo of hop tables and of the tree of each open set priced.
 
-    Every table reaches the instance's hop limit.
+    Tables are built lazily, one per source, and every table reaches the
+    instance's hop limit.  ``trees`` maps a packed open set to its packed
+    tree, or to None when it has none; ``objective.evaluate`` fills it and
+    counts the lookups it answers in ``trees_reused``.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
         self._tables: dict[int, HopDistanceTable] = {}
+        self.trees: dict[bytes, bytes | None] = {}
+        self.trees_reused = 0
+
+    def counters(self) -> dict[str, int]:
+        """Hop tables built and trees reused so far."""
+        return {"tables_built": len(self._tables), "trees_reused": self.trees_reused}
 
     def table(self, source: int) -> HopDistanceTable:
         tab = self._tables.get(source)

@@ -6,7 +6,10 @@ open facilities, then ``price`` assigns every customer to its cheapest
 open facility and closes facilities that serve nobody (root excepted),
 dropping their opening cost and pruning tree branches that only existed
 to reach them.  ``price`` is the one place an open set becomes a cost;
-the exact oracle calls it on its own trees.
+the exact oracle calls it on its own trees.  A solve's
+:class:`HopTableCache` keeps the tree of every open set ``evaluate`` has
+seen, packed as bytes, so ``nrbi`` runs once per distinct open set and a
+repeat is rebuilt from the packed copy and priced again.
 
 ``validate`` checks a finished solution against the underlying integer
 model: edge positions chain back to the root, assignments are exactly-one
@@ -26,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .hcst_nrbi import SteinerTree, TreeInfeasibleError, nrbi, tree_from_parents
-from .hop_paths import HopTableCache
+from .hop_paths import HopTableCache, cache_for
 from .instance_model import Instance, _is_integer
 
 COST_TOL = 1e-9
@@ -110,18 +113,57 @@ def _prune_tree(instance: Instance, tree: SteinerTree, keep: set[int]) -> Steine
     return tree_from_parents(instance, parent, depth)
 
 
+def _packed(instance: Instance, nodes: Iterable[int]) -> bytes:
+    """Node ids as bytes of the smallest dtype that holds every node id."""
+    return np.fromiter(nodes, np.min_scalar_type(instance.num_nodes)).tobytes()
+
+
+def _pack_tree(instance: Instance, tree: SteinerTree) -> bytes:
+    """The children of ``tree.parent`` in its order, then their parents.
+
+    ``nrbi`` adds each node after its parent, one hop deeper, so the
+    depths follow from the parents and are not kept.
+    """
+    return _packed(instance, [*tree.parent, *tree.parent.values()])
+
+
+def _unpack_tree(instance: Instance, packed: bytes) -> SteinerTree:
+    """The tree :func:`_pack_tree` packed, its dicts in the same order."""
+    nodes = np.frombuffer(packed, np.min_scalar_type(instance.num_nodes))
+    parent = dict(zip(*nodes.reshape(2, -1).tolist()))
+    depth = {instance.root: 0}
+    for node, up in parent.items():
+        depth[node] = depth[up] + 1
+    return tree_from_parents(instance, parent, depth)
+
+
 def evaluate(
     instance: Instance,
     open_facilities: Iterable[int],
     cache: HopTableCache | None = None,
 ) -> Solution:
-    """Evaluate an open set (the root is added); an infeasible one totals inf."""
+    """Evaluate an open set (the root is added); an infeasible one totals inf.
+
+    ``nrbi`` builds the tree the first time ``cache`` sees the open set,
+    in any order of its ids; after that the tree, or its absence, comes
+    from ``cache.trees``.  Either way ``price`` prices it, so every call
+    returns an equal solution.  Without a cache, a fresh one is used and
+    dropped, so nothing is kept.
+    """
     opened = as_open_set(instance, open_facilities)
     opened.add(instance.root)
-    try:
-        tree = nrbi(instance, opened, cache)
-    except TreeInfeasibleError:
-        tree = None
+    cache = cache_for(instance, cache)
+    key = _packed(instance, sorted(opened))
+    if key in cache.trees:
+        cache.trees_reused += 1
+        packed = cache.trees[key]
+        tree = None if packed is None else _unpack_tree(instance, packed)
+    else:
+        try:
+            tree = nrbi(instance, opened, cache)
+        except TreeInfeasibleError:
+            tree = None
+        cache.trees[key] = None if tree is None else _pack_tree(instance, tree)
     return price(instance, opened, tree)
 
 

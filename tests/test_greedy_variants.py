@@ -286,6 +286,33 @@ def test_one_row_state_matches_the_lockstep_kernel(case, tiny1, monkeypatch):
     assert alone[0, inst.facility_index[inst.root]] == 1
 
 
+def _promise_only_partition(a, kth, axis=-1):
+    """``np.partition`` keeping only its promise: the ``kth`` entry in its
+    sorted place, none larger before it and none smaller after it.  The
+    entries on each side are in descending order, the worst order allowed."""
+    out = np.moveaxis(np.sort(a, axis=axis), axis, -1)
+    sides = (out[..., :kth][..., ::-1], out[..., kth : kth + 1], out[..., kth + 1 :][..., ::-1])
+    return np.moveaxis(np.concatenate(sides, axis=-1), -1, axis)
+
+
+def test_one_row_state_needs_only_what_np_partition_promises(monkeypatch):
+    # Some NumPy builds leave the two least entries in order even for kth
+    # 0, so no run on them can tell kth 0 from kth 1; this stand-in puts
+    # the largest entry right after the least when kth is 0.
+    rows = np.array([[2, 0, 1, 3], [3, 2, 1, 0]])
+    assert _promise_only_partition(rows, 0, axis=1).tolist() == [[0, 3, 2, 1], [0, 3, 2, 1]]
+    assert _promise_only_partition(rows, 1, axis=1).tolist() == [[0, 1, 3, 2], [0, 1, 3, 2]]
+    assert _promise_only_partition(rows.T, 1, axis=0).T.tolist() == [[0, 1, 3, 2], [0, 1, 3, 2]]
+    monkeypatch.setattr(np, "partition", _promise_only_partition)
+    check = _reference_checker(monkeypatch)
+    rng = random.Random(4242)
+    for shape in ({}, {"cost_values": 5, "shuffled": True}):
+        inst = random_dense_instance(rng, facilities=60, customers=50, **shape)
+        block = [[f for f in inst.facilities if rng.random() < d] for d in (0.1, 0.5, 1.0)]
+        for max_open in (1, 6, 60):
+            check(inst, block, max_open)
+
+
 @pytest.mark.parametrize("solver", ["ghs", "hybrid"])
 def test_solvers_look_closing_names_up_at_call_time(solver, monkeypatch):
     # The counting wrappers go in only after the solve's set-up: a name

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hcconfl import (
+    GreedyParams,
     HarmonyMemory,
     HarmonyParams,
     HopTableCache,
@@ -28,10 +29,11 @@ from hcconfl.harmony_core import (
     vector_ids,
 )
 
-from hcconfl import greedy_variants, harmony_core
+from hcconfl import greedy_variants, harmony_core, hop_paths
 
 from corpus_util import (
     golden_cases,
+    random_deep_instance,
     random_dense_instance,
     random_tiny_instance,
     reference_fill_memory,
@@ -419,6 +421,41 @@ def test_hs_loop_records_each_improvement():
     assert totals[-1] == result.solution.total
     # the loop stops once the last improvement is max_no_improve iterations old
     assert result.stats.iterations == iterations[-1] + 200
+
+
+@pytest.mark.parametrize("solver", ["hs", "ghs", "hybrid"])
+def test_counters_read_the_solves_cache(solver, monkeypatch):
+    inst = random_deep_instance(
+        random.Random(0), nodes=40, edges=50, facilities=12, customers=10, hop_limit=3
+    )
+    priced: list[frozenset[int]] = []
+    built = []
+    real_evaluate, real_build = harmony_core.evaluate, hop_paths.hop_bellman_ford
+
+    def recording(instance, open_facilities, cache=None):
+        priced.append(frozenset(open_facilities) | {instance.root})
+        return real_evaluate(instance, open_facilities, cache)
+
+    def building(instance, source):
+        built.append(source)
+        return real_build(instance, source)
+
+    for module in (harmony_core, greedy_variants):
+        monkeypatch.setattr(module, "evaluate", recording)
+    monkeypatch.setattr(hop_paths, "hop_bellman_ford", building)
+    params = HarmonyParams(hms=10, max_no_improve=60)
+    if solver == "hs":
+        stats = hs_solve(inst, params, seed=3).stats
+    elif solver == "ghs":
+        stats = greedy_variants.ghs_solve(inst, params, seed=3).stats
+    else:
+        greedy = GreedyParams(top_k=6, sample_count=60)
+        stats = greedy_variants.hybrid_solve(inst, greedy, seed=3).stats
+    assert stats.evaluations == len(priced)
+    reused = len(priced) - len(set(priced))
+    assert stats.counters == {"tables_built": len(built), "trees_reused": reused}
+    if solver == "hs":
+        assert stats.counters["trees_reused"] == 30
 
 
 def test_hs_matches_oracle_often():

@@ -7,16 +7,21 @@ import pytest
 
 from hcconfl import (
     CostBreakdown,
+    HarmonyParams,
+    HopTableCache,
     Solution,
     SteinerTree,
     Violation,
     as_open_set,
     evaluate,
     exact_solve,
+    hs_solve,
     validate,
 )
+from hcconfl import harmony_core, objective
+from hcconfl.objective import root_open_subsets
 
-from corpus_util import naive_assignment, random_tiny_instance
+from corpus_util import naive_assignment, random_deep_instance, random_tiny_instance
 
 
 def test_fixture_totals(tiny1):
@@ -145,6 +150,120 @@ def test_total_never_below_exact_optimum():
             sol = evaluate(inst, opens)
             if sol.feasible:
                 assert sol.total >= best.total - 1e-9
+
+
+# -- the tree memo on the cache -----------------------------------------------
+
+
+def _deep_instance():
+    # the loop of hs_solve on it, with 10 rows of memory, re-prices 30 of
+    # its 75 evaluations
+    return random_deep_instance(
+        random.Random(0), nodes=40, edges=50, facilities=12, customers=10, hop_limit=3
+    )
+
+
+def _exactly(sol):
+    """A solution as plain values, dict orders and float bytes included."""
+    tree = sol.tree
+    breakdown = sol.breakdown
+    return (
+        sol.feasible,
+        sol.open_facilities,
+        None if tree is None else (
+            tree.root,
+            tree.nodes,
+            sorted(tree.edges),
+            list(tree.depth.items()),
+            list(tree.parent.items()),
+            np.float64(tree.cost).tobytes(),
+        ),
+        list(sol.assignment.items()),
+        None if breakdown is None else np.array(
+            [breakdown.tree_cost, breakdown.assignment_cost, breakdown.opening_cost]
+        ).tobytes(),
+    )
+
+
+def _counting_nrbi(monkeypatch):
+    """Patch ``objective.nrbi`` to record each open set and cache it is given."""
+    calls = []
+    real = objective.nrbi
+
+    def counted(instance, opened, cache=None):
+        calls.append((set(opened), cache))
+        return real(instance, opened, cache)
+
+    monkeypatch.setattr(objective, "nrbi", counted)
+    return calls
+
+
+def test_a_shared_cache_prices_every_hs_open_set_as_a_fresh_cache(monkeypatch):
+    inst = _deep_instance()
+    traced = []
+    real = harmony_core.evaluate
+
+    def recording(instance, open_facilities, cache=None):
+        traced.append(list(open_facilities))
+        return real(instance, open_facilities, cache)
+
+    monkeypatch.setattr(harmony_core, "evaluate", recording)
+    hs_solve(inst, HarmonyParams(hms=10, max_no_improve=60), seed=3)
+    monkeypatch.undo()
+    assert len({frozenset(ids) for ids in traced}) < len(traced)  # the trace repeats
+    shared = HopTableCache(inst)
+    for ids in traced + traced[::-1]:
+        assert _exactly(evaluate(inst, ids, shared)) == _exactly(evaluate(inst, ids))
+
+
+def test_a_shared_cache_prices_every_open_set_of_tiny_ties_as_a_fresh_cache():
+    # integer costs from 1-10 tie often, and low hop limits leave open sets
+    # without a tree
+    rng = random.Random(909)
+    infeasible = 0
+    for _ in range(40):
+        inst = random_tiny_instance(rng, max_facilities=5)
+        others = [f for f in inst.facilities if f != inst.root]
+        shared = HopTableCache(inst)
+        for repeat in range(2):
+            for opens in root_open_subsets(inst.root, others):
+                ids = sorted(opens, reverse=bool(repeat))
+                fresh = evaluate(inst, ids)
+                assert _exactly(evaluate(inst, ids, shared)) == _exactly(fresh)
+                infeasible += not fresh.feasible
+    assert infeasible > 0
+
+
+def test_nrbi_runs_once_per_distinct_open_set(tiny1, monkeypatch):
+    calls = _counting_nrbi(monkeypatch)
+    cache = HopTableCache(tiny1)
+    sets = ([1, 2, 3], [3, 2, 1], [2, 3], [1, 3], [3])
+    totals = [evaluate(tiny1, ids, cache).total for ids in sets]
+    assert totals == [12.0, 12.0, 12.0, 10.0, 10.0]
+    # the root joins every set, so [2, 3] is [1, 2, 3] and [3] is [1, 3]
+    assert [opened for opened, _ in calls] == [{1, 2, 3}, {1, 3}]
+    assert len(cache.trees) == 2
+    assert cache.counters() == {"tables_built": len(cache._tables), "trees_reused": 3}
+
+
+def test_a_repeated_infeasible_open_set_stays_infeasible_without_nrbi(tiny1, monkeypatch):
+    one_hop = dataclasses.replace(tiny1, hop_limit=1)
+    calls = _counting_nrbi(monkeypatch)
+    cache = HopTableCache(one_hop)
+    first, again = (evaluate(one_hop, ids, cache) for ids in ([1, 3], [3]))
+    assert len(calls) == 1
+    assert cache.trees == {objective._packed(one_hop, [1, 3]): None}
+    for sol in (first, again):
+        assert not sol.feasible and sol.total == math.inf
+        assert sol.open_facilities == {1, 3}
+
+
+def test_evaluate_without_a_cache_keeps_nothing(tiny1, monkeypatch):
+    calls = _counting_nrbi(monkeypatch)
+    assert evaluate(tiny1, {1, 3}).total == evaluate(tiny1, {1, 3}).total == 10.0
+    (first, one), (second, other) = calls
+    assert first == second == {1, 3}
+    assert one is not other  # each call prices on a cache of its own
 
 
 # -- validator ---------------------------------------------------------------
