@@ -7,19 +7,19 @@ root path.  Facilities close one at a time while closing pays for
 itself, or while more than ``max_open`` remain; ties go to the smallest
 facility id.
 
-One NumPy kernel, :func:`close_rows`, does every close.  It takes a block
-of 0/1 rows and closes them in lockstep over a per-solve :class:`Closer`
-that ranks each customer's facilities once.  Each step sums every live
-row's regrets with one ``np.bincount``, in customer order, picks each
-row's first minimum, and moves only the customers the closed facility
-served or was second for; so every row closes as it would alone, with
-scores bit for bit those of a from-scratch rescoring.  Blocks of two or
-more rows keep their state in a :class:`ClosingState`; a block of one
-row, such as each iteration of ``ghs``'s search loop or a
-``greedy_close`` call, in a :class:`RowClosingState`, which finds each
-customer's two best open facilities with one ``np.partition`` over the
-open members' ranks.  ``greedy_close`` is the kernel on one open set of
-facility ids.
+One NumPy kernel, :func:`close_rows`, does every close.  It takes a
+block of 0/1 rows and closes them in lockstep over a :class:`Closer`,
+built once per solve on its :class:`HopTableCache`, that ranks each
+customer's facilities once.  Each step sums every live row's regrets
+with one ``np.bincount``, in customer order, picks each row's first
+minimum, and moves only the customers the closed facility served or was
+second for; so every row closes as it would alone, with scores bit for
+bit those of a from-scratch rescoring.  Blocks of two or more rows keep
+their state in a :class:`ClosingState`; a block of one row, such as each
+iteration of ``ghs``'s search loop or a ``greedy_close`` call, in a
+:class:`RowClosingState`, which finds each customer's two best open
+facilities with one ``np.partition`` over the open members' ranks.
+``greedy_close`` is the kernel on one open set of facility ids.
 
 ``ghs_solve`` plugs repair plus closing, as a rows -> rows transform
 that memoizes its closed rows, into the harmony engine; ``hybrid_solve``
@@ -43,7 +43,6 @@ from .harmony_core import (
     harmony_solve,
     init_bias,
     repair_vector,
-    root_path_costs,
 )
 from .hop_paths import HopTableCache
 from .instance_model import Instance, _check_integers
@@ -90,19 +89,19 @@ class Closer:
     Facilities sit in id order: position ``p`` holds the ``p``-th smallest
     id and ``rows[p]`` its row in ``instance.facilities``, so every tie goes
     to the smallest id whatever that tuple's order.  ``base[p]`` is minus
-    the opening cost minus the root-path cost (``root_paths``).
+    the opening cost minus the root-path cost (``cache.root_paths``).
     ``ranked[c]`` lists every position by customer ``c``'s (cost, id), then
     repeats its last entry so a window may read past the end;
     ``ranked_costs[c]`` holds the costs alongside, and ``rank[c, p]`` the
-    index of ``p`` in ``ranked[c]``; an extra position, ``len(rows)``, ranks last.
+    index of ``p`` in ``ranked[c]``.
     """
 
-    def __init__(self, instance: Instance, root_paths: np.ndarray):
+    def __init__(self, cache: HopTableCache):
+        instance = self.instance = cache.instance
         width = len(instance.facilities)
-        self.instance = instance
         self.rows = np.argsort(instance.facilities)
         self.root = sorted(instance.facilities).index(instance.root)
-        self.base = (-instance.opening_cost_array - root_paths)[self.rows]
+        self.base = (-instance.opening_cost_array - cache.root_paths)[self.rows]
         self.base[self.root] = math.inf  # the root never closes
         costs = instance.assignment_costs[self.rows]
         ranked = np.argsort(costs, axis=0, kind="stable")
@@ -110,7 +109,7 @@ class Closer:
         narrow = np.min_scalar_type(width)
         self.ranked = np.pad(ranked.T, ((0, 0), (0, width)), mode="edge").astype(narrow)
         # intp keeps its per-step reads out of NumPy's cache of small byte arrays
-        self.rank = np.full((len(instance.customers), width + 1), width, dtype=np.intp)
+        self.rank = np.empty((len(instance.customers), width), dtype=np.intp)
         self.rank[np.arange(len(instance.customers))[:, None], ranked.T] = np.arange(width)
 
 
@@ -144,26 +143,15 @@ class ClosingState:
         """Per entry ``n``, the first index from ``k[n]`` on at which customer
         ``c[n]``'s ranking names a position open in live row ``i[n]``.
 
-        Dense rows read the ranking in windows of four mean gaps between
-        open positions, which nearly always hit at once; sparse rows, whose
-        open positions are fewer than that, take the least rank among them.
+        The ranking is read in windows of four mean gaps between open
+        positions, which nearly always hit at once, and ``argmax`` takes
+        each window's first hit; entries that miss read the next window.
         """
-        closer, width = self.closer, len(self.closer.rows)
         if not len(k):
             return k
-        most, least = int(self.count.max()), int(self.count.min())
+        ranked, width = self.closer.ranked, len(self.closer.rows)
         found = k.astype(np.intp)
-        span = -(-4 * width // least)
-        if most < span:  # fewer ranks to read per entry than one window
-            members = np.argsort(~self.opened[self.live], axis=1, kind="stable")[:, :most]
-            members[np.arange(most) >= self.count[:, None]] = width  # ranked last
-            step = max(1, CLOSE_CELLS // most)
-            for part in range(0, len(k), step):
-                n = slice(part, part + step)
-                ranks = closer.rank[c[n, None], members[i[n]]]
-                found[n] = np.where(ranks >= k[n, None], ranks, width).min(axis=1)
-            return found
-        ranked = closer.ranked
+        span = -(-4 * width // int(self.count.min()))
         in_ranked = c * ranked.shape[1]  # flat offsets: np.take beats 2-d indexing
         in_opened = self.live[i] * width
         opened = self.opened.ravel()
@@ -302,14 +290,14 @@ def greedy_close(
     """:func:`close_rows` on one open set; returns the 0/1 vector kept open.
 
     ``open_facilities`` holds distinct facility ids; the root joins them.
-    ``closer`` is the :class:`Closer` of ``instance``, built here from
-    :func:`root_path_costs` when not given.
+    ``closer`` is the :class:`Closer` of ``instance``, built here on a
+    fresh :class:`HopTableCache` when not given.
     """
     _check_integers(max_open=max_open)
     if max_open < 1:
         raise ValueError("max_open must be >= 1")
     if closer is None:
-        closer = Closer(instance, root_path_costs(instance, HopTableCache(instance)))
+        closer = Closer(HopTableCache(instance))
     elif closer.instance is not instance:
         raise ValueError("closer was built for another instance")
     row = np.zeros((1, len(instance.facilities)), dtype=np.uint8)
@@ -317,18 +305,15 @@ def greedy_close(
     return close_rows(closer, row, max_open)[0]
 
 
-def _repair_and_close(
-    instance: Instance, cache: HopTableCache, max_open: int
-) -> Transform:
+def _repair_and_close(cache: HopTableCache, max_open: int) -> Transform:
     """Reachability repair followed by :func:`close_rows`, rows to rows;
     a per-solve memo means no repaired row is closed twice."""
-    root_paths = root_path_costs(instance, cache)
-    reach = np.isfinite(root_paths)
-    closer = Closer(instance, root_paths)
+    reach = np.isfinite(cache.root_paths)
+    closer = Closer(cache)
     memo: dict[bytes, np.ndarray] = {}
 
     def transform(rows: np.ndarray) -> np.ndarray:
-        repaired = repair_vector(instance, rows, reach)
+        repaired = repair_vector(cache.instance, rows, reach)
         keys = [row.tobytes() for row in repaired]
         fresh = {key: row for key, row in zip(keys, repaired) if key not in memo}
         if fresh:
@@ -349,7 +334,7 @@ def ghs_solve(
     params = params or GHS_PARAMS
     greedy = greedy or GreedyParams()
     cache = HopTableCache(instance)
-    transform = _repair_and_close(instance, cache, greedy.max_open)
+    transform = _repair_and_close(cache, greedy.max_open)
     return harmony_solve(
         instance, params=params, seed=seed, transform=transform, cache=cache
     )
@@ -372,7 +357,7 @@ def hybrid_solve(
     effective_k = min(greedy.top_k, len(instance.facilities))
     rng = np.random.default_rng(seed)
     cache = HopTableCache(instance)
-    close = _repair_and_close(instance, cache, SAMPLE_MAX_OPEN)
+    close = _repair_and_close(cache, SAMPLE_MAX_OPEN)
     bias = init_bias(instance)
     stats = RunStats()
 

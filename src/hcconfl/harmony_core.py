@@ -136,16 +136,6 @@ def vector_ids(instance: Instance, vector: np.ndarray) -> list[int]:
     return [instance.facilities[i] for i in np.flatnonzero(vector)]
 
 
-def root_path_costs(instance: Instance, cache: HopTableCache) -> np.ndarray:
-    """Cheapest hop-feasible root-to-facility path cost, per facility.
-
-    The entry is inf where the root cannot reach the facility within the
-    hop limit, and 0 for the root itself.
-    """
-    table = cache.table(instance.root)
-    return table.dist[table.hop_limit, np.asarray(instance.facilities)]
-
-
 def init_bias(instance: Instance) -> np.ndarray:
     """Static per-facility opening probabilities.
 
@@ -307,7 +297,7 @@ def harmony_solve(
     cache = cache_for(instance, cache)
 
     if transform is None:
-        reach = np.isfinite(root_path_costs(instance, cache))
+        reach = np.isfinite(cache.root_paths)
         transform = lambda rows: repair_vector(instance, rows, reach)  # noqa: E731
 
     stats = RunStats()

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -108,9 +109,10 @@ class HopTableCache:
     """The per-solve memo of hop tables and of the tree of each open set priced.
 
     Tables are built lazily, one per source, and every table reaches the
-    instance's hop limit.  ``trees`` maps a packed open set to its packed
-    tree, or to None when it has none; ``objective.evaluate`` fills it and
-    counts the lookups it answers in ``trees_reused``.
+    instance's hop limit.  ``root_paths`` reads the root's table once.
+    ``trees`` maps a packed open set to its packed tree, or to None when it
+    has none; ``objective.evaluate`` fills it and counts the lookups it
+    answers in ``trees_reused``.
     """
 
     def __init__(self, instance: Instance):
@@ -128,6 +130,15 @@ class HopTableCache:
         if tab is None:
             tab = self._tables[source] = hop_bellman_ford(self.instance, source)
         return tab
+
+    @cached_property
+    def root_paths(self) -> np.ndarray:
+        """Cheapest hop-feasible path cost from the root to each facility, in
+        ``Instance.facilities`` order (inf: out of reach); read-only."""
+        table = self.table(self.instance.root)
+        paths = table.dist[table.hop_limit, np.asarray(self.instance.facilities)]
+        paths.setflags(write=False)
+        return paths
 
 
 def cache_for(instance: Instance, cache: HopTableCache | None) -> HopTableCache:

@@ -273,9 +273,8 @@ def test_solver_csv_byte_for_byte_reproducible(capsys, tmp_path):
 
 def test_greedy_closing_trace_on_fixture(tiny1):
     from hcconfl.greedy_variants import Closer, ClosingState, closing_scores
-    from hcconfl.harmony_core import root_path_costs
 
-    closer = Closer(tiny1, root_path_costs(tiny1, HopTableCache(tiny1)))
+    closer = Closer(HopTableCache(tiny1))
     scores = closing_scores(ClosingState(closer, np.ones((1, 3), dtype=np.uint8)))[0]
     assert scores[1] == pytest.approx(-2.0)
     assert scores[2] == pytest.approx(2.0)

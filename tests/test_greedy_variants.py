@@ -28,7 +28,7 @@ from hcconfl.greedy_variants import (
     close_rows,
     closing_scores,
 )
-from hcconfl.harmony_core import repair_vector, root_path_costs, vector_ids
+from hcconfl.harmony_core import repair_vector, vector_ids
 
 from corpus_util import (
     naive_hop_costs,
@@ -39,7 +39,7 @@ from corpus_util import (
 
 
 def test_closing_scores_fixture_trace(tiny1):
-    closer = Closer(tiny1, root_path_costs(tiny1, HopTableCache(tiny1)))
+    closer = Closer(HopTableCache(tiny1))
     rows = np.array([[1, 1, 1], [1, 0, 1], [1, 0, 0]], dtype=np.uint8)
     state = ClosingState(closer, rows)
     assert state.live.tolist() == [0, 1]  # the root alone has nothing to score
@@ -60,7 +60,7 @@ def test_greedy_close_fixture(tiny1):
     # a second call from the reduced set changes nothing: closing 3 costs +8
     again = greedy_close(tiny1, {1, 3})
     assert list(again) == [1, 0, 1]
-    closer = Closer(tiny1, root_path_costs(tiny1, HopTableCache(tiny1)))
+    closer = Closer(HopTableCache(tiny1))
     assert list(greedy_close(tiny1, {1, 2, 3}, closer=closer)) == [1, 0, 1]
     with pytest.raises(ValueError, match="another instance"):
         greedy_close(parse_tiny(serialize_tiny(tiny1)), {1, 2, 3}, closer=closer)
@@ -145,8 +145,8 @@ def _reference_checker(monkeypatch):
     monkeypatch.setattr(greedy_variants, "closing_scores", recording)
 
     def check(inst: Instance, block, max_open: int) -> None:
-        paths = root_path_costs(inst, HopTableCache(inst))
-        closer = Closer(inst, paths)
+        cache = HopTableCache(inst)
+        closer, paths = Closer(cache), cache.root_paths
         want, want_steps = [], []
         rows = np.zeros((len(block), len(inst.facilities)), dtype=np.uint8)
         for row, opens in zip(rows, block):
@@ -173,7 +173,7 @@ def _reference_checker(monkeypatch):
                 assert calls[chunk] == max(len(want_steps[r]) for r in rows_in)
         for opens, vector in zip(block, want):
             assert greedy_close(inst, opens, max_open, closer).tolist() == vector
-        # built from root_path_costs when no closer is given
+        # built on a fresh cache when no closer is given
         assert greedy_close(inst, block[0], max_open).tolist() == want[0]
 
     return check
@@ -237,7 +237,7 @@ def test_close_rows_on_a_single_facility_and_an_empty_block(monkeypatch):
     check = _reference_checker(monkeypatch)
     inst = _one_facility_instance()
     check(inst, [[], [2]], 1)
-    closer = Closer(inst, root_path_costs(inst, HopTableCache(inst)))
+    closer = Closer(HopTableCache(inst))
     assert close_rows(closer, np.zeros((0, 1), dtype=np.uint8), 6).shape == (0, 1)
 
 
@@ -267,7 +267,7 @@ def test_one_row_state_matches_the_lockstep_kernel(case, tiny1, monkeypatch):
     # the same row closes alone, through RowClosingState, and as the first
     # row of a 2-row block, through ClosingState, beside an all-open row
     inst, row, max_open = _one_row_cases(tiny1)[case]
-    closer = Closer(inst, root_path_costs(inst, HopTableCache(inst)))
+    closer = Closer(HopTableCache(inst))
     steps: dict[str, list[bytes]] = defaultdict(list)
     scores_of = greedy_variants.closing_scores
 
@@ -343,7 +343,7 @@ def test_solvers_look_closing_names_up_at_call_time(solver, monkeypatch):
 
     def counted_transforms(*args):
         transform = make_transform(*args)
-        max_open.append(args[2])
+        max_open.append(args[1])
         count(greedy_variants, "closing_scores")
         count(greedy_variants, "greedy_close")
         count(greedy_variants, "close_rows", lambda a, _: closed.append(a[1].copy()))
@@ -369,7 +369,7 @@ def test_solvers_look_closing_names_up_at_call_time(solver, monkeypatch):
     assert counts["evaluate"] == len(priced) == result.stats.evaluations > 0
 
     # every block is repaired, and its rows come back as the reference closes them
-    paths = root_path_costs(inst, HopTableCache(inst))
+    paths = HopTableCache(inst).root_paths
     reach = np.isfinite(paths)
     assert counts["repair_vector"] == counts["transform"] == len(handed) > 0
     for block, got, out in zip(handed, repaired, returned):

@@ -25,7 +25,6 @@ from hcconfl.harmony_core import (
     DUPLICATE_DRAW_LIMIT,
     HMCR_RAMP_ITERS,
     _fill_memory,
-    root_path_costs,
     vector_ids,
 )
 
@@ -111,11 +110,20 @@ def test_repair_vector_closes_unreachable(tiny1):
 
     one_hop = dataclasses.replace(tiny1, hop_limit=1)
     cache = HopTableCache(one_hop)
-    paths = root_path_costs(one_hop, cache)
+    paths = cache.root_paths
     assert list(paths) == [0.0, 2.0, math.inf]  # node 3 is two hops out
+    assert cache.counters()["tables_built"] == 1  # the root's table alone
+    assert cache.root_paths is paths  # read once per cache
+    with pytest.raises(ValueError, match="read-only"):
+        paths[2] = 0.0
     mask = np.isfinite(paths)
     repaired = repair_vector(one_hop, np.array([0, 1, 1], dtype=np.uint8), mask)
     assert list(repaired) == [1, 1, 0]
+    # entries follow Instance.facilities, not id order
+    shuffled = dataclasses.replace(
+        one_hop, facilities=(3, 1, 2), assignment_costs=one_hop.assignment_costs[[2, 0, 1]]
+    )
+    assert list(HopTableCache(shuffled).root_paths) == [math.inf, 0.0, 2.0]
 
 
 def test_improvise_recall_one_copies_memory_rows(tiny1):
@@ -165,7 +173,7 @@ def test_hmcr_ramps_to_one():
 
 def test_fill_memory_exhausts_small_pattern_space(tiny1):
     cache = HopTableCache(tiny1)
-    reach = np.isfinite(root_path_costs(tiny1, cache))
+    reach = np.isfinite(cache.root_paths)
     rng = np.random.default_rng(3)
     params = HarmonyParams(hms=50)
     memory, evaluated, covered = _fill_memory(
@@ -230,9 +238,9 @@ def test_block_fill_matches_one_draw_at_a_time(case, transform, tiny1, caplog, m
     inst = {"tiny1": tiny1, "line22": LINE22, "small-1-0": GOLDEN_INSTANCES["small-1-0"]}[case]
     cache = HopTableCache(inst)
     if transform == "greedy":
-        rows_to_rows = greedy_variants._repair_and_close(inst, cache, 6)
+        rows_to_rows = greedy_variants._repair_and_close(cache, 6)
     else:
-        reach = np.isfinite(root_path_costs(inst, cache))
+        reach = np.isfinite(cache.root_paths)
         rows_to_rows = lambda rows: repair_vector(inst, rows, reach)  # noqa: E731
     sweeps = []
     monkeypatch.setattr(
@@ -268,7 +276,7 @@ def test_block_fill_matches_one_draw_at_a_time(case, transform, tiny1, caplog, m
 
 def test_harmony_solve_hands_the_loop_one_row_at_a_time(tiny1):
     cache = HopTableCache(tiny1)
-    reach = np.isfinite(root_path_costs(tiny1, cache))
+    reach = np.isfinite(cache.root_paths)
     sizes: list[int] = []
 
     def transform(rows):
@@ -289,10 +297,10 @@ def test_harmony_solve_hands_the_loop_one_row_at_a_time(tiny1):
 
 def _transforms(inst, cache):
     """The rows -> rows maps of hs (repair) and ghs (repair and close)."""
-    reach = np.isfinite(root_path_costs(inst, cache))
+    reach = np.isfinite(cache.root_paths)
     return {
         "hs": lambda rows: repair_vector(inst, rows, reach),
-        "ghs": greedy_variants._repair_and_close(inst, cache, 6),
+        "ghs": greedy_variants._repair_and_close(cache, 6),
     }
 
 

@@ -1,0 +1,58 @@
+"""The README's Python examples run as shown.
+
+Each statement of the README's ``python`` blocks runs in one namespace, in
+order, from the repository root.  A statement whose comment shows a value
+(``sol.total  # 10.0``) must evaluate to it, and one whose comment shows
+``ValueError: message`` must raise that error with that message.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+from hcconfl.objective import CostBreakdown
+
+ROOT = Path(__file__).parent.parent
+
+
+def _shown_value(comment: str):
+    """The value a comment shows: its longest leading run of words that is
+    a Python literal, or, for a cost breakdown, its ``name value`` pairs."""
+    words = comment.split()
+    for n in range(len(words), 0, -1):
+        try:
+            return ast.literal_eval(" ".join(words[:n]))
+        except (ValueError, SyntaxError):
+            pass
+    pairs = re.fullmatch(r"\w+ [\d.]+( \+ \w+ [\d.]+)*", comment)
+    assert pairs is not None, f"no value shown in {comment!r}"
+    return CostBreakdown(
+        **{f"{name}_cost": float(v) for name, v in re.findall(r"(\w+) ([\d.]+)", comment)}
+    )
+
+
+def test_readme_python_blocks_show_what_the_code_returns(monkeypatch):
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 2  # "Quick start" and the open-set block
+    monkeypatch.chdir(ROOT)
+    namespace: dict = {}
+    checked = []
+    for block in blocks:
+        lines = block.splitlines()
+        for statement in ast.parse(block).body:
+            code = ast.get_source_segment(block, statement)
+            comment = lines[statement.end_lineno - 1].partition("#")[2].strip()
+            error = re.fullmatch(r"ValueError: (.*)", comment)
+            if error:
+                with pytest.raises(ValueError, match=re.escape(error.group(1))):
+                    exec(code, namespace)
+            elif isinstance(statement, ast.Expr) and comment:
+                assert eval(code, namespace) == _shown_value(comment), code
+            else:
+                exec(code, namespace)
+                continue
+            checked.append(code)
+    # 7 values in "Quick start"; one value and three errors in the open-set block
+    assert len(checked) == 11
