@@ -72,9 +72,9 @@ class RunStats:
     the fill already held every transformed pattern (``hybrid_solve``
     counts its enumerated subsets); ``evaluations`` counts the ``evaluate``
     calls, each one priced whether its tree was built or reused.
-    ``counters`` holds the solve's cache counters
-    (:meth:`HopTableCache.counters`): ``tables_built`` hop tables, and
-    ``trees_reused``, the evaluations whose open set had been seen before.
+    ``counters`` holds :meth:`HopTableCache.counters` of the solve's cache:
+    ``tables_built``, ``trees_reused`` (evaluations of an open set seen
+    before) and ``nrbi``'s phase-1 rounds, relabeled nodes and fresh paths.
     """
 
     iterations: int = 0

@@ -19,15 +19,16 @@ instance.  Candidate paths are ranked by cost, then by the smallest id
 pair, never by hop count, so results are deterministic; each path has the
 fewest edges among its own source's equal-cost walks.  Both phases read the
 hop tables only at the open facilities' columns: phase 1 keeps the best
-known connection to each missing facility and refreshes it only from the
-nodes whose label the last insertion set or lowered; phase 2 prices every
-tree node for a facility with one gather from that facility's own table,
-since on an undirected graph the cheapest walk from ``v`` to ``u`` is the
-reverse of one from ``u`` to ``v``.
+known connection to each missing facility in a heap, refreshed only from
+the nodes whose label the last insertion set or lowered; phase 2 prices
+every tree node for a facility with one gather from that facility's own
+table, since on an undirected graph the cheapest walk from ``v`` to ``u``
+is the reverse of one from ``u`` to ``v``.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -143,36 +144,47 @@ def nrbi_phase1(
     from a partial node ``u`` within its remaining hop budget to a missing
     facility ``v``.  ``best`` holds, per missing facility, the smallest
     (cost, u) seen so far, refreshed only from relabeled nodes, which read
-    their table rows at the missing facilities' columns.  That is exact: a
-    relabel only raises ``u``'s budget and table rows never increase with
-    the budget, so a stale entry never beats the fresh one.
+    their table rows at the open facilities' columns, fixed for the call.
+    That is exact: a relabel only raises ``u``'s budget and table rows never
+    increase with the budget, so a stale entry never beats the fresh one.
+    Every improvement goes on a heap, and the pick is its least entry whose
+    facility is missing: a superseded entry sorts after the one that
+    replaced it, and a facility out of reach pushes nothing.
     """
     hops = instance.hop_limit
     root = instance.root
     state = NrbiState()
     state.hops_from_root[root] = 0
     remaining = instance.core_nodes(open_facilities) - {root}
+    targets = sorted(remaining)
+    columns = np.array(targets, dtype=np.intp)
+    slot = {v: k for k, v in enumerate(targets)}
 
     # an unreachable facility's entries are (inf, u) and never displace this
     best = dict.fromkeys(remaining, (math.inf, 0))
+    heap: list[tuple[float, int, int]] = []
     relabeled = [root]
     while remaining:
-        targets = sorted(remaining)
-        columns = np.array(targets)
         for u in relabeled:
             budget = hops - state.hops_from_root[u]
             if budget < 1:
                 continue
-            table = cache.table(u)
-            for v, cost in zip(targets, table.dist[budget][columns].tolist()):
+            row = cache.table(u).dist[budget][columns].tolist()
+            for v in remaining:
+                cost = row[slot[v]]
                 if (cost, u) < best[v]:
                     best[v] = (cost, u)
-        cost, u_star, v_star = min((*best[v], v) for v in targets)
-        if not math.isfinite(cost):
+                    heapq.heappush(heap, (cost, u, v))
+        while heap and heap[0][2] not in remaining:
+            heapq.heappop(heap)
+        if not heap:
             raise TreeInfeasibleError(min(remaining), hops)
+        _, u_star, v_star = heapq.heappop(heap)
         path = extract_path(cache.table(u_star), v_star, hops - state.hops_from_root[u_star])
         assert path is not None
         relabeled = _insert_phase1_path(instance, state, remaining, path)
+        cache.phase1_rounds += 1
+        cache.relabeled += len(relabeled)
     return state
 
 
@@ -219,8 +231,10 @@ def nrbi_phase2(instance: Instance, state: NrbiState, cache: HopTableCache) -> S
     nodes, depths and labels also sit in arrays that ``attach`` appends to,
     so all fresh candidates of facility ``v`` come from one gather over
     ``v``'s own table: distances are symmetric, so its entry at tree node
-    ``u`` is ``u``'s entry at ``v``.  The chosen path is still read from
-    ``u``'s table, so its tie-breaks are those of a walk from ``u``.
+    ``u`` is ``u``'s entry at ``v``.  A node with no hops to spare reads
+    budget 0, where every entry but ``v``'s own, which is not in the tree,
+    is inf.  The chosen path is still read from ``u``'s table, so its
+    tie-breaks are those of a walk from ``u``.
     """
     hops = instance.hop_limit
     depth = {instance.root: 0}  # its keys are the tree's nodes
@@ -252,18 +266,17 @@ def nrbi_phase2(instance: Instance, state: NrbiState, cache: HopTableCache) -> S
         chain_ok = depth[chain[0]] + len(chain) - 1 <= hops
 
         # cheapest fresh connection from any current tree node
-        budgets = np.minimum(bound - member_label[:size], member_room[:size])
-        usable = budgets >= 1
-        us = members[:size][usable]
-        budgets = budgets[usable]
+        us = members[:size]
+        budgets = np.maximum(np.minimum(bound - member_label[:size], member_room[:size]), 0)
         costs = cache.table(v).dist[budgets, us]
         # the first fresh suffix that fits and costs less than the limit wins
         limit = state.insertion_cost[v] if chain_ok else math.inf
         pick = chain if chain_ok else None
-        if (costs < limit).any():
+        if costs.min() < limit:
             for k in np.lexsort((us, costs)):
                 if not costs[k] < limit:
                     break
+                cache.fresh_paths += 1
                 path = extract_path(cache.table(int(us[k])), v, int(budgets[k]))
                 assert path is not None
                 cut = max(i for i, x in enumerate(path) if x in depth)

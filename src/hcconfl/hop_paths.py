@@ -112,7 +112,7 @@ class HopTableCache:
     instance's hop limit.  ``root_paths`` reads the root's table once.
     ``trees`` maps a packed open set to its packed tree, or to None when it
     has none; ``objective.evaluate`` fills it and counts the lookups it
-    answers in ``trees_reused``.
+    answers in ``trees_reused``.  ``nrbi`` counts its work here too.
     """
 
     def __init__(self, instance: Instance):
@@ -120,10 +120,16 @@ class HopTableCache:
         self._tables: dict[int, HopDistanceTable] = {}
         self.trees: dict[bytes, bytes | None] = {}
         self.trees_reused = 0
+        self.phase1_rounds = self.relabeled = self.fresh_paths = 0  # nrbi counts
 
     def counters(self) -> dict[str, int]:
-        """Hop tables built and trees reused so far."""
-        return {"tables_built": len(self._tables), "trees_reused": self.trees_reused}
+        """Hop tables built, trees reused, and ``nrbi``'s phase-1 picks, nodes
+        relabeled and phase-2 fresh paths read, so far."""
+        return {
+            "tables_built": len(self._tables), "trees_reused": self.trees_reused,
+            "phase1_rounds": self.phase1_rounds, "relabeled": self.relabeled,
+            "fresh_paths": self.fresh_paths,
+        }
 
     def table(self, source: int) -> HopDistanceTable:
         tab = self._tables.get(source)

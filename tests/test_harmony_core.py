@@ -28,7 +28,7 @@ from hcconfl.harmony_core import (
     vector_ids,
 )
 
-from hcconfl import greedy_variants, harmony_core, hop_paths
+from hcconfl import greedy_variants, harmony_core, hcst_nrbi, hop_paths
 
 from corpus_util import (
     golden_cases,
@@ -438,7 +438,10 @@ def test_counters_read_the_solves_cache(solver, monkeypatch):
     )
     priced: list[frozenset[int]] = []
     built = []
+    relabeled: list[int] = []  # per phase-1 round
+    paths = []  # every extract_path call of nrbi, in either phase
     real_evaluate, real_build = harmony_core.evaluate, hop_paths.hop_bellman_ford
+    real_insert, real_extract = hcst_nrbi._insert_phase1_path, hcst_nrbi.extract_path
 
     def recording(instance, open_facilities, cache=None):
         priced.append(frozenset(open_facilities) | {instance.root})
@@ -448,9 +451,20 @@ def test_counters_read_the_solves_cache(solver, monkeypatch):
         built.append(source)
         return real_build(instance, source)
 
+    def inserting(*args):
+        nodes = real_insert(*args)
+        relabeled.append(len(nodes))
+        return nodes
+
+    def extracting(*args):
+        paths.append(args)
+        return real_extract(*args)
+
     for module in (harmony_core, greedy_variants):
         monkeypatch.setattr(module, "evaluate", recording)
     monkeypatch.setattr(hop_paths, "hop_bellman_ford", building)
+    monkeypatch.setattr(hcst_nrbi, "_insert_phase1_path", inserting)
+    monkeypatch.setattr(hcst_nrbi, "extract_path", extracting)
     params = HarmonyParams(hms=10, max_no_improve=60)
     if solver == "hs":
         stats = hs_solve(inst, params, seed=3).stats
@@ -461,7 +475,14 @@ def test_counters_read_the_solves_cache(solver, monkeypatch):
         stats = greedy_variants.hybrid_solve(inst, greedy, seed=3).stats
     assert stats.evaluations == len(priced)
     reused = len(priced) - len(set(priced))
-    assert stats.counters == {"tables_built": len(built), "trees_reused": reused}
+    # phase 1 reads one path a round; phase 2 reads the rest
+    assert stats.counters == {
+        "tables_built": len(built),
+        "trees_reused": reused,
+        "phase1_rounds": len(relabeled),
+        "relabeled": sum(relabeled),
+        "fresh_paths": len(paths) - len(relabeled),
+    }
     if solver == "hs":
         assert stats.counters["trees_reused"] == 30
 

@@ -1,5 +1,7 @@
 import dataclasses
+import heapq
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -341,6 +343,7 @@ def test_phase2_hangs_the_chain_when_no_fresh_path_fits(monkeypatch):
     assert (tree.edges, tree.depth, tree.parent, tree.cost) == reference_nrbi(inst, opens)
     assert tree.cost == 132.0
     assert 13 in reads
+    assert cache.counters()["fresh_paths"] == len(reads)
     assert all(tree.parent[x] == state.parent[x] for x in (13, 42, 7, 31))
 
 
@@ -388,6 +391,84 @@ def test_phase1_matches_whole_row_reference():
             infeasible += got[0] == "infeasible"
     assert checked >= 1200
     assert 0 < infeasible < checked / 2
+    # the hs-deep shape: about 20 open facilities the root reaches, so the
+    # heap keeps many superseded entries and entries of facilities already
+    # attached; with costs of 0, 1 or 2, ties are everywhere and a path can
+    # attach a facility on its way to the one it was picked for
+    en_route = 0
+    for hops in (3, 5, 10):
+        deep = random_deep_instance(extra, customers=0, hop_limit=hops)
+        for inst in (deep, _recosted(deep, lambda: float(extra.randint(0, 2)))):
+            cache = HopTableCache(inst)
+            sites = [f for f, d in zip(inst.facilities, cache.root_paths) if np.isfinite(d)]
+            for draw in range(6):
+                opens = set(extra.sample(sites, min(20, len(sites)))) | {inst.root}
+                rounds = cache.phase1_rounds
+                got = _phase1_outcome(lambda: nrbi_phase1(inst, opens, cache))
+                assert got == _phase1_outcome(lambda: reference_phase1(inst, opens))
+                # the root reaches every open site, and each round attaches
+                # at least the facility it picked
+                rounds = cache.phase1_rounds - rounds
+                assert 0 < rounds <= len(got[2]) == len(opens) - 1
+                en_route += len(got[2]) - rounds
+                if draw == 0:
+                    tree = _outcome(lambda: nrbi(inst, opens, cache))
+                    assert tree == _outcome(lambda: reference_nrbi(inst, opens))
+    assert en_route > 0
+
+
+def test_phase1_pushes_only_what_improves_a_facilitys_best(monkeypatch):
+    # an entry is pushed only when it beats the facility's best, so the heap
+    # grows by one entry per improvement and never holds a repeat
+    pushes: list[tuple[float, int, int]] = []
+
+    def push(heap, entry):
+        pushes.append(entry)
+        heapq.heappush(heap, entry)
+
+    monkeypatch.setattr(hcst_nrbi, "heapq", SimpleNamespace(heappush=push, heappop=heapq.heappop))
+    facilities = (1, 4, 6, 7)
+    inst = Instance(
+        name="relabel",
+        num_nodes=7,
+        core_edges=(
+            (1, 2, 1.0), (1, 3, 5.0), (2, 3, 1.0), (3, 4, 1.0),
+            (3, 5, 1.0), (3, 7, 10.0), (5, 6, 1.0),
+        ),
+        facilities=facilities,
+        root=1,
+        customers=(),
+        opening_costs={f: 0.0 for f in facilities},
+        assignment_costs=np.zeros((len(facilities), 0)),
+        hop_limit=3,
+    )
+    state = nrbi_phase1(inst, facilities, HopTableCache(inst))
+    # 4 hangs on 1-2-3-4, which labels 3 two hops out, where it is best for
+    # 7 at cost 10 within one hop; 6 hangs on 1-3-5-6, which relabels 3 to
+    # one hop, and its row at 7 still reads 10: nothing more is pushed
+    assert pushes == [(3.0, 1, 4), (7.0, 1, 6), (12.0, 1, 7), (11.0, 2, 7), (10.0, 3, 7)]
+    assert state.insertion_epoch == {4: 1, 6: 2, 7: 3}
+    assert (state.hops_from_root[3], state.parent[3]) == (1, 1)
+
+    rng = random.Random(3579)
+    superseded = 0
+    for hops in (3, 5, 10):
+        inst = random_deep_instance(rng, customers=0, hop_limit=hops)
+        cache = HopTableCache(inst)
+        for _ in range(6):
+            opens = set(rng.sample(inst.facilities, 25)) | {inst.root}
+            pushes.clear()
+            try:
+                nrbi_phase1(inst, opens, cache)
+            except TreeInfeasibleError:
+                pass
+            last: dict[int, tuple[float, int]] = {}
+            for cost, u, v in pushes:
+                assert np.isfinite(cost)
+                assert (cost, u) < last.get(v, (np.inf, 0))
+                last[v] = (cost, u)
+            superseded += len(pushes) - len(last)
+    assert superseded > 100
 
 
 def _non_integer_cases(rng):

@@ -243,7 +243,15 @@ def test_nrbi_runs_once_per_distinct_open_set(tiny1, monkeypatch):
     # the root joins every set, so [2, 3] is [1, 2, 3] and [3] is [1, 3]
     assert [opened for opened, _ in calls] == [{1, 2, 3}, {1, 3}]
     assert len(cache.trees) == 2
-    assert cache.counters() == {"tables_built": len(cache._tables), "trees_reused": 3}
+    # phase 1 attaches 2 (path 1-2) and 3 (1-4-3) for {1, 2, 3}, then 3 for
+    # {1, 3}; no tree node reaches a facility more cheaply than its route
+    assert cache.counters() == {
+        "tables_built": len(cache._tables),
+        "trees_reused": 3,
+        "phase1_rounds": 3,
+        "relabeled": 5,
+        "fresh_paths": 0,
+    }
 
 
 def test_a_repeated_infeasible_open_set_stays_infeasible_without_nrbi(tiny1, monkeypatch):
