@@ -44,8 +44,6 @@ from .objective import (
 from .oracle import (
     HcstOracle,
     OracleLimitError,
-    exact_hcst,
-    exact_hcst_edge_subsets,
     exact_solve,
 )
 
@@ -74,8 +72,6 @@ __all__ = [
     "Violation",
     "as_open_set",
     "evaluate",
-    "exact_hcst",
-    "exact_hcst_edge_subsets",
     "exact_solve",
     "extract_path",
     "ghs_solve",

@@ -157,9 +157,7 @@ def harmony_params(args: argparse.Namespace) -> HarmonyParams:
 
 
 def greedy_params(args: argparse.Namespace) -> GreedyParams:
-    return GreedyParams(
-        **_given(args, max_open="max_open", top_k="top_k", sample_count="samples")
-    )
+    return GreedyParams(**_given(args, top_k="top_k", sample_count="samples"))
 
 
 def run_once(instance: Instance, label: str, args: argparse.Namespace, seed: int) -> RunRow:
@@ -171,7 +169,7 @@ def run_once(instance: Instance, label: str, args: argparse.Namespace, seed: int
             result = hs_solve(instance, params=harmony_params(args), seed=seed)
         elif args.algo == "ghs":
             result = ghs_solve(
-                instance, params=harmony_params(args), greedy=greedy_params(args), seed=seed
+                instance, harmony_params(args), **_given(args, max_open="max_open"), seed=seed
             )
         else:
             result = hybrid_solve(instance, greedy=greedy_params(args), seed=seed)

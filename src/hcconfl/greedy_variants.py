@@ -49,7 +49,8 @@ from .instance_model import Instance, _check_integers
 from .objective import Solution, as_open_set, evaluate, root_open_subsets, validate
 
 EXHAUSTIVE_BIT_LIMIT = 24
-# open cap of the hybrid's sampling phase: looser than ``max_open``, so the
+MAX_OPEN = 6  # default open cap of ``ghs_solve`` and ``greedy_close``
+# open cap of the hybrid's sampling phase: looser than ``MAX_OPEN``, so the
 # frequency ranking sees more survivors
 SAMPLE_MAX_OPEN = 18
 GHS_PARAMS = HarmonyParams(hms=150)
@@ -60,23 +61,18 @@ CLOSE_CELLS = 1 << 14
 
 @dataclass(frozen=True)
 class GreedyParams:
-    """Knobs for the closing heuristic and the hybrid shortlist.
+    """Knobs for the hybrid shortlist.
 
-    ``max_open`` caps the open count during harmony search.  The hybrid
-    closes ``sample_count`` random vectors (capped at ``SAMPLE_MAX_OPEN``)
-    and enumerates the subsets of its ``top_k`` most frequent survivors.
+    The hybrid closes ``sample_count`` random vectors (capped at
+    ``SAMPLE_MAX_OPEN``) and enumerates the subsets of its ``top_k`` most
+    frequent survivors.
     """
 
-    max_open: int = 6
     top_k: int = 18
     sample_count: int = 1500
 
     def __post_init__(self) -> None:
-        _check_integers(
-            max_open=self.max_open, top_k=self.top_k, sample_count=self.sample_count
-        )
-        if self.max_open < 1:
-            raise ValueError("max_open must be >= 1")
+        _check_integers(top_k=self.top_k, sample_count=self.sample_count)
         if not 1 <= self.top_k <= EXHAUSTIVE_BIT_LIMIT:
             raise ValueError(f"top_k must be in [1, {EXHAUSTIVE_BIT_LIMIT}]")
         if self.sample_count < 1:
@@ -281,10 +277,17 @@ def close_rows(closer: Closer, rows: np.ndarray, max_open: int) -> np.ndarray:
     return closed
 
 
+def _check_max_open(max_open: int) -> None:
+    """ValueError unless ``max_open`` is an integer of at least 1."""
+    _check_integers(max_open=max_open)
+    if max_open < 1:
+        raise ValueError("max_open must be >= 1")
+
+
 def greedy_close(
     instance: Instance,
     open_facilities,
-    max_open: int = GreedyParams.max_open,
+    max_open: int = MAX_OPEN,
     closer: Closer | None = None,
 ) -> np.ndarray:
     """:func:`close_rows` on one open set; returns the 0/1 vector kept open.
@@ -293,9 +296,7 @@ def greedy_close(
     ``closer`` is the :class:`Closer` of ``instance``, built here on a
     fresh :class:`HopTableCache` when not given.
     """
-    _check_integers(max_open=max_open)
-    if max_open < 1:
-        raise ValueError("max_open must be >= 1")
+    _check_max_open(max_open)
     if closer is None:
         closer = Closer(HopTableCache(instance))
     elif closer.instance is not instance:
@@ -327,14 +328,14 @@ def _repair_and_close(cache: HopTableCache, max_open: int) -> Transform:
 def ghs_solve(
     instance: Instance,
     params: HarmonyParams | None = None,
-    greedy: GreedyParams | None = None,
+    max_open: int = MAX_OPEN,
     seed: int = 1,
 ) -> SolveResult:
     """Harmony search that greedily closes facilities before evaluating."""
+    _check_max_open(max_open)
     params = params or GHS_PARAMS
-    greedy = greedy or GreedyParams()
     cache = HopTableCache(instance)
-    transform = _repair_and_close(cache, greedy.max_open)
+    transform = _repair_and_close(cache, max_open)
     return harmony_solve(
         instance, params=params, seed=seed, transform=transform, cache=cache
     )

@@ -21,9 +21,12 @@ when the row is no tree), and its parent and depth by node id.
 Once the rows are filled, one table holds, for each of the 2^(n-1) sets of
 non-root nodes, the first cheapest row whose mask covers that set, so a
 query is one lookup, and only the rows the table names are kept.  Each
-strategy's row order stays its tie rule.  Both strategies are exhaustive
-by construction; the unit tests compare them on random instances, and
-compare the lookups with a scan of the kept rows.
+strategy's row order stays its tie rule.  ``HcstOracle(instance).solve``
+is the one tree query; build one oracle per instance and ask it every
+query.  Both strategies are exhaustive by construction.  The unit tests
+compare them on random instances, and compare the lookups with a scan of
+the rows; they reach the edge-subset strategy on small instances by
+setting ``PROFILE_ROW_CAP`` to 0, which ``HcstOracle`` reads when built.
 """
 
 from __future__ import annotations
@@ -44,11 +47,6 @@ MAX_FACILITIES = 12  # facility-subset enumeration in exact_solve
 
 class OracleLimitError(ValueError):
     """Instance exceeds the size envelope the oracle is willing to handle."""
-
-
-def _required_nodes(instance: Instance, required: Iterable[int]) -> set[int]:
-    """The non-root nodes of ``required``; each must be a core node."""
-    return instance.core_nodes(required) - {instance.root}
 
 
 class _Rows(NamedTuple):
@@ -89,21 +87,6 @@ def _first_covering(instance: Instance, rows: _Rows) -> np.ndarray:
     return np.append(order, -1)[rank]
 
 
-def _cheapest_tree(
-    instance: Instance, rows: _Rows, table: np.ndarray, needed: set[int]
-) -> SteinerTree | None:
-    """The first cheapest row spanning root plus ``needed``, or None."""
-    idx = int(table[_pack(sum(1 << v for v in needed), instance.root)])
-    if idx < 0:
-        return None
-    levels = rows.depths[idx]
-    nodes = np.flatnonzero(levels >= 1).tolist()  # the root sits at depth 0
-    depth = {instance.root: 0}
-    depth.update(zip(nodes, levels[nodes].tolist()))
-    parent = dict(zip(nodes, rows.parents[idx, nodes].tolist()))
-    return tree_from_parents(instance, parent, depth)
-
-
 class HcstOracle:
     """Exact hop-constrained Steiner trees for one instance.
 
@@ -128,9 +111,19 @@ class HcstOracle:
         self._table = table[:-1] - 1
 
     def solve(self, required: Iterable[int]) -> SteinerTree | None:
-        """Cheapest hop-feasible tree spanning root plus ``required``."""
-        needed = _required_nodes(self.instance, required)
-        return _cheapest_tree(self.instance, self._rows, self._table, needed)
+        """The first cheapest hop-feasible tree spanning root plus
+        ``required``, or None when there is none."""
+        root = self.instance.root
+        needed = self.instance.core_nodes(required) - {root}
+        idx = int(self._table[_pack(sum(1 << v for v in needed), root)])
+        if idx < 0:
+            return None
+        levels = self._rows.depths[idx]
+        nodes = np.flatnonzero(levels >= 1).tolist()  # the root sits at depth 0
+        depth = {root: 0}
+        depth.update(zip(nodes, levels[nodes].tolist()))
+        parent = dict(zip(nodes, self._rows.parents[idx, nodes].tolist()))
+        return tree_from_parents(self.instance, parent, depth)
 
 
 def _profile_rows(instance: Instance) -> _Rows:
@@ -240,20 +233,6 @@ def _tree_levels(
         frontier = nxt
         level += 1
     return (parent, depth) if reached == len(combo) + 1 else None
-
-
-def exact_hcst(instance: Instance, required: Iterable[int]) -> SteinerTree | None:
-    """Exact minimum-cost hop-feasible tree, or None when infeasible."""
-    return HcstOracle(instance).solve(required)
-
-
-def exact_hcst_edge_subsets(
-    instance: Instance, required: Iterable[int]
-) -> SteinerTree | None:
-    """Edge-subset reference enumeration, exposed for cross-checking."""
-    needed = _required_nodes(instance, required)
-    rows = _subset_rows(instance)
-    return _cheapest_tree(instance, rows, _first_covering(instance, rows), needed)
 
 
 def exact_solve(instance: Instance) -> Solution:

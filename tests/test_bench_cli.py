@@ -44,6 +44,15 @@ def test_readme_ghs_example_prints_what_the_readme_shows(capsys, monkeypatch):
     assert out == shown.group(1)
 
 
+def test_max_open_reaches_ghs(capsys):
+    # tiny1's optimum opens 2 facilities; a cap of 1 leaves the root alone
+    argv = ("--tiny", str(TINY), "--algo", "ghs", "--repeats", "2", "--zero-time")
+    for cap, opened in ((None, "2"), ("1", "1")):
+        code, out, _ = run(capsys, *argv, *(("--max-open", cap) if cap else ()))
+        assert code == 0
+        assert [line.split(",")[-1] for line in out.splitlines()[1:]] == [opened] * 3
+
+
 def test_repeats_emit_one_row_per_seed_plus_best(capsys):
     code, out, _ = run(
         capsys,

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -489,7 +490,8 @@ def test_solvers_never_beat_oracle_and_stay_feasible():
 @pytest.mark.parametrize(
     "bad",
     [
-        {"max_open": 0},
+        # NumPy integers pass the type check and still meet the range check
+        {"sample_count": np.int64(0)},
         {"top_k": 0},
         {"top_k": -3},
         {"top_k": EXHAUSTIVE_BIT_LIMIT + 1},
@@ -497,8 +499,8 @@ def test_solvers_never_beat_oracle_and_stay_feasible():
         {"sample_count": -3},
         # counts must be integers: 1.5 and True used to run as 1, and
         # 2.5 to fail later with a TypeError
-        {"max_open": 1.5},
-        {"max_open": True},
+        {"sample_count": 2.5},
+        {"top_k": np.float64(3)},
         {"top_k": 2.5},
         {"top_k": True},
         {"sample_count": 3.5},
@@ -511,6 +513,14 @@ def test_greedy_params_validate_their_ranges(bad):
         GreedyParams(**bad)
 
 
+@pytest.mark.parametrize("bad", [0, 1.5, True])
+def test_ghs_solve_checks_max_open_as_greedy_close_does(tiny1, bad):
+    with pytest.raises(ValueError, match="^max_open must be ") as closing:
+        greedy_close(tiny1, {1, 2, 3}, max_open=bad)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(closing.value))}$"):
+        ghs_solve(tiny1, max_open=bad)
+
+
 def test_hybrid_rejects_empty_shortlist(tiny1):
     # top_k < 1 used to wrap the shortlist slice round to 2^(|F| - 2) subsets
     with pytest.raises(ValueError, match="top_k"):
@@ -520,7 +530,7 @@ def test_hybrid_rejects_empty_shortlist(tiny1):
 
 
 def test_hybrid_sampling_uses_looser_limit_than_search(tiny1, monkeypatch):
-    assert greedy_variants.SAMPLE_MAX_OPEN == 18 > GreedyParams().max_open
+    assert greedy_variants.SAMPLE_MAX_OPEN == 18 > greedy_variants.MAX_OPEN
     loose = hybrid_solve(tiny1, GreedyParams(sample_count=50), seed=1)
     monkeypatch.setattr(greedy_variants, "SAMPLE_MAX_OPEN", 1)
     tight = hybrid_solve(tiny1, GreedyParams(sample_count=50), seed=1)

@@ -8,10 +8,10 @@ import pytest
 
 from hcconfl import (
     HarmonyParams,
+    HcstOracle,
     Instance,
     TreeInfeasibleError,
     evaluate,
-    exact_hcst,
     harmony_solve,
     hcst_nrbi,
     nrbi,
@@ -77,7 +77,7 @@ def test_trees_always_valid_and_near_oracle():
         opens = {
             f for f in inst.facilities if f == inst.root or rng.random() < 0.6
         }
-        reference = exact_hcst(inst, opens)
+        reference = HcstOracle(inst).solve(opens)
         try:
             tree = nrbi(inst, opens)
         except TreeInfeasibleError:

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from hcconfl import (
+    HcstOracle,
     Instance,
     MergeError,
     ParseError,
-    exact_hcst,
     hop_bellman_ford,
     merge_instances,
     nrbi,
@@ -371,10 +371,10 @@ def test_instance_takes_numpy_integer_ids():
     "entry, what",
     [
         (lambda inst, v: nrbi(inst, [v]), "required node"),
-        (lambda inst, v: exact_hcst(inst, [v]), "required node"),
+        (lambda inst, v: HcstOracle(inst).solve([v]), "required node"),
         (hop_bellman_ford, "source"),
     ],
-    ids=["nrbi", "exact_hcst", "hop_bellman_ford"],
+    ids=["nrbi", "HcstOracle.solve", "hop_bellman_ford"],
 )
 def test_solver_entry_points_take_only_core_nodes(tiny1, entry, what, node):
     # tiny1 has nodes 1..4; 2.0 and True would pass for nodes 2 and 1

@@ -11,8 +11,6 @@ from hcconfl import (
     Instance,
     OracleLimitError,
     evaluate,
-    exact_hcst,
-    exact_hcst_edge_subsets,
     exact_solve,
     ghs_solve,
     hs_solve,
@@ -21,6 +19,7 @@ from hcconfl import (
     validate,
 )
 
+import hcconfl.oracle
 from hcconfl.oracle import _subset_rows
 
 from corpus_util import (
@@ -31,16 +30,26 @@ from corpus_util import (
 )
 
 
+def _by_edge_subsets(inst: Instance) -> HcstOracle:
+    """``inst``'s oracle on the edge-subset strategy, whatever its size: the
+    profile cap, which ``HcstOracle`` reads when built, is 0 meanwhile."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hcconfl.oracle, "PROFILE_ROW_CAP", 0)
+        oracle = HcstOracle(inst)
+    assert not oracle._by_profile
+    return oracle
+
+
 def test_fixture_tree_for_all_facilities(tiny1):
-    tree = exact_hcst(tiny1, {2, 3})
+    tree = HcstOracle(tiny1).solve({2, 3})
     assert tree.cost == 4.0
     assert tree.edges == {(1, 2), (1, 4), (3, 4)}
     assert tree.depth == {1: 0, 2: 1, 3: 2, 4: 1}
 
 
 def test_fixture_tree_infeasible_within_one_hop(tiny1):
-    assert exact_hcst(dataclasses.replace(tiny1, hop_limit=1), {3}) is None
-    tree = exact_hcst(dataclasses.replace(tiny1, hop_limit=2), {3})
+    assert HcstOracle(dataclasses.replace(tiny1, hop_limit=1)).solve({3}) is None
+    tree = HcstOracle(dataclasses.replace(tiny1, hop_limit=2)).solve({3})
     assert tree.cost == 2.0
     assert tree.edges == {(1, 4), (3, 4)}
 
@@ -70,8 +79,8 @@ def test_two_enumeration_strategies_agree():
         required = {
             f for f in inst.facilities if rng.random() < 0.5 and f != inst.root
         }
-        by_profile = exact_hcst(inst, required)
-        by_subsets = exact_hcst_edge_subsets(inst, required)
+        by_profile = HcstOracle(inst).solve(required)
+        by_subsets = _by_edge_subsets(inst).solve(required)
         if by_profile is None:
             assert by_subsets is None
             continue
@@ -98,30 +107,32 @@ def _diamond(hop_limit: int) -> Instance:
 
 def test_profile_strategy_keeps_first_cheapest_profile():
     inst = _diamond(2)  # 3**3 profiles
-    assert HcstOracle(inst)._by_profile
+    oracle = HcstOracle(inst)
+    assert oracle._by_profile
     # (2 excluded, 3 at depth 1, 4 at depth 2) precedes
     # (2 at depth 1, 3 excluded, 4 at depth 2) in product order
-    assert exact_hcst(inst, {4}).edges == {(1, 3), (3, 4)}
+    assert oracle.solve({4}).edges == {(1, 3), (3, 4)}
     # 2 and 3 can both parent 4 at equal cost: the smaller id wins
-    assert exact_hcst(inst, {2, 3, 4}).edges == {(1, 2), (1, 3), (2, 4)}
+    assert oracle.solve({2, 3, 4}).edges == {(1, 2), (1, 3), (2, 4)}
     # the edge-subset strategy breaks the first tie the other way
-    assert exact_hcst_edge_subsets(inst, {4}).edges == {(1, 2), (2, 4)}
+    assert _by_edge_subsets(inst).solve({4}).edges == {(1, 2), (2, 4)}
 
 
 def test_edge_subset_strategy_keeps_first_node_set_then_first_subset():
     inst = _diamond(100)  # 101**3 profiles exceed the cap
     assert not HcstOracle(inst)._by_profile
-    for solve in (exact_hcst, exact_hcst_edge_subsets):
+    # at H = 2 the strategy is forced: 3**3 profiles are under the cap
+    for oracle in (HcstOracle(inst), _by_edge_subsets(_diamond(2))):
         # edges 0 and 2 span {1, 2, 4} before edges 1 and 3 span {1, 3, 4}
-        assert solve(inst, {4}).edges == {(1, 2), (2, 4)}
+        assert oracle.solve({4}).edges == {(1, 2), (2, 4)}
         # four 3-edge trees span {1, 2, 3, 4} at cost 3; edges 0, 1, 2 come first
-        assert solve(inst, {2, 3, 4}).edges == {(1, 2), (1, 3), (2, 4)}
+        assert oracle.solve({2, 3, 4}).edges == {(1, 2), (1, 3), (2, 4)}
 
 
 def test_one_node_instance():
     inst = parse_tiny("1 1 1 2 1\nf 1 2\na 1 a 3\n", name="one")
-    for solve in (exact_hcst, exact_hcst_edge_subsets):
-        tree = solve(inst, [])
+    for oracle in (HcstOracle(inst), _by_edge_subsets(inst)):
+        tree = oracle.solve([])
         assert tree.nodes == {1} and tree.edges == set()
         assert tree.depth == {1: 0} and tree.parent == {} and tree.cost == 0.0
     assert exact_solve(inst).total == 5.0
@@ -138,19 +149,20 @@ def test_profile_depths_beyond_int8():
         facilities=(1, 3),
         opening_costs={1: 0.0, 3: 0.0},
     )
-    assert HcstOracle(inst)._by_profile
-    tree = exact_hcst(inst, {3})
+    oracle = HcstOracle(inst)
+    assert oracle._by_profile
+    tree = oracle.solve({3})
     assert tree.edges == {(1, 2), (2, 3)} and tree.depth == {1: 0, 2: 1, 3: 2}
 
 
 def test_cost_invariant_under_edge_permutation(tiny1):
     rng = random.Random(77)
-    base = exact_hcst(tiny1, {2, 3}).cost
+    base = HcstOracle(tiny1).solve({2, 3}).cost
     edges = list(tiny1.core_edges)
     for _ in range(5):
         rng.shuffle(edges)
         shuffled = dataclasses.replace(tiny1, core_edges=tuple(edges))
-        assert exact_hcst(shuffled, {2, 3}).cost == base
+        assert HcstOracle(shuffled).solve({2, 3}).cost == base
 
 
 def _answers(inst):
@@ -193,19 +205,24 @@ def test_profile_answers_do_not_depend_on_the_order_of_core_edges():
 
 
 def test_oracle_answers_match_per_query_solvers():
+    # one oracle per instance answers every query; the other strategy on the
+    # same instance checks each answer
     rng = random.Random(2024)
     for _ in range(50):
         inst = random_tiny_instance(rng, max_nodes=7)
-        oracle = HcstOracle(inst)
+        oracle, by_subsets = HcstOracle(inst), _by_edge_subsets(inst)
+        assert oracle._by_profile  # 4**6 profiles at most
         for _ in range(4):
             required = {
                 f for f in inst.facilities if rng.random() < 0.5 and f != inst.root
             }
             a = oracle.solve(required)
-            b = exact_hcst(inst, required)
+            b = by_subsets.solve(required)
             assert (a is None) == (b is None)
             if a is not None:
-                assert a.cost == pytest.approx(b.cost)
+                assert a.cost == b.cost
+                assert tree_is_valid(inst, a, required)
+                assert tree_is_valid(inst, b, required)
 
 
 def _rooted_at(inst: Instance, root: int) -> Instance:
@@ -237,7 +254,7 @@ def test_lookups_match_a_scan_of_the_rows(where):
         # H = 1000 puts every instance of 3 or more nodes past the profile cap
         hop_limit = rng.choice([1, 2, 3]) if i % 2 else 1000
         inst = _rooted_at(dataclasses.replace(inst, hop_limit=hop_limit), root)
-        oracle = HcstOracle(inst)
+        oracle, by_subsets = HcstOracle(inst), _by_edge_subsets(inst)
         seen["profile" if oracle._by_profile else "edge_subsets"] += 1
         # it keeps the rows its table names, and no other
         named = np.unique(oracle._table[oracle._table >= 0])
@@ -250,8 +267,9 @@ def test_lookups_match_a_scan_of_the_rows(where):
         for required in queries:
             expected = reference_cheapest_tree(inst, oracle._rows, required)
             assert _same_tree(oracle.solve(required), expected)
+            # every row of the strategy, not only the kept ones
             assert _same_tree(
-                exact_hcst_edge_subsets(inst, required),
+                by_subsets.solve(required),
                 reference_cheapest_tree(inst, subset_rows, required),
             )
             seen["none" if expected is None else "tree"] += 1
@@ -295,12 +313,13 @@ def test_exact_solve_never_beaten_by_any_open_set():
         inst = random_tiny_instance(rng, max_nodes=6, max_facilities=3)
         best = exact_solve(inst)
         assert validate(inst, best) == []
+        oracle = HcstOracle(inst)
         others = [f for f in inst.facilities if f != inst.root]
         for mask in range(2 ** len(others)):
             chosen = {inst.root} | {
                 f for i, f in enumerate(others) if mask >> i & 1
             }
-            tree = exact_hcst(inst, chosen)
+            tree = oracle.solve(chosen)
             if tree is None:
                 continue
             _, assign_cost = naive_assignment(inst, chosen)
@@ -331,21 +350,22 @@ def test_facility_limit_enforced():
 
 def test_edge_limit_enforced_for_subset_strategy():
     # 28 edges, and 7**7 depth profiles exceed the profile cap
-    inst = _complete_graph(8, 6)
     with pytest.raises(OracleLimitError, match="28 core edges exceed the oracle limit of 20"):
-        HcstOracle(inst)
+        HcstOracle(_complete_graph(8, 6))
+    # at H = 1 the 2**7 profiles are under the cap; forced, edge subsets still refuse
+    inst = _complete_graph(8, 1)
+    assert HcstOracle(inst)._by_profile
     with pytest.raises(OracleLimitError, match="28 core edges exceed the oracle limit of 20"):
-        exact_hcst_edge_subsets(inst, {2})
+        _by_edge_subsets(inst)
 
 
 # an unchecked id would shift into the lookup entry of another node set
 @pytest.mark.parametrize("node", [0, 5, 2.5, True, "x"])
 def test_required_nodes_must_be_core_nodes(tiny1, node):
     message = f"^{re.escape(f'required node {node} is not a core node')}$"
-    with pytest.raises(ValueError, match=message):
-        exact_hcst(tiny1, [node])
-    with pytest.raises(ValueError, match=message):
-        exact_hcst_edge_subsets(tiny1, [node])
+    for oracle in (HcstOracle(tiny1), _by_edge_subsets(tiny1)):
+        with pytest.raises(ValueError, match=message):
+            oracle.solve([node])
 
 
 @pytest.mark.parametrize("facilities", [(1, 2, 3), (1, 3, 2), (3, 1, 2)])
