@@ -33,19 +33,8 @@ from .instance_model import (
     parse_uflp,
     serialize_tiny,
 )
-from .objective import (
-    CostBreakdown,
-    Solution,
-    Violation,
-    as_open_set,
-    evaluate,
-    validate,
-)
-from .oracle import (
-    HcstOracle,
-    OracleLimitError,
-    exact_solve,
-)
+from .objective import CostBreakdown, Solution, Violation, as_open_set, evaluate, validate
+from .oracle import HcstOracle, OracleLimitError, exact_solve
 
 __version__ = "0.1.0"
 

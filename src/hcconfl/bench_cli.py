@@ -36,14 +36,15 @@ from .oracle import exact_solve
 
 CSV_HEADER = "instance,algo,hop,seed,obj,cpu_seconds,iterations,open_count"
 
-# each algorithm parameter, by argparse dest, and the --algo values that read it
-READ_BY = {
-    "hms": ("hs", "ghs"),
-    "hmcr": ("hs", "ghs"),
-    "max_no_improve": ("hs", "ghs"),
-    "max_open": ("ghs",),
-    "top_k": ("hybrid",),
-    "samples": ("hybrid",),
+# each algorithm parameter, by the field it sets: its option and the --algo
+# values that read it
+PARAMS = {
+    "hms": ("--hms", ("hs", "ghs")),
+    "hmcr_start": ("--hmcr", ("hs", "ghs")),
+    "max_no_improve": ("--max-no-improve", ("hs", "ghs")),
+    "max_open": ("--max-open", ("ghs",)),
+    "top_k": ("--top-k", ("hybrid",)),
+    "sample_count": ("--samples", ("hybrid",)),
 }
 
 
@@ -144,20 +145,28 @@ def load_instance(args: argparse.Namespace) -> Instance:
     return merge_instances(stp, uflp, hop_limit=args.hop, name=instance_label(args))
 
 
-def _given(args: argparse.Namespace, **fields: str) -> dict:
-    """``field: value`` for each field whose option (``field=dest``) was given."""
-    values = {field: getattr(args, dest) for field, dest in fields.items()}
+def _given(args: argparse.Namespace, *fields: str) -> dict:
+    """``field: value`` for each of ``fields`` whose option was given."""
+    values = {field: getattr(args, PARAMS[field][0][2:].replace("-", "_")) for field in fields}
     return {field: value for field, value in values.items() if value is not None}
+
+
+def _as_typed(args: argparse.Namespace, message: str) -> str:
+    """``message`` with a leading params field renamed to the option given for
+    it: ``sample_count must be >= 1`` becomes ``--samples must be >= 1``."""
+    field, space, rest = message.partition(" ")
+    if field in PARAMS and _given(args, field):
+        return PARAMS[field][0] + space + rest
+    return message
 
 
 def harmony_params(args: argparse.Namespace) -> HarmonyParams:
     params = GHS_PARAMS if args.algo == "ghs" else HarmonyParams()
-    given = _given(args, hms="hms", hmcr_start="hmcr", max_no_improve="max_no_improve")
-    return replace(params, **given)
+    return replace(params, **_given(args, "hms", "hmcr_start", "max_no_improve"))
 
 
 def greedy_params(args: argparse.Namespace) -> GreedyParams:
-    return GreedyParams(**_given(args, top_k="top_k", sample_count="samples"))
+    return GreedyParams(**_given(args, "top_k", "sample_count"))
 
 
 def run_once(instance: Instance, label: str, args: argparse.Namespace, seed: int) -> RunRow:
@@ -168,9 +177,8 @@ def run_once(instance: Instance, label: str, args: argparse.Namespace, seed: int
         if args.algo == "hs":
             result = hs_solve(instance, params=harmony_params(args), seed=seed)
         elif args.algo == "ghs":
-            result = ghs_solve(
-                instance, harmony_params(args), **_given(args, max_open="max_open"), seed=seed
-            )
+            max_open = _given(args, "max_open")
+            result = ghs_solve(instance, harmony_params(args), **max_open, seed=seed)
         else:
             result = hybrid_solve(instance, greedy=greedy_params(args), seed=seed)
         solution, iterations = result.solution, result.stats.iterations
@@ -216,9 +224,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.repeats < 1:
             raise ValueError("--repeats must be >= 1")
-        for dest, algos in READ_BY.items():
-            if getattr(args, dest) is not None and args.algo not in algos:
-                raise ValueError(f"--{dest.replace('_', '-')} does not apply to --algo {args.algo}")
+        for field, (option, algos) in PARAMS.items():
+            if _given(args, field) and args.algo not in algos:
+                raise ValueError(f"{option} does not apply to --algo {args.algo}")
         instance = load_instance(args)
         label = instance_label(args)
         rows = [
@@ -231,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.write(text)
     except (ValueError, RuntimeError, OSError) as exc:  # bad input or parameter
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_as_typed(args, str(exc))}", file=sys.stderr)
         return 2
     return 0
 

@@ -74,7 +74,8 @@ class RunStats:
     calls, each one priced whether its tree was built or reused.
     ``counters`` holds :meth:`HopTableCache.counters` of the solve's cache:
     ``tables_built``, ``trees_reused`` (evaluations of an open set seen
-    before) and ``nrbi``'s phase-1 rounds, relabeled nodes and fresh paths.
+    before) and ``nrbi``'s work: phase-1 rounds, relabeled nodes and
+    ``phase1_reads``, then ``phase2_reads`` and fresh paths.
     """
 
     iterations: int = 0

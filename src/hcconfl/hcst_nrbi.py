@@ -17,13 +17,13 @@ limit:
 Every tree is made by ``tree_from_parents``, which takes the root from the
 instance.  Candidate paths are ranked by cost, then by the smallest id
 pair, never by hop count, so results are deterministic; each path has the
-fewest edges among its own source's equal-cost walks.  Both phases read the
-hop tables only at the open facilities' columns: phase 1 keeps the best
-known connection to each missing facility in a heap, refreshed only from
-the nodes whose label the last insertion set or lowered; phase 2 prices
-every tree node for a facility with one gather from that facility's own
-table, since on an undirected graph the cheapest walk from ``v`` to ``u``
-is the reverse of one from ``u`` to ``v``.
+fewest edges among its own source's equal-cost walks.  Both phases read
+table entries one at a time through the tables' memoryviews, with no NumPy
+call: phase 1 keeps the best known connection to each missing facility in
+a heap, refreshed only from the nodes whose label the last insertion set
+or lowered; phase 2 prices every tree node for a facility from that
+facility's own table, since on an undirected graph the cheapest walk from
+``v`` to ``u`` is the reverse of one from ``u`` to ``v``.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
-
-import numpy as np
 
 from .hop_paths import HopTableCache, cache_for, extract_path
 from .instance_model import Instance
@@ -143,22 +141,18 @@ def nrbi_phase1(
     Each round attaches the lexicographically smallest (cost, u, v) path
     from a partial node ``u`` within its remaining hop budget to a missing
     facility ``v``.  ``best`` holds, per missing facility, the smallest
-    (cost, u) seen so far, refreshed only from relabeled nodes, which read
-    their table rows at the open facilities' columns, fixed for the call.
-    That is exact: a relabel only raises ``u``'s budget and table rows never
-    increase with the budget, so a stale entry never beats the fresh one.
+    (cost, u) seen so far, refreshed only from relabeled nodes, each of
+    which reads its table's ``dist_view`` at its budget's row once per
+    missing facility.  That is exact: a relabel only raises ``u``'s budget
+    and table rows never increase with the budget, so a stale entry never
+    beats the fresh one.
     Every improvement goes on a heap, and the pick is its least entry whose
     facility is missing: a superseded entry sorts after the one that
     replaced it, and a facility out of reach pushes nothing.
     """
-    hops = instance.hop_limit
-    root = instance.root
-    state = NrbiState()
-    state.hops_from_root[root] = 0
+    hops, root = instance.hop_limit, instance.root
+    state = NrbiState(hops_from_root={root: 0})
     remaining = instance.core_nodes(open_facilities) - {root}
-    targets = sorted(remaining)
-    columns = np.array(targets, dtype=np.intp)
-    slot = {v: k for k, v in enumerate(targets)}
 
     # an unreachable facility's entries are (inf, u) and never displace this
     best = dict.fromkeys(remaining, (math.inf, 0))
@@ -169,10 +163,11 @@ def nrbi_phase1(
             budget = hops - state.hops_from_root[u]
             if budget < 1:
                 continue
-            row = cache.table(u).dist[budget][columns].tolist()
+            dist = cache.table(u).dist_view
+            cache.phase1_reads += len(remaining)
             for v in remaining:
-                cost = row[slot[v]]
-                if (cost, u) < best[v]:
+                cost = dist[budget, v]
+                if cost <= best[v][0] and (cost, u) < best[v]:  # most fail the float test
                     best[v] = (cost, u)
                     heapq.heappush(heap, (cost, u, v))
         while heap and heap[0][2] not in remaining:
@@ -225,36 +220,19 @@ def nrbi_phase2(instance: Instance, state: NrbiState, cache: HopTableCache) -> S
     oldest.  Each is attached either via the cheapest fresh hop-feasible
     path from a current tree node (the smallest node on ties), or via its
     phase-1 route when that fits and its recorded insertion cost is no more
-    than the fresh path's.  One scan reads the candidates in (cost, node)
-    order while they cost less than that route (any finite cost when the
-    route does not fit), and reads no fresh path when none does.  Tree
-    nodes, depths and labels also sit in arrays that ``attach`` appends to,
-    so all fresh candidates of facility ``v`` come from one gather over
-    ``v``'s own table: distances are symmetric, so its entry at tree node
-    ``u`` is ``u``'s entry at ``v``.  A node with no hops to spare reads
-    budget 0, where every entry but ``v``'s own, which is not in the tree,
-    is inf.  The chosen path is still read from ``u``'s table, so its
+    than the fresh path's.  Fresh paths are read in (cost, node) order while
+    they cost less than that route (any finite cost when the route does not
+    fit).  Facility ``v`` prices every tree node ``u`` from ``v``'s own
+    table: distances are symmetric, so that entry is ``u``'s entry at
+    ``v``.  The chosen path is still read from ``u``'s table, so its
     tie-breaks are those of a walk from ``u``.
     """
     hops = instance.hop_limit
     depth = {instance.root: 0}  # its keys are the tree's nodes
     parent: dict[int, int] = {}
-    # tree nodes in attach order, the hops left below each (hops - depth)
-    # and their phase-1 labels (the depth for nodes phase 1 never reached)
-    members = np.zeros(instance.num_nodes, dtype=np.int64)
-    member_room = np.full(instance.num_nodes, hops, dtype=np.int64)
-    member_label = np.zeros(instance.num_nodes, dtype=np.int64)
-    members[0] = instance.root
-    size = 1
-
-    def attach(path: list[int]) -> None:
-        nonlocal size
-        _attach(depth, parent, path)
-        for node in path[1:]:
-            members[size] = node
-            member_room[size] = hops - depth[node]
-            member_label[size] = state.hops_from_root.get(node, depth[node])
-            size += 1
+    # (node, hops left below it, phase-1 label or, if it has none, depth) per
+    # tree node with a hop to spare: the others would read inf at budget 0
+    members = [(instance.root, hops, 0)]
 
     for v in reversed(state.insertion_epoch):
         if v in depth:
@@ -265,30 +243,36 @@ def nrbi_phase2(instance: Instance, state: NrbiState, cache: HopTableCache) -> S
         chain = _parent_chain(state, v, depth)
         chain_ok = depth[chain[0]] + len(chain) - 1 <= hops
 
-        # cheapest fresh connection from any current tree node
-        us = members[:size]
-        budgets = np.maximum(np.minimum(bound - member_label[:size], member_room[:size]), 0)
-        costs = cache.table(v).dist[budgets, us]
-        # the first fresh suffix that fits and costs less than the limit wins
+        # the fresh connections from current tree nodes that cost less than
+        # the route; the first whose suffix past the tree fits wins
         limit = state.insertion_cost[v] if chain_ok else math.inf
         pick = chain if chain_ok else None
-        if costs.min() < limit:
-            for k in np.lexsort((us, costs)):
-                if not costs[k] < limit:
-                    break
-                cache.fresh_paths += 1
-                path = extract_path(cache.table(int(us[k])), v, int(budgets[k]))
-                assert path is not None
-                cut = max(i for i, x in enumerate(path) if x in depth)
-                suffix = path[cut:]
-                if depth[suffix[0]] + len(suffix) - 1 <= hops:
-                    pick = suffix
-                    break
+        dist = cache.table(v).dist_view
+        cache.phase2_reads += len(depth)
+        fresh = []
+        for u, room, label in members:
+            budget = bound - label if bound - label < room else room
+            if budget > 0 and dist[budget, u] < limit:
+                fresh.append((dist[budget, u], u, budget))
+        for _, u, budget in sorted(fresh):
+            cache.fresh_paths += 1
+            path = extract_path(cache.table(u), v, budget)
+            assert path is not None
+            cut = max(i for i, x in enumerate(path) if x in depth)
+            suffix = path[cut:]
+            if depth[suffix[0]] + len(suffix) - 1 <= hops:
+                pick = suffix
+                break
         if pick is None:
             # neither attachment fits the hop limit from here; fall back to
             # the phase-1 chains alone, which always fit
             return _parent_tree(instance, state)
-        attach(pick)
+        _attach(depth, parent, pick)
+        members.extend(
+            (x, hops - depth[x], state.hops_from_root.get(x, depth[x]))
+            for x in pick[1:]
+            if depth[x] < hops
+        )
 
     return tree_from_parents(instance, parent, depth)
 

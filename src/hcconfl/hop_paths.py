@@ -36,6 +36,10 @@ class HopDistanceTable:
     node ids index directly.  ``pred[h][v]`` is the predecessor of ``v`` on
     the chosen cheapest walk of at most ``h`` edges (0 = none); both carry
     over from level ``h - 1`` unless the cost strictly falls at ``h``.
+    ``dist_view`` and ``pred_view`` are read-only memoryviews of the two
+    arrays, made once per table on first use and sharing their memory:
+    ``dist_view[h, v]`` is one entry as a Python float (``pred_view``: int),
+    read with no NumPy call.
     """
 
     source: int
@@ -43,12 +47,20 @@ class HopDistanceTable:
     dist: np.ndarray
     pred: np.ndarray
 
+    @cached_property
+    def dist_view(self) -> memoryview:
+        return memoryview(self.dist).toreadonly()
+
+    @cached_property
+    def pred_view(self) -> memoryview:
+        return memoryview(self.pred).toreadonly()
+
     def cost(self, node: int, hop_budget: int | None = None) -> float:
         """Cheapest cost to ``node`` within ``hop_budget`` edges (inf if none)."""
         h = self.hop_limit if hop_budget is None else min(hop_budget, self.hop_limit)
         if h < 0:
             return math.inf
-        return float(self.dist[h, node])
+        return self.dist_view[h, node]
 
 
 def hop_bellman_ford(instance: Instance, source: int) -> HopDistanceTable:
@@ -91,14 +103,15 @@ def extract_path(
     node's entry there is the one set where its cost last fell.
     """
     h = table.hop_limit if hop_budget is None else min(hop_budget, table.hop_limit)
-    if h < 0 or not math.isfinite(table.dist[h, target]):
+    if h < 0 or not math.isfinite(table.dist_view[h, target]):
         return None
+    pred = table.pred_view
     path = [target]
     node = target
     while node != table.source:
         if h <= 0:
             raise AssertionError("predecessor chain did not reach the source")
-        node = int(table.pred[h, node])
+        node = pred[h, node]
         h -= 1
         path.append(node)
     path.reverse()
@@ -120,14 +133,18 @@ class HopTableCache:
         self._tables: dict[int, HopDistanceTable] = {}
         self.trees: dict[bytes, bytes | None] = {}
         self.trees_reused = 0
-        self.phase1_rounds = self.relabeled = self.fresh_paths = 0  # nrbi counts
+        # nrbi's work
+        self.phase1_rounds = self.relabeled = self.phase1_reads = 0
+        self.phase2_reads = self.fresh_paths = 0
 
     def counters(self) -> dict[str, int]:
         """Hop tables built, trees reused, and ``nrbi``'s phase-1 picks, nodes
-        relabeled and phase-2 fresh paths read, so far."""
+        relabeled and table entries read, the tree nodes phase 2 priced its
+        facilities against and the fresh paths it read, so far."""
         return {
             "tables_built": len(self._tables), "trees_reused": self.trees_reused,
             "phase1_rounds": self.phase1_rounds, "relabeled": self.relabeled,
+            "phase1_reads": self.phase1_reads, "phase2_reads": self.phase2_reads,
             "fresh_paths": self.fresh_paths,
         }
 

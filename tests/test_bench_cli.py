@@ -181,23 +181,26 @@ def test_bad_instance_text_exits_nonzero(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("--hms", "1"),
-        ("--algo", "hs", "--hmcr", "0"),
-        ("--max-no-improve", "0"),
-        ("--algo", "hybrid", "--top-k", "30"),
-        ("--algo", "hybrid", "--top-k", "0"),
-        ("--algo", "hybrid", "--samples", "-3"),
-        ("--max-open", "0"),
-        ("--algo", "oracle", "--hop", "0"),
-    ],
-)
+# each bad value and the message it gets, which names the option as typed
+BAD_VALUES = {
+    ("--hms", "1"): "--hms must be >= 2",
+    ("--algo", "hs", "--hmcr", "0"): "--hmcr must be in (0, 1]",
+    ("--max-no-improve", "0"): "--max-no-improve must be >= 1",
+    ("--algo", "hybrid", "--top-k", "30"): "--top-k must be in [1, 24]",
+    ("--algo", "hybrid", "--top-k", "0"): "--top-k must be in [1, 24]",
+    ("--algo", "hybrid", "--samples", "-3"): "--samples must be >= 1",
+    ("--max-open", "0"): "--max-open must be >= 1",
+    ("--algo", "oracle", "--hop", "0"): "hop limit must be >= 1, got 0",
+    ("--algo", "hybrid", "--samples", "0"): "--samples must be >= 1",
+    ("--hmcr", "0"): "--hmcr must be in (0, 1]",
+}
+
+
+@pytest.mark.parametrize("argv", list(BAD_VALUES))
 def test_bad_parameter_value_exits_2(capsys, argv):
     code, out, err = run(capsys, "--tiny", str(TINY), *argv)
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err == f"error: {BAD_VALUES[argv]}\n"
 
 
 @pytest.mark.parametrize(

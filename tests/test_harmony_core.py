@@ -440,8 +440,11 @@ def test_counters_read_the_solves_cache(solver, monkeypatch):
     built = []
     relabeled: list[int] = []  # per phase-1 round
     paths = []  # every extract_path call of nrbi, in either phase
+    phase1_reads: list[int] = []  # per node whose row phase 1 reads
+    tree_sizes: list[int] = []  # per facility phase 2 visits
     real_evaluate, real_build = harmony_core.evaluate, hop_paths.hop_bellman_ford
     real_insert, real_extract = hcst_nrbi._insert_phase1_path, hcst_nrbi.extract_path
+    real_chain = hcst_nrbi._parent_chain
 
     def recording(instance, open_facilities, cache=None):
         priced.append(frozenset(open_facilities) | {instance.root})
@@ -451,10 +454,24 @@ def test_counters_read_the_solves_cache(solver, monkeypatch):
         built.append(source)
         return real_build(instance, source)
 
-    def inserting(*args):
-        nodes = real_insert(*args)
+    def inserting(instance, state, remaining, path):
+        if not state.insertion_epoch:
+            # the first round's pick came after the root read every facility
+            phase1_reads.append(len(remaining))
+        nodes = real_insert(instance, state, remaining, path)
         relabeled.append(len(nodes))
+        if remaining:
+            # each relabeled node with a hop to spare reads every missing one
+            for node in nodes:
+                if state.hops_from_root[node] < instance.hop_limit:
+                    phase1_reads.append(len(remaining))
         return nodes
+
+    def chaining(state, node, stop):
+        # phase 2 reads the chain of every facility it visits, stopping at
+        # the tree built so far
+        tree_sizes.append(len(stop))
+        return real_chain(state, node, stop)
 
     def extracting(*args):
         paths.append(args)
@@ -465,6 +482,8 @@ def test_counters_read_the_solves_cache(solver, monkeypatch):
     monkeypatch.setattr(hop_paths, "hop_bellman_ford", building)
     monkeypatch.setattr(hcst_nrbi, "_insert_phase1_path", inserting)
     monkeypatch.setattr(hcst_nrbi, "extract_path", extracting)
+    monkeypatch.setattr(hcst_nrbi, "_parent_chain", chaining)
+    monkeypatch.setattr(hcst_nrbi, "_parent_tree", lambda *args: pytest.fail("phase 2 fell back"))
     params = HarmonyParams(hms=10, max_no_improve=60)
     if solver == "hs":
         stats = hs_solve(inst, params, seed=3).stats
@@ -481,6 +500,8 @@ def test_counters_read_the_solves_cache(solver, monkeypatch):
         "trees_reused": reused,
         "phase1_rounds": len(relabeled),
         "relabeled": sum(relabeled),
+        "phase1_reads": sum(phase1_reads),
+        "phase2_reads": sum(tree_sizes),
         "fresh_paths": len(paths) - len(relabeled),
     }
     if solver == "hs":

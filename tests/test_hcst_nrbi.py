@@ -347,6 +347,123 @@ def test_phase2_hangs_the_chain_when_no_fresh_path_fits(monkeypatch):
     assert all(tree.parent[x] == state.parent[x] for x in (13, 42, 7, 31))
 
 
+def test_phase2_reads_the_next_candidate_when_a_tied_one_does_not_fit(monkeypatch):
+    # phase 2 hangs 4 on its chain 1-6-7-4 (at the hop limit), then 2 and 3
+    # on theirs; tree nodes 2 and 3 then both reach 5 for cost 2 within two
+    # hops.  2's path 2-4-5 is cut at 4 and would put 5 four hops deep, so
+    # 3's path 3-5 wins, though 5's own chain 6-5 fits and costs 5
+    edges = (
+        (1, 2, 5.0), (1, 3, 1.0), (1, 6, 1.0), (2, 4, 1.0), (3, 5, 2.0),
+        (4, 5, 1.0), (4, 7, 1.0), (5, 6, 5.0), (6, 7, 1.0),
+    )
+    facilities = (1, 2, 3, 4, 5)
+    inst = Instance(
+        name="tied-misfit",
+        num_nodes=7,
+        core_edges=edges,
+        facilities=facilities,
+        root=1,
+        customers=(),
+        opening_costs={f: 0.0 for f in facilities},
+        assignment_costs=np.zeros((len(facilities), 0)),
+        hop_limit=3,
+    )
+    state = NrbiState(
+        hops_from_root={1: 0, 2: 1, 3: 1, 6: 1, 7: 2, 4: 3, 5: 3},
+        insertion_epoch={5: 1, 3: 2, 2: 3, 4: 4},
+        parent={2: 1, 3: 1, 6: 1, 7: 6, 4: 7, 5: 6},
+        insertion_cost={5: 5.0, 3: 1.0, 2: 5.0, 4: 3.0},
+    )
+    reads = []
+    extract = hcst_nrbi.extract_path
+    monkeypatch.setattr(
+        hcst_nrbi,
+        "extract_path",
+        lambda table, v, budget: reads.append((table.source, v, budget))
+        or extract(table, v, budget),
+    )
+    cache = HopTableCache(inst)
+    assert cache.table(5).dist[2, 2] == cache.table(5).dist[2, 3] == 2.0
+    tree = nrbi_phase2(inst, state, cache)
+    assert reads == [(2, 5, 2), (3, 5, 2)]
+    assert tree.parent == {6: 1, 7: 6, 4: 7, 2: 1, 3: 1, 5: 3}
+    assert tree.depth[5] == 2 and tree.cost == 11.0
+    assert tree_is_valid(inst, tree, facilities)
+    counters = cache.counters()
+    # phase 2 prices 4 against the root alone, 2 against the chain's four
+    # nodes, 3 against those and 2, and 5 against all six
+    assert (counters["fresh_paths"], counters["phase2_reads"]) == (2, 1 + 4 + 5 + 6)
+
+
+def test_phase2_budget_stops_at_the_hop_limit(monkeypatch):
+    # phase 2 hangs 5 on the fresh path 2-3-5, which puts 3 two hops deep
+    # though phase 1 labelled it 1; facility 4 (label 3) may then read only
+    # 3's one-hop row, where it is out of reach, not the two-hop 3-6-4,
+    # which would put 4 four hops deep.  4 hangs on the root's edge
+    facilities = (1, 2, 4, 5)
+    inst = Instance(
+        name="room",
+        num_nodes=6,
+        core_edges=(
+            (1, 2, 1.0), (1, 3, 10.0), (1, 4, 11.0), (2, 3, 1.0), (3, 5, 1.0),
+            (3, 6, 1.0), (4, 6, 1.0),
+        ),
+        facilities=facilities,
+        root=1,
+        customers=(),
+        opening_costs={f: 0.0 for f in facilities},
+        assignment_costs=np.zeros((len(facilities), 0)),
+        hop_limit=3,
+    )
+    state = NrbiState(
+        hops_from_root={1: 0, 2: 1, 3: 1, 5: 3, 6: 2, 4: 3},
+        insertion_epoch={4: 1, 5: 2, 2: 3},
+        parent={2: 1, 3: 1, 5: 3, 6: 3, 4: 6},
+        insertion_cost={2: 1.0, 5: 11.0, 4: 12.0},
+    )
+    reads = []
+    extract = hcst_nrbi.extract_path
+    monkeypatch.setattr(
+        hcst_nrbi,
+        "extract_path",
+        lambda table, v, budget: reads.append((table.source, v, budget))
+        or extract(table, v, budget),
+    )
+    tree = nrbi_phase2(inst, state, HopTableCache(inst))
+    assert reads == [(2, 5, 2), (1, 4, 3)]
+    assert tree.parent == {2: 1, 3: 2, 5: 3, 4: 1}
+    assert tree_is_valid(inst, tree, facilities)
+
+
+def _deep_cases(rng):
+    """``random_deep_instance`` at H = 3, 5, 10, recosted to 0/1/2 and to non-integer costs."""
+    for hops in (3, 5, 10):
+        deep = random_deep_instance(rng, customers=0, hop_limit=hops)
+        yield _recosted(deep, lambda: float(rng.randint(0, 2)))
+        yield _recosted(deep, lambda: rng.uniform(0.5, 10.0))
+
+
+def test_matches_reference_on_deep_instances_with_ties_and_non_integer_costs():
+    # phase 2 ranks its candidates by (cost, node) with no hop-count key;
+    # with costs of 0, 1 or 2 ties are everywhere, and non-integer costs
+    # are summed from the facility's end in phase 2's pricing
+    rng = random.Random(8080)
+    checked = fresh = 0
+    for inst in _deep_cases(rng):
+        cache = HopTableCache(inst)
+        sites = [f for f, d in zip(inst.facilities, cache.root_paths) if np.isfinite(d)]
+        for _ in range(5):
+            opens = set(rng.sample(sites, min(20, len(sites)))) | {inst.root}
+            tree = nrbi(inst, opens, cache)
+            edges, depth, parent, cost = reference_nrbi(inst, opens)
+            assert (tree.edges, tree.depth, tree.parent) == (edges, depth, parent)
+            assert tree.cost.hex() == cost.hex()
+            checked += 1
+        fresh += cache.fresh_paths
+    assert checked == 30
+    assert fresh > 0
+
+
 def _phase1_outcome(build):
     """A phase-1 state with its dict orders and float bits, or the facility named infeasible."""
     try:

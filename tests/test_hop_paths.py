@@ -220,3 +220,51 @@ def test_tables_match_the_sorting_reference(corpus):
                 got, want = getattr(table, name), getattr(ref, name)
                 assert got.dtype == want.dtype, (inst.name, source, name)
                 assert np.array_equal(got, want), (inst.name, source, name)
+
+
+def _numpy_walk(table, target, hop_budget):
+    """(cost, path) of ``table`` read through its NumPy arrays, entry by entry."""
+    h = table.hop_limit if hop_budget is None else min(hop_budget, table.hop_limit)
+    if h < 0:
+        return math.inf, None
+    cost = float(table.dist[h, target])
+    if not math.isfinite(cost):
+        return cost, None
+    path = [target]
+    while path[-1] != table.source:
+        path.append(int(table.pred[h, path[-1]]))
+        h -= 1
+    return cost, path[::-1]
+
+
+def test_views_read_what_the_arrays_hold():
+    # cost and extract_path read the tables through memoryviews; every
+    # source, target and budget, from -1 to one past the hop limit, must
+    # give what a walk over the arrays gives, float bits included
+    rng = random.Random(2424)
+    cases = [random_tiny_instance(rng, max_hop=5) for _ in range(60)]
+    for n, m, h in ((30, 45, 3), (40, 90, 6)):
+        graph = random_graph_instance(rng, n, m, h)
+        edges = tuple((u, v, rng.uniform(0.5, 10.0)) for u, v, _ in graph.core_edges)
+        cases += [graph, dataclasses.replace(graph, core_edges=edges)]
+    cases.append(_one_node_instance())
+    checked = 0
+    for inst in cases:
+        cache = HopTableCache(inst)
+        for source in range(1, inst.num_nodes + 1):
+            table = cache.table(source)
+            for name in ("dist", "pred"):
+                view, array = getattr(table, f"{name}_view"), getattr(table, name)
+                assert view is getattr(table, f"{name}_view")  # made once per table
+                assert view.readonly and view.shape == array.shape
+                assert np.shares_memory(np.asarray(view), array)  # no copy
+            for target in range(1, inst.num_nodes + 1):
+                for budget in (None, *range(-1, inst.hop_limit + 2)):
+                    cost, path = _numpy_walk(table, target, budget)
+                    got = table.cost(target, budget)
+                    assert type(got) is float and got.hex() == cost.hex()
+                    got_path = extract_path(table, target, budget)
+                    assert got_path == path
+                    assert got_path is None or all(type(x) is int for x in got_path)
+                    checked += 1
+    assert checked > 20000

@@ -244,12 +244,18 @@ def test_nrbi_runs_once_per_distinct_open_set(tiny1, monkeypatch):
     assert [opened for opened, _ in calls] == [{1, 2, 3}, {1, 3}]
     assert len(cache.trees) == 2
     # phase 1 attaches 2 (path 1-2) and 3 (1-4-3) for {1, 2, 3}, then 3 for
-    # {1, 3}; no tree node reaches a facility more cheaply than its route
+    # {1, 3}; no tree node reaches a facility more cheaply than its route.
+    # Phase 1 reads the root's row at 2 and 3, then 2's at 3 (4 and 3, at
+    # the hop limit, read nothing), then the root's at 3 for {1, 3}.
+    # Phase 2 visits 3 with a tree of the root alone, then 2 with 1, 4 and
+    # 3 in the tree, then 3 again with the root alone for {1, 3}.
     assert cache.counters() == {
         "tables_built": len(cache._tables),
         "trees_reused": 3,
         "phase1_rounds": 3,
         "relabeled": 5,
+        "phase1_reads": 2 + 1 + 1,
+        "phase2_reads": 1 + 3 + 1,
         "fresh_paths": 0,
     }
 
