@@ -224,6 +224,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.repeats < 1:
             raise ValueError("--repeats must be >= 1")
+        if args.hop is not None and args.hop < 1:
+            raise ValueError(f"--hop must be >= 1, got {args.hop}")
         for field, (option, algos) in PARAMS.items():
             if _given(args, field) and args.algo not in algos:
                 raise ValueError(f"{option} does not apply to --algo {args.algo}")

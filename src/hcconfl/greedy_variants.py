@@ -8,9 +8,9 @@ itself, or while more than ``max_open`` remain; ties go to the smallest
 facility id.
 
 One NumPy kernel, :func:`close_rows`, does every close.  It takes a
-block of 0/1 rows and closes them in lockstep over a :class:`Closer`,
-built once per solve on its :class:`HopTableCache`, that ranks each
-customer's facilities once.  Each step sums every live row's regrets
+block of 0/1 rows, each holding the root open, and closes them in
+lockstep over a :class:`Closer`, built once per solve on its
+:class:`HopTableCache`, that ranks each customer's facilities once.  Each step sums every live row's regrets
 with one ``np.bincount``, in customer order, picks each row's first
 minimum, and moves only the customers the closed facility served or was
 second for; so every row closes as it would alone, with scores bit for
@@ -82,10 +82,10 @@ class GreedyParams:
 class Closer:
     """The tables every close of one solve reads.
 
-    Facilities sit in id order: position ``p`` holds the ``p``-th smallest
-    id and ``rows[p]`` its row in ``instance.facilities``, so every tie goes
-    to the smallest id whatever that tuple's order.  ``base[p]`` is minus
-    the opening cost minus the root-path cost (``cache.root_paths``).
+    A facility's position is its row in ``instance.facilities``, which
+    lists ids in ascending order, so a tie between positions goes to the
+    smallest id.  ``base[p]`` is minus the opening cost minus the
+    root-path cost (``cache.root_paths``), and +inf for the root.
     ``ranked[c]`` lists every position by customer ``c``'s (cost, id), then
     repeats its last entry so a window may read past the end;
     ``ranked_costs[c]`` holds the costs alongside, and ``rank[c, p]`` the
@@ -93,13 +93,11 @@ class Closer:
     """
 
     def __init__(self, cache: HopTableCache):
-        instance = self.instance = cache.instance
+        instance = cache.instance
         width = len(instance.facilities)
-        self.rows = np.argsort(instance.facilities)
-        self.root = sorted(instance.facilities).index(instance.root)
-        self.base = (-instance.opening_cost_array - cache.root_paths)[self.rows]
-        self.base[self.root] = math.inf  # the root never closes
-        costs = instance.assignment_costs[self.rows]
+        self.base = -instance.opening_cost_array - cache.root_paths
+        self.base[instance.facility_index[instance.root]] = math.inf  # the root never closes
+        costs = instance.assignment_costs
         ranked = np.argsort(costs, axis=0, kind="stable")
         self.ranked_costs = np.take_along_axis(costs, ranked, axis=0).T.copy()
         narrow = np.min_scalar_type(width)
@@ -112,17 +110,16 @@ class Closer:
 class ClosingState:
     """A block of open sets that close in lockstep, plus who serves whom.
 
-    ``opened`` holds every row of the block as a 0/1 mask over positions;
-    the root is always open.  ``live`` lists the rows still closing, and
-    ``count`` their open counts.  Per live row and customer, ``best_at``
+    ``opened`` holds a copy of every row of the block as a 0/1 mask over
+    positions; each row holds the root open.  ``live`` lists the rows
+    still closing, and ``count`` their open counts.  Per live row and customer, ``best_at``
     and ``second_at`` are the positions of the customer's cheapest and
     second-cheapest open facility, and ``regret`` is their cost difference.
     """
 
     def __init__(self, closer: Closer, rows: np.ndarray):
         self.closer = closer
-        self.opened = np.asarray(rows, dtype=bool).take(closer.rows, axis=1)
-        self.opened[:, closer.root] = True
+        self.opened = np.array(rows, dtype=bool)
         count = self.opened.sum(axis=1)
         self.live = np.flatnonzero(count > 1)  # one open: nothing to score
         self.count = count[self.live]
@@ -145,7 +142,7 @@ class ClosingState:
         """
         if not len(k):
             return k
-        ranked, width = self.closer.ranked, len(self.closer.rows)
+        ranked, width = self.closer.ranked, len(self.closer.base)
         found = k.astype(np.intp)
         span = -(-4 * width // int(self.count.min()))
         in_ranked = c * ranked.shape[1]  # flat offsets: np.take beats 2-d indexing
@@ -195,8 +192,7 @@ class RowClosingState:
 
     def __init__(self, closer: Closer, rows: np.ndarray):
         self.closer = closer
-        self.opened = np.asarray(rows, dtype=bool).take(closer.rows, axis=1)
-        self.opened[:, closer.root] = True
+        self.opened = np.array(rows, dtype=bool)
         self.members = np.flatnonzero(self.opened[0])
         self.count = np.array([len(self.members)])
         self.live = np.flatnonzero(self.count > 1)  # one open: nothing to score
@@ -228,7 +224,7 @@ class RowClosingState:
             self.live, self.count = self.live[:0], self.count[:0]
             return
         moved = np.flatnonzero((self.best_at[0] == j[0]) | (self.second_at[0] == j[0]))
-        self.ranks[:, self.members.searchsorted(j[0])] = len(self.closer.rows)
+        self.ranks[:, self.members.searchsorted(j[0])] = len(self.closer.base)
         self._rerank(moved)
 
 
@@ -242,7 +238,7 @@ def closing_scores(state: ClosingState | RowClosingState) -> np.ndarray:
     order.  The root and closed facilities score +inf.
     """
     closer = state.closer
-    live, width = len(state.live), len(closer.rows)
+    live, width = len(state.live), len(closer.base)
     scores = closer.base
     if len(closer.ranked):  # with no customers nothing is added, not even 0.0 to -0.0
         bins = state.best_at + (np.arange(live) * width)[:, None]
@@ -254,7 +250,7 @@ def closing_scores(state: ClosingState | RowClosingState) -> np.ndarray:
 def close_rows(closer: Closer, rows: np.ndarray, max_open: int) -> np.ndarray:
     """Greedily close every 0/1 row of ``rows``; returns the rows kept open.
 
-    Rows are in ``instance.facilities`` order and the root joins each.  A
+    Rows are in ``instance.facilities`` order and hold the root open.  A
     facility closes while that is estimated to pay for itself
     (:func:`closing_scores`), or while the open count still exceeds
     ``max_open``; ties pick the smallest facility id.  The rows close in
@@ -273,7 +269,7 @@ def close_rows(closer: Closer, rows: np.ndarray, max_open: int) -> np.ndarray:
             j = scores.argmin(axis=1)
             best = scores[np.arange(len(j)), j]
             state.close(j, (best < 0) | (state.count > max_open))
-        closed[start : start + chunk, closer.rows] = state.opened
+        closed[start : start + chunk] = state.opened
     return closed
 
 
@@ -285,25 +281,19 @@ def _check_max_open(max_open: int) -> None:
 
 
 def greedy_close(
-    instance: Instance,
-    open_facilities,
-    max_open: int = MAX_OPEN,
-    closer: Closer | None = None,
+    instance: Instance, open_facilities, max_open: int = MAX_OPEN
 ) -> np.ndarray:
     """:func:`close_rows` on one open set; returns the 0/1 vector kept open.
 
-    ``open_facilities`` holds distinct facility ids; the root joins them.
-    ``closer`` is the :class:`Closer` of ``instance``, built here on a
-    fresh :class:`HopTableCache` when not given.
+    ``open_facilities`` holds distinct facility ids; the root joins them,
+    as in :func:`evaluate`.  The :class:`Closer` is built on a fresh
+    :class:`HopTableCache`.
     """
     _check_max_open(max_open)
-    if closer is None:
-        closer = Closer(HopTableCache(instance))
-    elif closer.instance is not instance:
-        raise ValueError("closer was built for another instance")
+    opened = as_open_set(instance, open_facilities) | {instance.root}
     row = np.zeros((1, len(instance.facilities)), dtype=np.uint8)
-    row[0, [instance.facility_index[f] for f in as_open_set(instance, open_facilities)]] = 1
-    return close_rows(closer, row, max_open)[0]
+    row[0, [instance.facility_index[f] for f in opened]] = 1
+    return close_rows(Closer(HopTableCache(instance)), row, max_open)[0]
 
 
 def _repair_and_close(cache: HopTableCache, max_open: int) -> Transform:
@@ -355,7 +345,6 @@ def hybrid_solve(
     """
     greedy = greedy or GreedyParams()
     start = time.perf_counter()
-    effective_k = min(greedy.top_k, len(instance.facilities))
     rng = np.random.default_rng(seed)
     cache = HopTableCache(instance)
     close = _repair_and_close(cache, SAMPLE_MAX_OPEN)
@@ -370,7 +359,7 @@ def hybrid_solve(
         (f for f in instance.facilities if f != root),
         key=lambda f: (-counts[instance.facility_index[f]], f),
     )
-    shortlist = ranked[: effective_k - 1]
+    shortlist = ranked[: greedy.top_k - 1]
 
     best: Solution | None = None
     for chosen in root_open_subsets(root, shortlist):

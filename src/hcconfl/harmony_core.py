@@ -143,7 +143,8 @@ def init_bias(instance: Instance) -> np.ndarray:
     Cheap-to-open facilities with cheap average assignments get higher
     probability; both signals are min-max normalized across facilities and
     averaged, then clipped away from 0/1 so no bit is ever frozen.  The
-    root is always forced open.
+    root's entry is clipped too; no result depends on it, because every
+    transform opens the root.
     """
 
     opening = instance.opening_cost_array
@@ -160,20 +161,13 @@ def init_bias(instance: Instance) -> np.ndarray:
         score = 0.5 * score + 0.5 * (1.0 - normalized(mean_assign))
     else:
         score = 0.5 * score + 0.25
-    bias = np.clip(score, BIAS_FLOOR, BIAS_CEIL)
-    bias[instance.facility_index[instance.root]] = 1.0
-    return bias
+    return np.clip(score, BIAS_FLOOR, BIAS_CEIL)
 
 
-def update_bias(
-    instance: Instance, static_bias: np.ndarray, memory: HarmonyMemory
-) -> np.ndarray:
-    """Blend the static bias with the observed memory frequencies."""
-    bias = np.clip(
-        0.5 * static_bias + 0.5 * memory.frequencies(), BIAS_FLOOR, BIAS_CEIL
-    )
-    bias[instance.facility_index[instance.root]] = 1.0
-    return bias
+def update_bias(static_bias: np.ndarray, memory: HarmonyMemory) -> np.ndarray:
+    """Blend the static bias with the observed memory frequencies, clipped
+    as :func:`init_bias` clips, the root's entry too."""
+    return np.clip(0.5 * static_bias + 0.5 * memory.frequencies(), BIAS_FLOOR, BIAS_CEIL)
 
 
 def repair_vector(
@@ -195,8 +189,7 @@ def improvise(
 
     Each bit is recalled, with probability ``hmcr``, from a random memory
     row, and otherwise drawn from ``bias``.  The root bit is not forced:
-    every memory row holds it open, its bias is 1, and every transform
-    opens it again.
+    every memory row holds it open, and every transform opens it again.
     """
     width = memory.vectors.shape[1]
     recall = rng.random(width) < hmcr
@@ -313,7 +306,7 @@ def harmony_solve(
     )
     best_solution = min((solution for _, solution in evaluated), key=lambda s: s.total)
     stats.incumbent_history.append((0, best_solution.total))
-    bias = update_bias(instance, static_bias, memory)
+    bias = update_bias(static_bias, memory)
 
     no_improve = 0
     iteration = 0
@@ -325,7 +318,7 @@ def harmony_solve(
             solution = evaluator(vector)
             if solution.total < memory.worst_total:
                 memory.replace_worst(vector, solution.total)
-                bias = update_bias(instance, static_bias, memory)
+                bias = update_bias(static_bias, memory)
             if solution.total < best_solution.total - COST_TOL:
                 best_solution = solution
                 improved = True

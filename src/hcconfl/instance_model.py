@@ -69,9 +69,10 @@ def _check_integers(**values: object) -> None:
 class Instance:
     """Immutable problem instance.
 
-    ``assignment_costs`` is a dense float64 matrix with one row per facility
-    (in ``facilities`` order) and one column per customer (in ``customers``
-    order).  Arrays are frozen after construction.
+    ``facilities`` lists ids in ascending order, so a facility's row is
+    its id rank.  ``assignment_costs`` is a dense float64 matrix with one
+    row per facility (in ``facilities`` order) and one column per customer
+    (in ``customers`` order).  Arrays are frozen after construction.
 
     Derived views are never passed in.  ``facility_index`` and
     ``customer_index`` (id -> row/column) are set at construction.
@@ -101,6 +102,8 @@ class Instance:
         if len(set(self.facilities)) != len(self.facilities):
             raise ValueError("duplicate facility ids")
         self.core_nodes(self.facilities, "facility")
+        if list(self.facilities) != sorted(self.facilities):
+            raise ValueError("facilities must be listed in ascending id order")
         self.core_nodes([self.root], "root")
         if self.root not in self.facilities:
             raise ValueError(f"root {self.root} is not a facility")

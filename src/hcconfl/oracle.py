@@ -240,8 +240,8 @@ def exact_solve(instance: Instance) -> Solution:
 
     Each subset is priced by ``objective.price`` on its exact tree.  Ties
     between equal totals go to the lexicographically smallest open vector
-    over the facilities in ascending id order (the root always open),
-    whatever the order of ``instance.facilities``.
+    over ``instance.facilities``, which lists ids in ascending order (the
+    root always open).
     """
     if len(instance.facilities) > MAX_FACILITIES:
         raise OracleLimitError(
@@ -250,7 +250,7 @@ def exact_solve(instance: Instance) -> Solution:
         )
     oracle = HcstOracle(instance)
     root = instance.root
-    others = sorted(f for f in instance.facilities if f != root)
+    others = [f for f in instance.facilities if f != root]
     return min(
         (price(instance, s, oracle.solve(s)) for s in root_open_subsets(root, others)),
         key=lambda solution: solution.total,  # min keeps the first of equal totals

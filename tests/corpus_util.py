@@ -114,7 +114,6 @@ def random_dense_instance(
     facilities: int = 200,
     customers: int = 200,
     cost_values: int | None = None,
-    shuffled: bool = False,
 ) -> Instance:
     """A benchmark-shaped instance for the closing step, too large for the oracle.
 
@@ -122,8 +121,7 @@ def random_dense_instance(
     extra edges, hop limit 3, so some facilities are out of the root's
     reach.
     Costs are non-integer; with ``cost_values`` every cost is drawn from
-    that many values instead, so ties are everywhere.  ``shuffled`` puts
-    the facilities tuple (and the cost rows with it) out of id order.
+    that many values instead, so ties are everywhere.
     """
 
     def cost(scale: float) -> float:
@@ -142,8 +140,6 @@ def random_dense_instance(
         u, v = rng.sample(range(1, nodes + 1), 2)
         edges.setdefault((min(u, v), max(u, v)), cost(10.0))
     ids = list(range(1, facilities + 1))
-    if shuffled:
-        rng.shuffle(ids)
     names = tuple(f"c{j}" for j in range(customers))
     return Instance(
         name=f"dense{facilities}x{customers}",

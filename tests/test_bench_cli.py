@@ -153,7 +153,7 @@ def test_stp_uflp_pair_golden_csv(capsys, orlib_pair):
         (("--tiny", str(TINY), "--stp", "STP"), "--tiny cannot be combined"),
         (("--stp", "STP", "--uflp", "UFLP"), "--hop is required"),
         (("--stp", "STP", "--uflp", "UFLP", "--hop", "2", "--repeats", "0"), "--repeats"),
-        (("--stp", "STP", "--uflp", "UFLP", "--hop", "0"), "hop limit must be >= 1, got 0"),
+        (("--stp", "STP", "--uflp", "UFLP", "--hop", "0"), "--hop must be >= 1, got 0"),
     ],
 )
 def test_bad_input_combination_exits_2(capsys, orlib_pair, argv, message):
@@ -190,7 +190,7 @@ BAD_VALUES = {
     ("--algo", "hybrid", "--top-k", "0"): "--top-k must be in [1, 24]",
     ("--algo", "hybrid", "--samples", "-3"): "--samples must be >= 1",
     ("--max-open", "0"): "--max-open must be >= 1",
-    ("--algo", "oracle", "--hop", "0"): "hop limit must be >= 1, got 0",
+    ("--algo", "oracle", "--hop", "0"): "--hop must be >= 1, got 0",
     ("--algo", "hybrid", "--samples", "0"): "--samples must be >= 1",
     ("--hmcr", "0"): "--hmcr must be in (0, 1]",
 }

@@ -16,8 +16,6 @@ from hcconfl import (
     ghs_solve,
     greedy_close,
     hybrid_solve,
-    parse_tiny,
-    serialize_tiny,
     validate,
 )
 from hcconfl import greedy_variants, harmony_core
@@ -61,10 +59,6 @@ def test_greedy_close_fixture(tiny1):
     # a second call from the reduced set changes nothing: closing 3 costs +8
     again = greedy_close(tiny1, {1, 3})
     assert list(again) == [1, 0, 1]
-    closer = Closer(HopTableCache(tiny1))
-    assert list(greedy_close(tiny1, {1, 2, 3}, closer=closer)) == [1, 0, 1]
-    with pytest.raises(ValueError, match="another instance"):
-        greedy_close(parse_tiny(serialize_tiny(tiny1)), {1, 2, 3}, closer=closer)
 
 
 def test_greedy_close_respects_max_open(tiny1):
@@ -109,9 +103,10 @@ def _naive_close(inst: Instance, opens, max_open: int) -> set[int]:
 def _reference_checker(monkeypatch):
     """A check that the closing kernel matches reference_greedy_close bit for bit.
 
-    Each block of open sets goes through ``close_rows`` whole, under three
-    chunk sizes (the default, three rows, and one row with one-entry
-    ranking reads), then one row at a time, which ``close_rows`` hands to
+    Each block of open sets, the root bit set in every row as the solvers
+    set it, goes through ``close_rows`` whole, under three chunk sizes (the
+    default, three rows, and one row with one-entry ranking reads), then
+    one row at a time, which ``close_rows`` hands to
     ``RowClosingState``, and through ``greedy_close`` one set at a time.
     Every row must come back as the reference's, and every row's scores
     over its open facilities, step by step, must equal the reference's as
@@ -154,7 +149,7 @@ def _reference_checker(monkeypatch):
             steps: list[np.ndarray] = []
             want.append(reference_greedy_close(inst, opens, max_open, paths, steps).tolist())
             want_steps.append([s.astype(np.float64).tobytes() for s in steps])
-            row[[inst.facility_index[f] for f in opens]] = 1
+            row[[inst.facility_index[f] for f in {*opens, inst.root}]] = 1
         customers = max(1, len(inst.customers))
         passes = [(cells, [rows]) for cells in (default_cells, 3 * customers, 1)]
         passes.append((default_cells, [row[None] for row in rows]))
@@ -173,9 +168,7 @@ def _reference_checker(monkeypatch):
                 rows_in = range(state.first, state.first + len(state.opened))
                 assert calls[chunk] == max(len(want_steps[r]) for r in rows_in)
         for opens, vector in zip(block, want):
-            assert greedy_close(inst, opens, max_open, closer).tolist() == vector
-        # built on a fresh cache when no closer is given
-        assert greedy_close(inst, block[0], max_open).tolist() == want[0]
+            assert greedy_close(inst, opens, max_open).tolist() == vector
 
     return check
 
@@ -202,11 +195,9 @@ def test_greedy_close_matches_naive_reimplementation(monkeypatch):
     [
         {},
         {"cost_values": 5},
-        {"cost_values": 5, "shuffled": True},
-        {"shuffled": True},
         {"customers": 0},
     ],
-    ids=["non-integer", "ties", "ties-out-of-id-order", "out-of-id-order", "no-customers"],
+    ids=["non-integer", "ties", "no-customers"],
 )
 def test_greedy_close_matches_reference_on_dense_instances(shape, monkeypatch):
     check = _reference_checker(monkeypatch)
@@ -244,7 +235,7 @@ def test_close_rows_on_a_single_facility_and_an_empty_block(monkeypatch):
 
 def _one_row_cases(tiny1):
     rng = random.Random(77)
-    ties = random_dense_instance(rng, facilities=40, customers=30, cost_values=5, shuffled=True)
+    ties = random_dense_instance(rng, facilities=40, customers=30, cost_values=5)
     edges = list(ties.core_edges)
     rng.shuffle(edges)
     ties = dataclasses.replace(ties, core_edges=tuple(edges))
@@ -256,17 +247,19 @@ def _one_row_cases(tiny1):
         "one-facility": (_one_facility_instance(), [1], 6),
         "no-customers": (random_dense_instance(rng, facilities=30, customers=0), half, 6),
         "max-open-1": (dense, half, 1),
-        "ties-out-of-id-order": (ties, [rng.random() < 0.6 for _ in ties.facilities], 3),
+        "ties": (ties, [rng.random() < 0.6 for _ in ties.facilities], 3),
     }
 
 
 @pytest.mark.parametrize(
     "case",
-    ["root-only", "all-zero", "one-facility", "no-customers", "max-open-1", "ties-out-of-id-order"],
+    ["root-only", "all-zero", "one-facility", "no-customers", "max-open-1", "ties"],
 )
 def test_one_row_state_matches_the_lockstep_kernel(case, tiny1, monkeypatch):
     # the same row closes alone, through RowClosingState, and as the first
-    # row of a 2-row block, through ClosingState, beside an all-open row
+    # row of a 2-row block, through ClosingState, beside an all-open row;
+    # the root bit is set first, as the solvers set it ("all-zero" is then
+    # the root alone)
     inst, row, max_open = _one_row_cases(tiny1)[case]
     closer = Closer(HopTableCache(inst))
     steps: dict[str, list[bytes]] = defaultdict(list)
@@ -280,6 +273,7 @@ def test_one_row_state_matches_the_lockstep_kernel(case, tiny1, monkeypatch):
 
     monkeypatch.setattr(greedy_variants, "closing_scores", recording)
     row = np.array([row], dtype=np.uint8)
+    row[0, inst.facility_index[inst.root]] = 1
     block = np.vstack([row, np.ones_like(row)])
     alone = close_rows(closer, row, max_open)
     assert alone.tolist() == close_rows(closer, block, max_open)[:1].tolist()
@@ -307,7 +301,7 @@ def test_one_row_state_needs_only_what_np_partition_promises(monkeypatch):
     monkeypatch.setattr(np, "partition", _promise_only_partition)
     check = _reference_checker(monkeypatch)
     rng = random.Random(4242)
-    for shape in ({}, {"cost_values": 5, "shuffled": True}):
+    for shape in ({}, {"cost_values": 5}):
         inst = random_dense_instance(rng, facilities=60, customers=50, **shape)
         block = [[f for f in inst.facilities if rng.random() < d] for d in (0.1, 0.5, 1.0)]
         for max_open in (1, 6, 60):
@@ -399,6 +393,66 @@ def test_solvers_look_closing_names_up_at_call_time(solver, monkeypatch):
                 for row in block[start : start + chunk]
             )
     assert counts["closing_scores"] == steps > counts["close_rows"]
+
+
+def test_every_row_reaching_close_rows_holds_the_root(tiny1, monkeypatch):
+    # close_rows no longer opens the root: each caller hands it rows that
+    # hold it, ghs and hybrid through their repair, greedy_close by adding it
+    blocks: list[np.ndarray] = []
+    close = greedy_variants.close_rows
+
+    def recording(closer, rows, max_open):
+        blocks.append(rows.copy())
+        return close(closer, rows, max_open)
+
+    monkeypatch.setattr(greedy_variants, "close_rows", recording)
+    inst = random_dense_instance(random.Random(8), facilities=40, customers=40)
+    for case in (tiny1, inst):
+        callers = {
+            "ghs": lambda: ghs_solve(case, HarmonyParams(hms=20, max_no_improve=40), seed=3),
+            "hybrid": lambda: hybrid_solve(case, GreedyParams(top_k=6, sample_count=50), seed=3),
+            "greedy_close": lambda: greedy_close(
+                case, [f for f in case.facilities[::2] if f != case.root]
+            ),
+        }
+        root = case.facility_index[case.root]
+        for name, call in callers.items():
+            blocks.clear()
+            call()
+            assert blocks, name
+            assert all(block[:, root].all() for block in blocks), name
+
+
+@pytest.mark.parametrize("root_bias", [0.05, 1.0])
+def test_no_result_depends_on_the_roots_bias(root_bias, tiny1, monkeypatch):
+    # every transform opens the root, so its entry of the static bias is read
+    # only by draws whose root bit is then overwritten
+    dense = random_dense_instance(random.Random(40), facilities=40, customers=40)
+
+    def solves(inst):
+        return [
+            harmony_core.hs_solve(inst, HarmonyParams(hms=20, max_no_improve=40), seed=6),
+            ghs_solve(inst, HarmonyParams(hms=20, max_no_improve=40), seed=6),
+            hybrid_solve(inst, GreedyParams(top_k=6, sample_count=50), seed=6),
+        ]
+
+    bias_of = harmony_core.init_bias
+
+    def pinned(instance):
+        bias = bias_of(instance)
+        bias[instance.facility_index[instance.root]] = root_bias
+        return bias
+
+    for inst in (tiny1, dense):
+        want = solves(inst)
+        with monkeypatch.context() as patch:
+            for module in (harmony_core, greedy_variants):
+                patch.setattr(module, "init_bias", pinned)
+            got = solves(inst)
+        for a, b in zip(want, got):
+            assert a.solution == b.solution
+            assert a.stats.incumbent_history == b.stats.incumbent_history
+            assert a.stats.evaluations == b.stats.evaluations
 
 
 def test_ghs_closes_each_row_once(tiny1, monkeypatch):

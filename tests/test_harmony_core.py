@@ -43,7 +43,7 @@ GOLDEN_INSTANCES, _ = golden_cases()
 
 def test_init_bias_fixture_values(tiny1):
     bias = init_bias(tiny1)
-    assert bias[0] == 1.0  # root forced open
+    assert bias[0] == 0.5  # the root's entry is not pinned
     assert bias[1] == pytest.approx(0.375)
     assert bias[2] == pytest.approx(0.75)
 
@@ -57,8 +57,7 @@ def test_init_bias_degenerate_costs(tiny1):
         assignment_costs=np.full((3, 2), 4.0),
     )
     bias = init_bias(flat)
-    assert bias[0] == 1.0
-    assert bias[1] == bias[2] == 0.5
+    assert bias.tolist() == [0.5, 0.5, 0.5]
 
 
 def test_init_bias_stays_clipped():
@@ -66,10 +65,7 @@ def test_init_bias_stays_clipped():
     for _ in range(100):
         inst = random_tiny_instance(rng)
         bias = init_bias(inst)
-        root_pos = inst.facility_index[inst.root]
-        assert bias[root_pos] == 1.0
-        others = np.delete(bias, root_pos)
-        assert (others >= 0.05 - 1e-12).all() and (others <= 0.95 + 1e-12).all()
+        assert (bias >= 0.05 - 1e-12).all() and (bias <= 0.95 + 1e-12).all()
 
 
 def test_update_bias_blends_memory_frequencies(tiny1):
@@ -78,8 +74,8 @@ def test_update_bias_blends_memory_frequencies(tiny1):
         np.array([10.0, 12.0]),
     )
     static = init_bias(tiny1)
-    blended = update_bias(tiny1, static, memory)
-    assert blended[0] == 1.0
+    blended = update_bias(static, memory)
+    assert blended[0] == pytest.approx(0.5 * 0.5 + 0.5 * 1.0)  # not pinned to 1
     assert blended[1] == pytest.approx(0.5 * 0.375 + 0.5 * 0.5)
     assert blended[2] == pytest.approx(0.5 * 0.75 + 0.5 * 1.0)
 
@@ -119,11 +115,6 @@ def test_repair_vector_closes_unreachable(tiny1):
     mask = np.isfinite(paths)
     repaired = repair_vector(one_hop, np.array([0, 1, 1], dtype=np.uint8), mask)
     assert list(repaired) == [1, 1, 0]
-    # entries follow Instance.facilities, not id order
-    shuffled = dataclasses.replace(
-        one_hop, facilities=(3, 1, 2), assignment_costs=one_hop.assignment_costs[[2, 0, 1]]
-    )
-    assert list(HopTableCache(shuffled).root_paths) == [math.inf, 0.0, 2.0]
 
 
 def test_improvise_recall_one_copies_memory_rows(tiny1):
@@ -327,7 +318,7 @@ def test_covered_memory_holds_every_improvisation():
                     skipped += 1
                     continue
                 fired += 1
-                bias = update_bias(inst, static, memory)
+                bias = update_bias(static, memory)
                 vectors = [improvise(draws, memory, bias, draws.random()) for _ in range(200)]
                 assert all(map(memory.contains, transform(np.array(vectors)))), name
     assert fired >= 100 and skipped >= 10

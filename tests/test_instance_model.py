@@ -348,11 +348,29 @@ def _instance_kwargs(**changes) -> dict:
         ({"root": 1.0}, "root 1.0 is not a core node"),
         ({"core_edges": EDGES + ((1, 3.0, 1.0),)}, "edge (1,3.0) references unknown node"),
         ({"core_edges": EDGES + ((True, 3, 1.0),)}, "edge (True,3) references unknown node"),
+        ({"facilities": (1, 3, 2)}, "facilities must be listed in ascending id order"),
+        # the id order is checked after the ids themselves
+        ({"facilities": (3, 1, 5)}, "facility 5 is not a core node"),
     ],
 )
 def test_instance_rejects_bad_input(changes, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Instance(**_instance_kwargs(**changes))
+
+
+def test_facilities_are_listed_in_id_order(tiny1, tiny1_text):
+    message = "^facilities must be listed in ascending id order$"
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(
+            tiny1, facilities=tiny1.facilities[::-1], assignment_costs=tiny1.assignment_costs[::-1]
+        )
+    # parse_tiny sorts the facility records it reads
+    f_lines = "\n".join(line for line in tiny1_text.splitlines() if line.startswith("f "))
+    descending = tiny1_text.replace(f_lines, "\n".join(reversed(f_lines.splitlines())))
+    assert "f 3 2\nf 2 3\nf 1 1" in descending
+    assert parse_tiny(descending, name="tiny1") == tiny1
+    merged = merge_instances(parse_stp(STP_TEXT), parse_uflp(UFLP_UFLLIB), hop_limit=2)
+    assert list(merged.facilities) == sorted(merged.facilities)
 
 
 def test_instance_takes_numpy_integer_ids():

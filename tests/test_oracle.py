@@ -371,9 +371,10 @@ def test_required_nodes_must_be_core_nodes(tiny1, node):
 @pytest.mark.parametrize("facilities", [(1, 2, 3), (1, 3, 2), (3, 1, 2)])
 def test_exact_solve_breaks_ties_by_id_whatever_the_facility_order(facilities):
     # {1,2} and {1,3} both total 3.0 ({1,2,3} closes 3 and prices as {1,2});
-    # the 0/1 vector over ids (2, 3) is smaller for {1,3}
+    # the 0/1 vector over ids (2, 3) is smaller for {1,3}.  Facilities out
+    # of id order are refused, so no order can move the tie.
     serve = {1: 10.0, 2: 1.0, 3: 1.0}
-    inst = Instance(
+    tie = dict(
         name="tie",
         num_nodes=3,
         core_edges=((1, 2, 1.0), (1, 3, 1.0)),
@@ -384,6 +385,11 @@ def test_exact_solve_breaks_ties_by_id_whatever_the_facility_order(facilities):
         assignment_costs=np.array([[serve[f]] for f in facilities]),
         hop_limit=1,
     )
+    if list(facilities) != sorted(facilities):
+        with pytest.raises(ValueError, match="^facilities must be listed in ascending id order$"):
+            Instance(**tie)
+        return
+    inst = Instance(**tie)
     assert evaluate(inst, {1, 2}).total == evaluate(inst, {1, 3}).total == 3.0
     best = exact_solve(inst)
     assert best.total == 3.0
