@@ -73,9 +73,9 @@ class RunStats:
     counts its enumerated subsets); ``evaluations`` counts the ``evaluate``
     calls, each one priced whether its tree was built or reused.
     ``counters`` holds :meth:`HopTableCache.counters` of the solve's cache:
-    ``tables_built``, ``trees_reused`` (evaluations of an open set seen
-    before) and ``nrbi``'s work: phase-1 rounds, relabeled nodes and
-    ``phase1_reads``, then ``phase2_reads`` and fresh paths.
+    ``tables_built``, ``trees_reused`` (evaluations whose served set had
+    its tree built before) and ``nrbi``'s work: phase-1 rounds, relabeled
+    nodes and ``phase1_reads``, then ``phase2_reads`` and fresh paths.
     """
 
     iterations: int = 0

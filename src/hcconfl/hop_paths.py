@@ -9,7 +9,7 @@ equal-cost walks from the source; among the arcs that reach that cost, the
 smallest predecessor id wins.  This makes extracted paths deterministic.
 
 ``HopTableCache`` builds tables lazily and keeps one per source; it also
-keeps the tree of each open set ``objective.evaluate`` prices.  The graph
+keeps the tree of each served set ``objective.evaluate`` asks for.  The graph
 is undirected, so ``dist[h][v]`` of ``u``'s table is ``dist[h][u]`` of
 ``v``'s table: a cheapest walk from ``u`` to ``v``, reversed, is one from
 ``v`` to ``u``.  With integer edge costs the two are bit-identical; with
@@ -119,13 +119,14 @@ def extract_path(
 
 
 class HopTableCache:
-    """The per-solve memo of hop tables and of the tree of each open set priced.
+    """The per-solve memo of hop tables and of the tree of each served set.
 
     Tables are built lazily, one per source, and every table reaches the
     instance's hop limit.  ``root_paths`` reads the root's table once.
-    ``trees`` maps a packed open set to its packed tree, or to None when it
-    has none; ``objective.evaluate`` fills it and counts the lookups it
-    answers in ``trees_reused``.  ``nrbi`` counts its work here too.
+    ``trees`` maps a packed served set (the root plus the facilities some
+    customer picks) to its packed tree, or to None when it has none;
+    ``objective.evaluate`` fills it and counts the lookups it answers in
+    ``trees_reused``.  ``nrbi`` counts its work here too.
     """
 
     def __init__(self, instance: Instance):

@@ -1,15 +1,14 @@
 """Objective evaluation of open sets and solution validation.
 
-An open set is a collection of distinct facility ids.  ``evaluate`` turns
-one into a full solution: ``nrbi`` builds a hop-feasible tree over the
-open facilities, then ``price`` assigns every customer to its cheapest
-open facility and closes facilities that serve nobody (root excepted),
-dropping their opening cost and pruning tree branches that only existed
-to reach them.  ``price`` is the one place an open set becomes a cost;
-the exact oracle calls it on its own trees.  A solve's
-:class:`HopTableCache` keeps the tree of every open set ``evaluate`` has
-seen, packed as bytes, so ``nrbi`` runs once per distinct open set and a
-repeat is rebuilt from the packed copy and priced again.
+An open set is a collection of distinct facility ids.  ``price`` turns
+one into a full solution: it assigns every customer to its cheapest open
+facility, closes facilities that serve nobody (root excepted), dropping
+their opening cost, and only then asks for a hop-feasible tree over the
+root and the facilities left.  ``evaluate`` hands it ``nrbi``'s tree and
+the exact oracle its own; ``price`` is the one place an open set becomes
+a cost.  A solve's :class:`HopTableCache` keeps the tree of every served
+set ``evaluate`` has asked for, packed as bytes, so ``nrbi`` runs once per
+distinct served set and a repeat is rebuilt from the packed copy.
 
 ``validate`` checks a finished solution against the underlying integer
 model: edge positions chain back to the root, assignments are exactly-one
@@ -21,10 +20,9 @@ they break so tests can pinpoint them.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -99,20 +97,6 @@ def root_open_subsets(root: int, candidates: Sequence[int]) -> Iterator[set[int]
         yield {root, *(f for f, b in zip(candidates, bits) if b)}
 
 
-def _prune_tree(instance: Instance, tree: SteinerTree, keep: set[int]) -> SteinerTree:
-    """Repeatedly drop leaves outside ``keep`` (the root never leaves)."""
-    parent = dict(tree.parent)
-    children = Counter(parent.values())
-    stack = [v for v in parent if children[v] == 0 and v not in keep]
-    while stack:
-        p = parent.pop(stack.pop())
-        children[p] -= 1
-        if children[p] == 0 and p != tree.root and p not in keep:
-            stack.append(p)
-    depth = {v: d for v, d in tree.depth.items() if v in parent or v == tree.root}
-    return tree_from_parents(instance, parent, depth)
-
-
 def _packed(instance: Instance, nodes: Iterable[int]) -> bytes:
     """Node ids as bytes of the smallest dtype that holds every node id."""
     return np.fromiter(nodes, np.min_scalar_type(instance.num_nodes)).tobytes()
@@ -144,49 +128,54 @@ def evaluate(
 ) -> Solution:
     """Evaluate an open set (the root is added); an infeasible one totals inf.
 
-    ``nrbi`` builds the tree the first time ``cache`` sees the open set,
-    in any order of its ids; after that the tree, or its absence, comes
-    from ``cache.trees``.  Either way ``price`` prices it, so every call
-    returns an equal solution.  Without a cache, a fresh one is used and
-    dropped, so nothing is kept.
+    ``price`` asks for the tree over the facilities that serve someone.
+    ``nrbi`` builds it the first time ``cache`` sees that served set; after
+    that the tree, or its absence, comes from ``cache.trees``, so every
+    call returns an equal solution.  Without a cache, a fresh one is used
+    and dropped, so nothing is kept.
     """
     opened = as_open_set(instance, open_facilities)
     opened.add(instance.root)
     cache = cache_for(instance, cache)
-    key = _packed(instance, sorted(opened))
-    if key in cache.trees:
-        cache.trees_reused += 1
-        packed = cache.trees[key]
-        tree = None if packed is None else _unpack_tree(instance, packed)
-    else:
+
+    def tree_for(served: set[int]) -> SteinerTree | None:
+        key = _packed(instance, sorted(served))
+        if key in cache.trees:
+            cache.trees_reused += 1
+            packed = cache.trees[key]
+            return None if packed is None else _unpack_tree(instance, packed)
         try:
-            tree = nrbi(instance, opened, cache)
+            tree = nrbi(instance, served, cache)
         except TreeInfeasibleError:
             tree = None
         cache.trees[key] = None if tree is None else _pack_tree(instance, tree)
-    return price(instance, opened, tree)
+        return tree
+
+    return price(instance, opened, tree_for)
 
 
-def price(instance: Instance, opened: set[int], tree: SteinerTree | None) -> Solution:
-    """The solution of open set ``opened`` (root included) on ``tree``.
+def price(
+    instance: Instance, opened: set[int], tree_for: Callable[[set[int]], SteinerTree | None]
+) -> Solution:
+    """The solution of open set ``opened`` (root included).
 
     Each customer goes to its cheapest open facility, ties to the smallest
-    id; facilities that serve nobody close (the root excepted) and the tree
-    is pruned behind them.  No tree means the open set is infeasible.
+    id, and facilities that serve nobody close (the root excepted).  Then
+    ``tree_for`` gives the tree over the root and the facilities that
+    serve someone; None means the open set is infeasible.
     """
-    if tree is None:
-        return Solution(frozenset(opened), None, {}, None, feasible=False)
     fac_ids = sorted(opened)
     sub = instance.assignment_costs[[instance.facility_index[f] for f in fac_ids]]
     choice = np.argmin(sub, axis=0)  # first minimum = smallest facility id
     assignment = dict(zip(instance.customers, (fac_ids[k] for k in choice.tolist())))
+    served = set(assignment.values()) | {instance.root}
+    tree = tree_for(served)
+    if tree is None:
+        return Solution(frozenset(opened), None, {}, None, feasible=False)
     assignment_cost = float(sub[choice, np.arange(len(instance.customers))].sum())
-    final_open = set(assignment.values()) | {instance.root}
-    if final_open != opened:
-        tree = _prune_tree(instance, tree, final_open)
-    opening_cost = float(sum(instance.opening_costs[f] for f in sorted(final_open)))
+    opening_cost = float(sum(instance.opening_costs[f] for f in sorted(served)))
     return Solution(
-        open_facilities=frozenset(final_open),
+        open_facilities=frozenset(served),
         tree=tree,
         assignment=assignment,
         breakdown=CostBreakdown(tree.cost, assignment_cost, opening_cost),

@@ -3,10 +3,11 @@
 These act as the ground truth the heuristics are measured against, so they
 share no search with the rest of the package; the trees they return are
 built by ``tree_from_parents``, like every tree in the package, and
-``exact_solve`` prices them with ``objective.price``, like every solver.  Two
-enumeration strategies cover the size envelope, and both fill the same rows:
-one per candidate tree, with a bitmask of its non-root nodes, its cost (inf
-when the row is no tree), and its parent and depth by node id.
+``exact_solve`` hands ``objective.price`` the tree query
+``HcstOracle.solve``, as ``evaluate`` hands it ``nrbi``.  Two enumeration
+strategies cover the size envelope, and both fill the same rows: one per
+candidate tree, with a bitmask of its non-root nodes, its cost (inf when
+the row is no tree), and its parent and depth by node id.
 
 * depth-profile enumeration, used when its (H+1)^(n-1) rows number at most
   ``PROFILE_ROW_CAP``: every assignment of "excluded or depth 1..H" to the
@@ -238,7 +239,8 @@ def _tree_levels(
 def exact_solve(instance: Instance) -> Solution:
     """Optimal solution by enumerating every root-open facility subset.
 
-    Each subset is priced by ``objective.price`` on its exact tree.  Ties
+    ``objective.price`` prices each subset, asking ``HcstOracle.solve``
+    once for the exact tree over the facilities that serve someone.  Ties
     between equal totals go to the lexicographically smallest open vector
     over ``instance.facilities``, which lists ids in ascending order (the
     root always open).
@@ -252,6 +254,6 @@ def exact_solve(instance: Instance) -> Solution:
     root = instance.root
     others = [f for f in instance.facilities if f != root]
     return min(
-        (price(instance, s, oracle.solve(s)) for s in root_open_subsets(root, others)),
+        (price(instance, s, oracle.solve) for s in root_open_subsets(root, others)),
         key=lambda solution: solution.total,  # min keeps the first of equal totals
     )

@@ -7,6 +7,7 @@ independent check.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import logging
 import math
@@ -20,6 +21,7 @@ from hcconfl import HarmonyMemory, HopDistanceTable, Instance, parse_tiny
 from hcconfl.harmony_core import DUPLICATE_DRAW_LIMIT, EXHAUSTIVE_FILL_BITS
 
 GOLDENS = Path(__file__).parent / "data" / "solver_goldens.json"
+BENCH_GEN = Path(__file__).parent.parent / "perfbench" / "bench_gen.py"
 
 
 def random_tiny_instance(
@@ -341,6 +343,14 @@ def golden_cases() -> tuple[dict[str, Instance], dict[str, dict]]:
     return instances, spec["results"]
 
 
+def exact_small_instance(seed: int, index: int) -> Instance:
+    """One instance of the benchmark's ``exact-small`` workload."""
+    spec = importlib.util.spec_from_file_location("bench_gen", BENCH_GEN)
+    bench_gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_gen)
+    return Instance(**bench_gen.small_instance_kwargs(seed, index))
+
+
 def naive_assignment(instance: Instance, open_ids) -> tuple[dict[str, int], float]:
     """Cheapest open facility per customer, ties to the smallest id."""
     assign: dict[str, int] = {}
@@ -356,6 +366,12 @@ def naive_assignment(instance: Instance, open_ids) -> tuple[dict[str, int], floa
         assign[c] = best_f
         total += best_cost
     return assign, total
+
+
+def served_set(instance: Instance, open_ids) -> frozenset[int]:
+    """The root plus the facilities some customer picks from ``open_ids``."""
+    opened = {*open_ids, instance.root}
+    return frozenset(naive_assignment(instance, opened)[0].values()) | {instance.root}
 
 
 def neighbour_lists(instance: Instance) -> dict[int, list[tuple[int, float]]]:

@@ -1,8 +1,12 @@
+import dataclasses
 import re
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
 
+from hcconfl import Solution, bench_cli
 from hcconfl.bench_cli import instance_label, main
 
 from test_instance_model import STP_TEXT, UFLP_BEASLEY
@@ -30,6 +34,17 @@ def test_oracle_golden_csv(capsys):
     )
     assert code == 0 and err == ""
     assert out == GOLDEN_ORACLE
+
+
+def test_python_m_runs_main_and_exits_with_its_code(capsys, monkeypatch):
+    argv = ["--tiny", str(TINY), "--algo", "oracle", "--zero-time"]
+    monkeypatch.setattr(sys, "argv", ["bench_cli", *argv])
+    # run_module warns when the module it runs as __main__ is already imported
+    monkeypatch.delitem(sys.modules, "hcconfl.bench_cli")
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_module("hcconfl.bench_cli", run_name="__main__")
+    assert stop.value.code == 0
+    assert capsys.readouterr().out == GOLDEN_ORACLE
 
 
 def test_readme_ghs_example_prints_what_the_readme_shows(capsys, monkeypatch):
@@ -179,6 +194,25 @@ def test_bad_instance_text_exits_nonzero(tmp_path, capsys):
     bad.write_text("this is not an instance\n")
     code, _, err = run(capsys, "--tiny", str(bad))
     assert code == 2 and "error:" in err
+
+
+def test_a_bad_solution_exits_2(capsys, monkeypatch):
+    best = bench_cli.exact_solve(bench_cli.parse_tiny(TINY.read_text()))
+    cases = [
+        (
+            Solution(frozenset({1}), None, {}, None, feasible=False),
+            "error: tiny1: no feasible solution found\n",
+        ),
+        (
+            dataclasses.replace(best, assignment={}),
+            "error: tiny1: solution violates assignment-complete: "
+            "customer 'a' is unassigned\n",
+        ),
+    ]
+    for solution, message in cases:
+        monkeypatch.setattr(bench_cli, "exact_solve", lambda instance: solution)
+        code, out, err = run(capsys, "--tiny", str(TINY), "--algo", "oracle")
+        assert (code, out, err) == (2, "", message)
 
 
 # each bad value and the message it gets, which names the option as typed

@@ -20,6 +20,7 @@ from hcconfl import (
     repair_vector,
     update_bias,
     validate,
+    Violation,
 )
 from hcconfl.harmony_core import (
     DUPLICATE_DRAW_LIMIT,
@@ -36,6 +37,7 @@ from corpus_util import (
     random_dense_instance,
     random_tiny_instance,
     reference_fill_memory,
+    served_set,
 )
 
 GOLDEN_INSTANCES, _ = golden_cases()
@@ -438,7 +440,8 @@ def test_counters_read_the_solves_cache(solver, monkeypatch):
     real_chain = hcst_nrbi._parent_chain
 
     def recording(instance, open_facilities, cache=None):
-        priced.append(frozenset(open_facilities) | {instance.root})
+        # the tree memo is keyed by the served set, not the requested one
+        priced.append(served_set(instance, open_facilities))
         return real_evaluate(instance, open_facilities, cache)
 
     def building(instance, source):
@@ -496,7 +499,18 @@ def test_counters_read_the_solves_cache(solver, monkeypatch):
         "fresh_paths": len(paths) - len(relabeled),
     }
     if solver == "hs":
-        assert stats.counters["trees_reused"] == 30
+        # 30 of the 75 requested sets repeat; 15 more close onto a served set
+        # priced before
+        assert stats.counters["trees_reused"] == 45
+
+
+@pytest.mark.parametrize("module", [harmony_core, greedy_variants])
+def test_a_best_solution_that_fails_validate_is_an_internal_error(module, tiny1, monkeypatch):
+    broken = [Violation("tree-structure", "made up")]
+    monkeypatch.setattr(module, "validate", lambda instance, solution: broken)
+    solve = hs_solve if module is harmony_core else greedy_variants.hybrid_solve
+    with pytest.raises(RuntimeError, match="^internal error: best solution violates tree-structure$"):
+        solve(tiny1, seed=1)
 
 
 def test_hs_matches_oracle_often():

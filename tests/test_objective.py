@@ -7,6 +7,7 @@ import pytest
 
 from hcconfl import (
     CostBreakdown,
+    GreedyParams,
     HarmonyParams,
     HopTableCache,
     Solution,
@@ -15,13 +16,21 @@ from hcconfl import (
     as_open_set,
     evaluate,
     exact_solve,
+    ghs_solve,
     hs_solve,
+    hybrid_solve,
     validate,
 )
-from hcconfl import harmony_core, objective
+from hcconfl import greedy_variants, harmony_core, objective
 from hcconfl.objective import root_open_subsets
 
-from corpus_util import naive_assignment, random_deep_instance, random_tiny_instance
+from corpus_util import (
+    naive_assignment,
+    random_deep_instance,
+    random_dense_instance,
+    random_tiny_instance,
+    served_set,
+)
 
 
 def test_fixture_totals(tiny1):
@@ -46,7 +55,7 @@ def test_unused_facilities_are_closed_and_pruned(tiny1):
     inst = dataclasses.replace(tiny1, assignment_costs=matrix)
     sol = evaluate(inst, {1, 2, 3})
     assert sorted(sol.open_facilities) == [1, 3]
-    assert 2 not in sol.tree.nodes  # pruned from the tree as well
+    assert 2 not in sol.tree.nodes  # closed before the tree was asked for
     assert sol.breakdown.opening_cost == 3.0
     assert validate(inst, sol) == []
 
@@ -270,6 +279,69 @@ def test_a_repeated_infeasible_open_set_stays_infeasible_without_nrbi(tiny1, mon
     for sol in (first, again):
         assert not sol.feasible and sol.total == math.inf
         assert sol.open_facilities == {1, 3}
+
+
+def test_an_idle_facility_out_of_reach_closes(tiny1):
+    # within one hop the root reaches facility 2 but not 3
+    one_hop = dataclasses.replace(tiny1, hop_limit=1)
+    idle = dataclasses.replace(
+        one_hop, assignment_costs=np.array([[9.0, 8.0], [1.0, 7.0], [99.0, 99.0]])
+    )
+    sol = evaluate(idle, {1, 2, 3})
+    assert sol.feasible and sorted(sol.open_facilities) == [1, 2]
+    assert _exactly(sol) == _exactly(evaluate(idle, {1, 2}))
+    assert validate(idle, sol) == []
+    # with tiny1's costs customer b picks 3, so the set stays infeasible
+    serving = evaluate(one_hop, {1, 2, 3})
+    assert not serving.feasible and serving.total == math.inf
+    assert serving.open_facilities == {1, 2, 3}
+
+
+def test_requests_with_one_served_set_share_one_tree(tiny1, monkeypatch):
+    # both customers prefer 3, so 2 serves nobody in {1, 2, 3}
+    inst = dataclasses.replace(
+        tiny1, assignment_costs=np.array([[9.0, 8.0], [9.0, 9.0], [1.0, 1.0]])
+    )
+    calls = _counting_nrbi(monkeypatch)
+    cache = HopTableCache(inst)
+    first, again = (evaluate(inst, ids, cache) for ids in ([1, 2, 3], [3]))
+    assert [opened for opened, _ in calls] == [{1, 3}]
+    assert cache.counters()["trees_reused"] == 1
+    assert _exactly(first) == _exactly(again)
+
+
+@pytest.mark.parametrize("solver", ["hs", "ghs", "hybrid"])
+def test_nrbi_is_asked_for_the_served_set_alone(solver, tiny1, monkeypatch):
+    dense = random_dense_instance(random.Random(10), facilities=40, customers=40)
+    asked: list[tuple[frozenset[int], frozenset[int]]] = []  # (requested, built)
+    requested: list[frozenset[int]] = []
+    real_evaluate, real_nrbi = objective.evaluate, objective.nrbi
+
+    def requesting(instance, open_facilities, cache=None):
+        requested.append(frozenset(open_facilities))
+        return real_evaluate(instance, open_facilities, cache)
+
+    def building(instance, opened, cache=None):
+        asked.append((requested[-1], frozenset(opened)))
+        return real_nrbi(instance, opened, cache)
+
+    for module in (harmony_core, greedy_variants):
+        monkeypatch.setattr(module, "evaluate", requesting)
+    monkeypatch.setattr(objective, "nrbi", building)
+    for inst in (tiny1, dense):
+        asked.clear()
+        if solver == "hs":
+            hs_solve(inst, seed=3)
+        elif solver == "ghs":
+            ghs_solve(inst, seed=4)
+        else:
+            hybrid_solve(inst, GreedyParams(top_k=8, sample_count=300), seed=5)
+        assert asked
+        for opened, built in asked:
+            assert built == served_set(inst, opened)
+    if solver == "hs":
+        # some request held a facility that serves nobody
+        assert any(built != opened | {dense.root} for opened, built in asked)
 
 
 def test_evaluate_without_a_cache_keeps_nothing(tiny1, monkeypatch):

@@ -23,9 +23,11 @@ import hcconfl.oracle
 from hcconfl.oracle import _subset_rows
 
 from corpus_util import (
+    exact_small_instance,
     naive_assignment,
     random_tiny_instance,
     reference_cheapest_tree,
+    served_set,
     tree_is_valid,
 )
 
@@ -341,6 +343,33 @@ def _complete_graph(nodes: int, hop_limit: int) -> Instance:
         root=1,
         hop_limit=hop_limit,
     )
+
+
+def test_exact_solve_asks_the_oracle_once_per_subset_for_its_served_set(monkeypatch):
+    asked: list[tuple[frozenset[int], frozenset[int]]] = []  # (subset, query)
+    requested: list[frozenset[int]] = []
+    real_price, real_solve = hcconfl.oracle.price, HcstOracle.solve
+
+    def pricing(instance, opened, tree_for):
+        requested.append(frozenset(opened))
+        return real_price(instance, opened, tree_for)
+
+    def solving(self, required):
+        asked.append((requested[-1], frozenset(required)))
+        return real_solve(self, required)
+
+    monkeypatch.setattr(hcconfl.oracle, "price", pricing)
+    monkeypatch.setattr(HcstOracle, "solve", solving)
+    idle = 0
+    for index in range(8):
+        inst = exact_small_instance(1, index)
+        asked.clear()
+        exact_solve(inst)
+        assert len(asked) == 2 ** (len(inst.facilities) - 1)
+        for opened, required in asked:
+            assert required == served_set(inst, opened)
+            idle += required != opened
+    assert idle > 0  # some subset held a facility that serves nobody
 
 
 def test_facility_limit_enforced():

@@ -3,7 +3,9 @@
 Each statement of the README's ``python`` blocks runs in one namespace, in
 order, from the repository root.  A statement whose comment shows a value
 (``sol.total  # 10.0``) must evaluate to it, and one whose comment shows
-``ValueError: message`` must raise that error with that message.
+``ValueError: message`` must raise that error with that message.  The
+``--algo | reads`` table lists what ``bench_cli.PARAMS`` says each
+``--algo`` reads.
 """
 
 import ast
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from hcconfl import bench_cli
 from hcconfl.objective import CostBreakdown
 
 ROOT = Path(__file__).parent.parent
@@ -56,3 +59,17 @@ def test_readme_python_blocks_show_what_the_code_returns(monkeypatch):
             checked.append(code)
     # 7 values in "Quick start"; one value and three errors in the open-set block
     assert len(checked) == 11
+
+
+def test_readme_algo_table_lists_the_options_each_algo_reads():
+    readme = (ROOT / "README.md").read_text()
+    table = re.search(r"\| `--algo` \| reads \|\n\|---\|---\|\n((?:\|.*\n)+)", readme)
+    assert table is not None
+    shown = dict(re.findall(r"\| `([\w-]+)` \| (.*) \|", table.group(1)))
+    (algo,) = (a for a in bench_cli.build_parser()._actions if a.dest == "algo")
+    read = {
+        name: ", ".join(f"`{option}`" for option, algos in bench_cli.PARAMS.values()
+                        if name in algos) or "none"
+        for name in algo.choices
+    }
+    assert shown == read
