@@ -5,8 +5,8 @@ Example::
     hcconfl-bench --stp steinc5.txt --uflp capmp1.txt --hop 3 \
         --algo ghs --seed 7 --repeats 5 --out results.csv
 
-Each repeat runs with seed ``seed + i`` and contributes one CSV row; a
-``best`` row per (instance, algo) group repeats the winning entry.  With
+Each repeat runs with seed ``seed + i`` and contributes one CSV row, in
+seed order; a closing ``best`` row repeats the winning entry.  With
 a fixed seed the output is reproducible end to end; pass ``--zero-time``
 to blank the one physically measured column when byte-identical files
 matter.
@@ -205,16 +205,10 @@ def run_once(instance: Instance, label: str, args: argparse.Namespace, seed: int
 
 
 def format_csv(rows: list[RunRow]) -> str:
-    """Rows sorted by (instance, algo, seed) with a best row per group."""
-    lines = [CSV_HEADER]
-    groups: dict[tuple[str, str], list[RunRow]] = {}
-    for row in rows:
-        groups.setdefault((row.instance, row.algo), []).append(row)
-    for key in sorted(groups):
-        members = sorted(groups[key], key=lambda r: int(r.seed))
-        for row in members:
-            lines.append(row.render())
-        winner = min(members, key=lambda r: (r.obj, int(r.seed)))
+    """The header, ``rows`` as given (seed order), and the first lowest ``obj`` as ``best``."""
+    lines = [CSV_HEADER, *(row.render() for row in rows)]
+    if rows:
+        winner = min(rows, key=lambda r: r.obj)
         lines.append(replace(winner, seed="best").render())
     return "\n".join(lines) + "\n"
 

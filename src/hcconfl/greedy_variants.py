@@ -22,7 +22,7 @@ facilities with one ``np.partition`` over the open members' ranks.
 ``greedy_close`` is the kernel on one open set of facility ids.
 
 ``ghs_solve`` plugs repair plus closing, as a rows -> rows transform
-that memoizes its closed rows, into the harmony engine; ``hybrid_solve``
+that keeps no state, into the harmony engine; ``hybrid_solve``
 closes all its bias-guided samples in one block only to shortlist
 facilities, then enumerates every root-open subset of the shortlist.
 """
@@ -298,19 +298,12 @@ def greedy_close(
 
 def _repair_and_close(cache: HopTableCache, max_open: int) -> Transform:
     """Reachability repair followed by :func:`close_rows`, rows to rows;
-    a per-solve memo means no repaired row is closed twice."""
+    each repaired block closes whole, and no call keeps state."""
     reach = np.isfinite(cache.root_paths)
     closer = Closer(cache)
-    memo: dict[bytes, np.ndarray] = {}
 
     def transform(rows: np.ndarray) -> np.ndarray:
-        repaired = repair_vector(cache.instance, rows, reach)
-        keys = [row.tobytes() for row in repaired]
-        fresh = {key: row for key, row in zip(keys, repaired) if key not in memo}
-        if fresh:
-            closed = close_rows(closer, np.array(list(fresh.values())), max_open)
-            memo.update(zip(fresh, closed))
-        return np.array([memo[key] for key in keys], dtype=np.uint8)
+        return close_rows(closer, repair_vector(cache.instance, rows, reach), max_open)
 
     return transform
 

@@ -276,3 +276,21 @@ def test_report_shape_scales_with_record_count(capsys):
     code, out, _ = run(capsys, "--tiny", str(TINY), "--algo", "oracle", "--zero-time")
     assert code == 0
     assert len(out.splitlines()) == 3  # header + row + best
+
+
+def test_format_csv_writes_its_rows_then_the_first_best_one():
+    from hcconfl.bench_cli import CSV_HEADER, RunRow, format_csv
+
+    rows = [
+        RunRow("C5mp1", "ghs", 3, "4", 12.5, 0.25, 7, 3),
+        RunRow("C5mp1", "ghs", 3, "5", 11.0, 0.5, 9, 4),
+        RunRow("C5mp1", "ghs", 3, "6", 11.0, 0.75, 2, 5),  # ties seed 5
+    ]
+    assert format_csv(rows) == (
+        CSV_HEADER + "\n"
+        "C5mp1,ghs,3,4,12.50,0.250,7,3\n"
+        "C5mp1,ghs,3,5,11.00,0.500,9,4\n"
+        "C5mp1,ghs,3,6,11.00,0.750,2,5\n"
+        "C5mp1,ghs,3,best,11.00,0.500,9,4\n"  # seed 5's other columns
+    )
+    assert format_csv([]) == CSV_HEADER + "\n"
