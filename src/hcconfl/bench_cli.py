@@ -10,6 +10,9 @@ seed order; a closing ``best`` row repeats the winning entry.  With
 a fixed seed the output is reproducible end to end; pass ``--zero-time``
 to blank the one physically measured column when byte-identical files
 matter.
+
+Each algorithm option is declared once, in ``PARAMS``: ``build_parser``
+adds it from there, and an option an ``--algo`` does not read is refused.
 """
 
 from __future__ import annotations
@@ -36,16 +39,18 @@ from .oracle import exact_solve
 
 CSV_HEADER = "instance,algo,hop,seed,obj,cpu_seconds,iterations,open_count"
 
-# each algorithm parameter, by the field it sets: its option and the --algo
-# values that read it
-PARAMS = {
-    "hms": ("--hms", ("hs", "ghs")),
-    "hmcr_start": ("--hmcr", ("hs", "ghs")),
-    "max_no_improve": ("--max-no-improve", ("hs", "ghs")),
-    "max_open": ("--max-open", ("ghs",)),
-    "top_k": ("--top-k", ("hybrid",)),
-    "sample_count": ("--samples", ("hybrid",)),
-}
+# each algorithm option, by the params field it sets: its flag, its type,
+# the --algo values that read it, and its help
+PARAMS = dict(
+    hms=("--hms", int, ("hs", "ghs"), "harmony memory size"),
+    hmcr_start=("--hmcr", float, ("hs", "ghs"), "initial memory recall rate"),
+    max_no_improve=("--max-no-improve", int, ("hs", "ghs"), "stop after this many stale "
+                    "iterations; the loop is skipped once the memory fill has covered every "
+                    "root-open pattern, and the iterations column counts the improvisations run"),
+    max_open=("--max-open", int, ("ghs",), "greedy closing keeps at most this many"),
+    top_k=("--top-k", int, ("hybrid",), "shortlist size"),
+    sample_count=("--samples", int, ("hybrid",), "sampling rounds"),
+)
 
 
 @dataclass
@@ -87,9 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="solver to run (default: ghs)",
     )
     run.add_argument("--seed", type=int, default=1, help="base seed (default: 1)")
-    run.add_argument(
-        "--repeats", type=int, default=1, help="independent runs, seeds seed+i"
-    )
+    run.add_argument("--repeats", type=int, default=1, help="independent runs, seeds seed+i")
     run.add_argument("--out", type=Path, help="write CSV here instead of stdout")
     run.add_argument(
         "--zero-time",
@@ -98,18 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     knobs = parser.add_argument_group("algorithm parameters", "read only by the --algo named")
-    knobs.add_argument("--hms", type=int, help="harmony memory size (hs, ghs)")
-    knobs.add_argument("--hmcr", type=float, help="initial memory recall rate (hs, ghs)")
-    knobs.add_argument(
-        "--max-no-improve",
-        type=int,
-        help="stop after this many stale iterations (hs, ghs); the loop is skipped "
-        "once the memory fill has covered every root-open pattern, and the "
-        "iterations column counts the improvisations run",
-    )
-    knobs.add_argument("--max-open", type=int, help="greedy closing keeps at most this many (ghs)")
-    knobs.add_argument("--top-k", type=int, help="shortlist size (hybrid)")
-    knobs.add_argument("--samples", type=int, help="sampling rounds (hybrid)")
+    for field, (option, kind, algos, text) in PARAMS.items():
+        knobs.add_argument(option, dest=field, type=kind, help=f"{text} ({', '.join(algos)})")
     return parser
 
 
@@ -147,8 +140,7 @@ def load_instance(args: argparse.Namespace) -> Instance:
 
 def _given(args: argparse.Namespace, *fields: str) -> dict:
     """``field: value`` for each of ``fields`` whose option was given."""
-    values = {field: getattr(args, PARAMS[field][0][2:].replace("-", "_")) for field in fields}
-    return {field: value for field, value in values.items() if value is not None}
+    return {field: getattr(args, field) for field in fields if getattr(args, field) is not None}
 
 
 def _as_typed(args: argparse.Namespace, message: str) -> str:
@@ -165,10 +157,6 @@ def harmony_params(args: argparse.Namespace) -> HarmonyParams:
     return replace(params, **_given(args, "hms", "hmcr_start", "max_no_improve"))
 
 
-def greedy_params(args: argparse.Namespace) -> GreedyParams:
-    return GreedyParams(**_given(args, "top_k", "sample_count"))
-
-
 def run_once(instance: Instance, label: str, args: argparse.Namespace, seed: int) -> RunRow:
     cpu_start = time.process_time()
     if args.algo == "oracle":
@@ -180,7 +168,8 @@ def run_once(instance: Instance, label: str, args: argparse.Namespace, seed: int
             max_open = _given(args, "max_open")
             result = ghs_solve(instance, harmony_params(args), **max_open, seed=seed)
         else:
-            result = hybrid_solve(instance, greedy=greedy_params(args), seed=seed)
+            greedy = GreedyParams(**_given(args, "top_k", "sample_count"))
+            result = hybrid_solve(instance, greedy=greedy, seed=seed)
         solution, iterations = result.solution, result.stats.iterations
     cpu = 0.0 if args.zero_time else time.process_time() - cpu_start
 
@@ -220,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError("--repeats must be >= 1")
         if args.hop is not None and args.hop < 1:
             raise ValueError(f"--hop must be >= 1, got {args.hop}")
-        for field, (option, algos) in PARAMS.items():
+        for field, (option, _, algos, _) in PARAMS.items():
             if _given(args, field) and args.algo not in algos:
                 raise ValueError(f"{option} does not apply to --algo {args.algo}")
         instance = load_instance(args)

@@ -72,10 +72,11 @@ class RunStats:
     the fill already held every transformed pattern (``hybrid_solve``
     counts its enumerated subsets); ``evaluations`` counts the ``evaluate``
     calls, each one priced whether its tree was built or reused.
-    ``counters`` holds :meth:`HopTableCache.counters` of the solve's cache:
-    ``tables_built``, ``trees_reused`` (evaluations whose served set had
-    its tree built before) and ``nrbi``'s work: phase-1 rounds, relabeled
-    nodes and ``phase1_reads``, then ``phase2_reads`` and fresh paths.
+    ``counters`` holds :meth:`HopTableCache.counters` of the solve's cache
+    as the solve ends: ``tables_built``, then the ``hop_paths.WORK_COUNTS``
+    totals.  They are the cache's totals, not the solve's: a cache handed
+    to ``harmony_solve`` brings the work of the calls that used it before.
+    ``hs_solve``, ``ghs_solve`` and ``hybrid_solve`` each build their own.
     """
 
     iterations: int = 0

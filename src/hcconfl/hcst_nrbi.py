@@ -164,7 +164,7 @@ def nrbi_phase1(
             if budget < 1:
                 continue
             dist = cache.table(u).dist_view
-            cache.phase1_reads += len(remaining)
+            cache.counts["phase1_reads"] += len(remaining)
             for v in remaining:
                 cost = dist[budget, v]
                 if cost <= best[v][0] and (cost, u) < best[v]:  # most fail the float test
@@ -178,8 +178,8 @@ def nrbi_phase1(
         path = extract_path(cache.table(u_star), v_star, hops - state.hops_from_root[u_star])
         assert path is not None
         relabeled = _insert_phase1_path(instance, state, remaining, path)
-        cache.phase1_rounds += 1
-        cache.relabeled += len(relabeled)
+        cache.counts["phase1_rounds"] += 1
+        cache.counts["relabeled"] += len(relabeled)
     return state
 
 
@@ -248,14 +248,14 @@ def nrbi_phase2(instance: Instance, state: NrbiState, cache: HopTableCache) -> S
         limit = state.insertion_cost[v] if chain_ok else math.inf
         pick = chain if chain_ok else None
         dist = cache.table(v).dist_view
-        cache.phase2_reads += len(depth)
+        cache.counts["phase2_reads"] += len(depth)
         fresh = []
         for u, room, label in members:
             budget = bound - label if bound - label < room else room
             if budget > 0 and dist[budget, u] < limit:
                 fresh.append((dist[budget, u], u, budget))
         for _, u, budget in sorted(fresh):
-            cache.fresh_paths += 1
+            cache.counts["fresh_paths"] += 1
             path = extract_path(cache.table(u), v, budget)
             assert path is not None
             cut = max(i for i, x in enumerate(path) if x in depth)

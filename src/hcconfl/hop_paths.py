@@ -118,36 +118,34 @@ def extract_path(
     return path
 
 
+# the work a HopTableCache counts: served sets whose tree was built before,
+# then nrbi's phase-1 picks, nodes relabeled and table entries read, and the
+# tree nodes phase 2 priced its facilities against and the fresh paths it read
+WORK_COUNTS = ("trees_reused", "phase1_rounds", "relabeled",
+               "phase1_reads", "phase2_reads", "fresh_paths")
+
+
 class HopTableCache:
     """The per-solve memo of hop tables and of the tree of each served set.
 
     Tables are built lazily, one per source, and every table reaches the
     instance's hop limit.  ``root_paths`` reads the root's table once.
     ``trees`` maps a packed served set (the root plus the facilities some
-    customer picks) to its packed tree, or to None when it has none;
-    ``objective.evaluate`` fills it and counts the lookups it answers in
-    ``trees_reused``.  ``nrbi`` counts its work here too.
+    customer picks) to its packed tree, or to None when it has none.
+    ``counts`` holds one running total per ``WORK_COUNTS`` name:
+    ``objective.evaluate`` adds the lookups ``trees`` answers, and ``nrbi``
+    its work.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
         self._tables: dict[int, HopDistanceTable] = {}
         self.trees: dict[bytes, bytes | None] = {}
-        self.trees_reused = 0
-        # nrbi's work
-        self.phase1_rounds = self.relabeled = self.phase1_reads = 0
-        self.phase2_reads = self.fresh_paths = 0
+        self.counts = dict.fromkeys(WORK_COUNTS, 0)
 
     def counters(self) -> dict[str, int]:
-        """Hop tables built, trees reused, and ``nrbi``'s phase-1 picks, nodes
-        relabeled and table entries read, the tree nodes phase 2 priced its
-        facilities against and the fresh paths it read, so far."""
-        return {
-            "tables_built": len(self._tables), "trees_reused": self.trees_reused,
-            "phase1_rounds": self.phase1_rounds, "relabeled": self.relabeled,
-            "phase1_reads": self.phase1_reads, "phase2_reads": self.phase2_reads,
-            "fresh_paths": self.fresh_paths,
-        }
+        """Hop tables built, then ``counts``, so far."""
+        return {"tables_built": len(self._tables), **self.counts}
 
     def table(self, source: int) -> HopDistanceTable:
         tab = self._tables.get(source)

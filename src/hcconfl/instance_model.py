@@ -336,6 +336,8 @@ def parse_stp(text: str) -> StpGraph:
     num_edges = toks.next_int("edge count")
     if num_nodes < 1:
         raise toks.error("node count must be >= 1")
+    if num_edges < 0:
+        raise toks.error("edge count must be >= 0")
     edges: list[tuple[int, int, float]] = []
     seen: set[tuple[int, int]] = set()
     for _ in range(num_edges):
@@ -355,6 +357,8 @@ def parse_stp(text: str) -> StpGraph:
         edges.append((key[0], key[1], float(cost)))
     if not toks.exhausted():
         num_terminals = toks.next_int("terminal count")
+        if num_terminals < 0:
+            raise toks.error("terminal count must be >= 0")
         for _ in range(num_terminals):
             t = toks.next_int("terminal id")
             if not (1 <= t <= num_nodes):
@@ -486,6 +490,9 @@ def parse_tiny(text: str, name: str = "tiny") -> Instance:
     Then ``e u v cost`` per core edge, ``f id cost`` per facility and
     ``a facility customer cost`` per assignment pair.  The assignment section
     must be complete (every facility x customer pair exactly once).
+    A malformed header or record, and a duplicate one, raise ParseError at
+    its line; the checks on the whole file (counts, missing or unknown
+    pairs) and those ``Instance`` makes raise ParseError with no line.
     """
     header: list[int] | None = None
     # kind -> the fields before the cost, canonical for an edge -> the cost

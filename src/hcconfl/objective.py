@@ -141,7 +141,7 @@ def evaluate(
     def tree_for(served: set[int]) -> SteinerTree | None:
         key = _packed(instance, sorted(served))
         if key in cache.trees:
-            cache.trees_reused += 1
+            cache.counts["trees_reused"] += 1
             packed = cache.trees[key]
             return None if packed is None else _unpack_tree(instance, packed)
         try:

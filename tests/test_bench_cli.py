@@ -254,6 +254,22 @@ def test_option_the_algorithm_never_reads_exits_2(capsys, algo, option, value):
     assert err == f"error: {option} does not apply to --algo {algo}\n"
 
 
+def test_help_lists_every_algorithm_option_with_the_algos_that_read_it(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr().out
+    section = out.split("\nalgorithm parameters:\n")[1]
+    options = [option for option, *_ in bench_cli.PARAMS.values()]
+    assert re.findall(r"^  (--[\w-]+)", section, re.M) == options
+    flat = " ".join(section.split())
+    for field, (option, _, algos, text) in bench_cli.PARAMS.items():
+        entry = re.search(rf"{option} {field.upper()} (.*?)(?= --|$)", flat)
+        assert entry is not None, option
+        # argparse wraps the help, breaking lines at spaces and after hyphens
+        shown = "".join(entry.group(1).split())
+        assert shown == "".join(f"{text} ({', '.join(algos)})".split()), option
+
+
 def test_instance_label_maps_benchmark_names():
     import argparse
 

@@ -14,6 +14,7 @@ from hcconfl import (
     Instance,
     evaluate,
     exact_solve,
+    harmony_solve,
     hs_solve,
     improvise,
     init_bias,
@@ -502,6 +503,21 @@ def test_counters_read_the_solves_cache(solver, monkeypatch):
         # 30 of the 75 requested sets repeat; 15 more close onto a served set
         # priced before
         assert stats.counters["trees_reused"] == 45
+
+
+def test_counters_are_the_totals_of_a_cache_handed_to_the_solve():
+    # each solve reports its cache's totals as it ends, so a cache shared by
+    # two solves carries the first one's work into the second one's counters
+    inst = random_dense_instance(random.Random(3), 40, 40)
+    params = HarmonyParams(hms=10, max_no_improve=60)
+    cache = HopTableCache(inst)
+    first = harmony_solve(inst, params, seed=1, cache=cache).stats.counters
+    second = harmony_solve(inst, params, seed=2, cache=cache).stats.counters
+    assert first == harmony_solve(inst, params, seed=1).stats.counters
+    assert list(first) == list(second) == ["tables_built", *hop_paths.WORK_COUNTS]
+    assert all(second[name] >= first[name] for name in first)
+    assert second["phase1_rounds"] > first["phase1_rounds"] > 0
+    assert second["trees_reused"] > first["trees_reused"]
 
 
 @pytest.mark.parametrize("module", [harmony_core, greedy_variants])

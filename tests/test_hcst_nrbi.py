@@ -459,7 +459,7 @@ def test_matches_reference_on_deep_instances_with_ties_and_non_integer_costs():
             assert (tree.edges, tree.depth, tree.parent) == (edges, depth, parent)
             assert tree.cost.hex() == cost.hex()
             checked += 1
-        fresh += cache.fresh_paths
+        fresh += cache.counts["fresh_paths"]
     assert checked == 30
     assert fresh > 0
 
@@ -520,12 +520,12 @@ def test_phase1_matches_whole_row_reference():
             sites = [f for f, d in zip(inst.facilities, cache.root_paths) if np.isfinite(d)]
             for draw in range(6):
                 opens = set(extra.sample(sites, min(20, len(sites)))) | {inst.root}
-                rounds = cache.phase1_rounds
+                rounds = cache.counts["phase1_rounds"]
                 got = _phase1_outcome(lambda: nrbi_phase1(inst, opens, cache))
                 assert got == _phase1_outcome(lambda: reference_phase1(inst, opens))
                 # the root reaches every open site, and each round attaches
                 # at least the facility it picked
-                rounds = cache.phase1_rounds - rounds
+                rounds = cache.counts["phase1_rounds"] - rounds
                 assert 0 < rounds <= len(got[2]) == len(opens) - 1
                 en_route += len(got[2]) - rounds
                 if draw == 0:

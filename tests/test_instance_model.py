@@ -100,6 +100,11 @@ def test_parse_stp_rejects_trailing_garbage():
         (parse_stp, "0 0\n", "line 1: node count must be >= 1"),
         # the line of the edge count, the last token read
         (parse_stp, "0\n\n0\n", "line 3: node count must be >= 1"),
+        # a negative count is refused at its own line, before what follows is read
+        (parse_stp, "1 -5\n", "line 1: edge count must be >= 0"),
+        (parse_stp, "2 -2\n1 2 3\n", "line 1: edge count must be >= 0"),
+        (parse_stp, STP_TEXT + "-3\n", "line 6: terminal count must be >= 0"),
+        (parse_stp, STP_TEXT + "-1\n2\n", "line 6: terminal count must be >= 0"),
         (parse_stp, STP_TEXT + "1\n9\n", "line 7: terminal 9 out of range"),
         (parse_stp, STP_TEXT + "2\n1 0\n", "line 7: terminal 0 out of range"),
         (parse_stp, STP_TEXT + "1\nwhat\n", "line 7: expected integer terminal id, got 'what'"),

@@ -5,7 +5,8 @@ order, from the repository root.  A statement whose comment shows a value
 (``sol.total  # 10.0``) must evaluate to it, and one whose comment shows
 ``ValueError: message`` must raise that error with that message.  The
 ``--algo | reads`` table lists what ``bench_cli.PARAMS`` says each
-``--algo`` reads.
+``--algo`` reads, and the sentence on ``counters`` names the keys of
+``HopTableCache.counters()`` in order.
 """
 
 import ast
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from hcconfl import bench_cli
+from hcconfl import HopTableCache, bench_cli, parse_tiny
 from hcconfl.objective import CostBreakdown
 
 ROOT = Path(__file__).parent.parent
@@ -68,8 +69,17 @@ def test_readme_algo_table_lists_the_options_each_algo_reads():
     shown = dict(re.findall(r"\| `([\w-]+)` \| (.*) \|", table.group(1)))
     (algo,) = (a for a in bench_cli.build_parser()._actions if a.dest == "algo")
     read = {
-        name: ", ".join(f"`{option}`" for option, algos in bench_cli.PARAMS.values()
+        name: ", ".join(f"`{option}`" for option, _, algos, _ in bench_cli.PARAMS.values()
                         if name in algos) or "none"
         for name in algo.choices
     }
     assert shown == read
+
+
+def test_readme_counters_sentence_names_every_counter_in_order():
+    readme = " ".join((ROOT / "README.md").read_text().split())
+    (sentence,) = re.findall(r"Its `counters` are [^.]*\.", readme)
+    # the sentence's subject and the tree builder it credits aside
+    named = [w for w in re.findall(r"`(\w+)`", sentence) if w not in ("counters", "nrbi")]
+    inst = parse_tiny((ROOT / "tests" / "data" / "tiny1.txt").read_text())
+    assert named == list(HopTableCache(inst).counters())
