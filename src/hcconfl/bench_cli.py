@@ -18,10 +18,12 @@ adds it from there, and an option an ``--algo`` does not read is refused.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import re
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .greedy_variants import GHS_PARAMS, GreedyParams, ghs_solve, hybrid_solve
@@ -36,8 +38,6 @@ from .instance_model import (
 )
 from .objective import validate
 from .oracle import exact_solve
-
-CSV_HEADER = "instance,algo,hop,seed,obj,cpu_seconds,iterations,open_count"
 
 # each algorithm option, by the params field it sets: its flag, its type,
 # the --algo values that read it, and its help
@@ -55,6 +55,8 @@ PARAMS = dict(
 
 @dataclass
 class RunRow:
+    """One CSV row: its fields are the columns, in order, and name the header."""
+
     instance: str
     algo: str
     hop: int
@@ -64,12 +66,8 @@ class RunRow:
     iterations: int
     open_count: int
 
-    def render(self) -> str:
-        return (
-            f"{self.instance},{self.algo},{self.hop},{self.seed},"
-            f"{self.obj:.2f},{self.cpu_seconds:.3f},"
-            f"{self.iterations},{self.open_count}"
-        )
+
+CSV_HEADER = ",".join(field.name for field in fields(RunRow))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,12 +192,15 @@ def run_once(instance: Instance, label: str, args: argparse.Namespace, seed: int
 
 
 def format_csv(rows: list[RunRow]) -> str:
-    """The header, ``rows`` as given (seed order), and the first lowest ``obj`` as ``best``."""
-    lines = [CSV_HEADER, *(row.render() for row in rows)]
+    """The header, ``rows`` as given (seed order), and the first lowest ``obj`` as
+    ``best``; a cell holding a comma, a quote or a newline is quoted (RFC 4180)."""
     if rows:
-        winner = min(rows, key=lambda r: r.obj)
-        lines.append(replace(winner, seed="best").render())
-    return "\n".join(lines) + "\n"
+        rows = [*rows, replace(min(rows, key=lambda r: r.obj), seed="best")]
+    spec = {"obj": ".2f", "cpu_seconds": ".3f"}
+    cells = [[format(value, spec.get(name, "")) for name, value in asdict(row).items()] for row in rows]
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([CSV_HEADER.split(","), *cells])
+    return out.getvalue()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable
 
@@ -74,10 +74,10 @@ class Instance:
     row per facility (in ``facilities`` order) and one column per customer
     (in ``customers`` order).  Arrays are frozen after construction.
 
-    Derived views are never passed in.  ``facility_index`` and
-    ``customer_index`` (id -> row/column) are set at construction.
+    The fields are the instance's inputs, and equality compares them.  The
+    views ``facility_index`` and ``customer_index`` (id -> row/column),
     ``edge_costs``, ``arcs`` and ``opening_cost_array`` are built on first
-    use and kept; construction builds none of them.
+    use and kept; none is passed in, and construction builds none.
     """
 
     name: str
@@ -89,9 +89,6 @@ class Instance:
     opening_costs: dict[int, float]  # facility id -> cost
     assignment_costs: np.ndarray  # shape (len(facilities), len(customers))
     hop_limit: int
-
-    facility_index: dict[int, int] = field(init=False, repr=False)
-    customer_index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         _check_integers(num_nodes=self.num_nodes, hop_limit=self.hop_limit)
@@ -138,12 +135,6 @@ class Instance:
             raise ValueError("assignment costs must be finite and >= 0")
         mat.setflags(write=False)
         object.__setattr__(self, "assignment_costs", mat)
-        object.__setattr__(
-            self, "facility_index", {f: i for i, f in enumerate(self.facilities)}
-        )
-        object.__setattr__(
-            self, "customer_index", {c: i for i, c in enumerate(self.customers)}
-        )
         self._check_connected()
 
     # -- derived views ---------------------------------------------------------
@@ -161,6 +152,14 @@ class Instance:
         cut = [v for v in range(2, self.num_nodes + 1) if find(v) != find(1)]
         if cut:
             raise ValueError(f"core graph is disconnected (node {cut[0]} unreachable)")
+
+    @cached_property
+    def facility_index(self) -> dict[int, int]:
+        return {f: i for i, f in enumerate(self.facilities)}
+
+    @cached_property
+    def customer_index(self) -> dict[str, int]:
+        return {c: i for i, c in enumerate(self.customers)}
 
     @cached_property
     def edge_costs(self) -> dict[tuple[int, int], float]:
@@ -220,19 +219,11 @@ class Instance:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Instance):
             return NotImplemented
-        return (
-            self.name == other.name
-            and self.num_nodes == other.num_nodes
-            and self.core_edges == other.core_edges
-            and self.facilities == other.facilities
-            and self.root == other.root
-            and self.customers == other.customers
-            and self.opening_costs == other.opening_costs
-            and np.array_equal(self.assignment_costs, other.assignment_costs)
-            and self.hop_limit == other.hop_limit
+        equal = {"assignment_costs": np.array_equal}
+        return all(
+            equal.get(f.name, operator.eq)(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self)
         )
-
-    __hash__ = None  # type: ignore[assignment]
 
 
 # -- token stream helper ----------------------------------------------------

@@ -46,19 +46,20 @@ class CostBreakdown:
 
 @dataclass(frozen=True)
 class Solution:
-    """Final state of one evaluated open set."""
+    """Final state of one evaluated open set; no ``breakdown`` means infeasible."""
 
     open_facilities: frozenset[int]
     tree: SteinerTree | None
     assignment: dict[str, int]  # customer -> facility
     breakdown: CostBreakdown | None
-    feasible: bool
+
+    @property
+    def feasible(self) -> bool:
+        return self.breakdown is not None
 
     @property
     def total(self) -> float:
-        if not self.feasible or self.breakdown is None:
-            return math.inf
-        return self.breakdown.total
+        return math.inf if self.breakdown is None else self.breakdown.total
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,7 @@ def price(
     served = set(assignment.values()) | {instance.root}
     tree = tree_for(served)
     if tree is None:
-        return Solution(frozenset(opened), None, {}, None, feasible=False)
+        return Solution(frozenset(opened), None, {}, None)
     assignment_cost = float(sub[choice, np.arange(len(instance.customers))].sum())
     opening_cost = float(sum(instance.opening_costs[f] for f in sorted(served)))
     return Solution(
@@ -179,7 +180,6 @@ def price(
         tree=tree,
         assignment=assignment,
         breakdown=CostBreakdown(tree.cost, assignment_cost, opening_cost),
-        feasible=True,
     )
 
 

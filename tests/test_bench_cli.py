@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import re
 import runpy
 import sys
@@ -200,7 +202,7 @@ def test_a_bad_solution_exits_2(capsys, monkeypatch):
     best = bench_cli.exact_solve(bench_cli.parse_tiny(TINY.read_text()))
     cases = [
         (
-            Solution(frozenset({1}), None, {}, None, feasible=False),
+            Solution(frozenset({1}), None, {}, None),
             "error: tiny1: no feasible solution found\n",
         ),
         (
@@ -292,6 +294,21 @@ def test_report_shape_scales_with_record_count(capsys):
     code, out, _ = run(capsys, "--tiny", str(TINY), "--algo", "oracle", "--zero-time")
     assert code == 0
     assert len(out.splitlines()) == 3  # header + row + best
+
+
+@pytest.mark.parametrize("label", ['C5, "mp1"', "C5\nmp1", "C5,mp1"])
+def test_a_label_with_a_comma_quote_or_newline_stays_one_cell(capsys, label):
+    code, out, _ = run(
+        capsys, "--tiny", str(TINY), "--algo", "oracle", "--zero-time", "--name", label
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == bench_cli.CSV_HEADER.split(",")
+    assert [len(row) for row in rows] == [8, 8, 8]
+    assert [row[0] for row in rows[1:]] == [label, label]
+    assert [row[1:] for row in rows[1:]] == [
+        line.split(",")[1:] for line in GOLDEN_ORACLE.splitlines()[1:]
+    ]
 
 
 def test_format_csv_writes_its_rows_then_the_first_best_one():

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import random
@@ -414,7 +415,8 @@ def test_instance_takes_no_derived_arguments(derived):
 def test_derived_views():
     inst = Instance(**_instance_kwargs())
     # built on first use: construction builds none of them
-    assert not {"edge_costs", "arcs", "opening_cost_array"} & set(vars(inst))
+    views = {"facility_index", "customer_index", "edge_costs", "arcs", "opening_cost_array"}
+    assert not views & set(vars(inst))
     assert inst.facility_index == {1: 0, 2: 1, 3: 2}
     assert inst.customer_index == {"a": 0, "b": 1}
     assert inst.edge_costs == {(1, 2): 2.0, (1, 4): 1.0, (2, 3): 5.0, (3, 4): 1.0}
@@ -427,6 +429,64 @@ def test_derived_views():
     # replace() builds the views afresh for the new instance
     one_hop = dataclasses.replace(inst, hop_limit=1, customers=("b", "a"))
     assert one_hop.customer_index == {"b": 0, "a": 1}
+
+
+# each field of the instance, and a value that differs from the fixture's
+OTHER_FIELD_VALUES = {
+    "name": "y",
+    "num_nodes": 5,
+    "core_edges": EDGES[:-1] + ((3, 4, 2.0),),
+    "facilities": (1, 2, 4),
+    "root": 2,
+    "customers": ("a", "c"),
+    "opening_costs": {**OPENING, 3: 2.5},
+    "assignment_costs": np.array([[9.0, 8.0], [1.0, 7.0], [4.0, 2.0]]),
+    "hop_limit": 3,
+}
+
+
+def test_instance_equals_a_copy_of_itself():
+    inst = Instance(**_instance_kwargs())
+    assert inst == Instance(**_instance_kwargs()) == copy.deepcopy(inst)
+    inst.facility_index, inst.arcs  # built views take no part
+    assert inst == Instance(**_instance_kwargs())
+    assert inst != _instance_kwargs() and inst != "x"
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(inst)
+
+
+@pytest.mark.parametrize("name", list(OTHER_FIELD_VALUES))
+def test_instance_differs_when_one_field_does(name):
+    assert set(OTHER_FIELD_VALUES) == {f.name for f in dataclasses.fields(Instance)}
+    inst = Instance(**_instance_kwargs())
+    other = copy.copy(inst)
+    # set without the checks: num_nodes alone, say, cannot change validly
+    object.__setattr__(other, name, OTHER_FIELD_VALUES[name])
+    assert inst != other and other != inst
+    object.__setattr__(other, name, getattr(inst, name))
+    assert inst == other
+
+
+def test_replace_builds_the_indexes_over_the_new_ids():
+    inst = Instance(**_instance_kwargs())
+    assert inst.facility_index == {1: 0, 2: 1, 3: 2}
+    fewer = dataclasses.replace(
+        inst,
+        facilities=(1, 3),
+        opening_costs={1: 1.0, 3: 2.0},
+        assignment_costs=inst.assignment_costs[[0, 2]],
+    )
+    assert fewer.facility_index == {1: 0, 3: 1}
+    assert fewer.assignment_cost(3, "b") == 1.0
+    assert inst.facility_index == {1: 0, 2: 1, 3: 2}
+
+
+def test_instance_repr_shows_its_fields_alone():
+    inst = Instance(**_instance_kwargs())
+    inst.facility_index, inst.customer_index, inst.edge_costs  # built views are not shown
+    shown = ", ".join(f"{f.name}={getattr(inst, f.name)!r}" for f in dataclasses.fields(inst))
+    assert repr(inst) == f"Instance({shown})"
+    assert repr(inst).startswith("Instance(name='x', num_nodes=4, core_edges=((1, 2, 2.0), ")
 
 
 def test_assignment_matrix_is_write_locked(tiny1):

@@ -119,6 +119,14 @@ def test_infeasible_hop_limit_gives_inf_total(tiny1):
     assert [v.constraint for v in validate(one_hop, sol)] == ["infeasible"]
 
 
+def test_feasible_follows_the_breakdown():
+    assert "feasible" not in {f.name for f in dataclasses.fields(Solution)}
+    none = Solution(frozenset({1}), None, {}, None)
+    assert not none.feasible and none.total == math.inf
+    priced = Solution(frozenset({1}), None, {}, CostBreakdown(1.0, 2.0, 4.0))
+    assert priced.feasible and priced.total == 7.0
+
+
 def test_assignment_matches_naive_reference():
     rng = random.Random(31415)
     for _ in range(300):
@@ -355,7 +363,7 @@ def test_evaluate_without_a_cache_keeps_nothing(tiny1, monkeypatch):
 # -- validator ---------------------------------------------------------------
 
 
-def _solution(tiny1, *, opens, edges, depth, assignment, feasible=True):
+def _solution(tiny1, *, opens, edges, depth, assignment):
     parent = {}
     for u, v in edges:
         child, par = (u, v) if depth.get(u, 0) > depth.get(v, 0) else (v, u)
@@ -393,7 +401,6 @@ def _solution(tiny1, *, opens, edges, depth, assignment, feasible=True):
         tree=tree,
         assignment=dict(assignment),
         breakdown=breakdown,
-        feasible=feasible,
     )
 
 
