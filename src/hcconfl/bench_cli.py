@@ -210,6 +210,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError("--repeats must be >= 1")
         if args.hop is not None and args.hop < 1:
             raise ValueError(f"--hop must be >= 1, got {args.hop}")
+        if args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         for field, (option, _, algos, _) in PARAMS.items():
             if _given(args, field) and args.algo not in algos:
                 raise ValueError(f"{option} does not apply to --algo {args.algo}")

@@ -43,6 +43,7 @@ from .harmony_core import (
     harmony_solve,
     init_bias,
     repair_vector,
+    seeded_rng,
 )
 from .hop_paths import HopTableCache
 from .instance_model import Instance, _check_integers
@@ -334,11 +335,12 @@ def hybrid_solve(
     Bias-guided random vectors are repaired and greedily closed; the
     facilities that survive most often (ties: smaller id) form a shortlist
     of ``top_k`` entries including the root, and every root-open subset of
-    the shortlist is evaluated exactly as-is.
+    the shortlist is evaluated exactly as-is.  ``seed`` is an integer >= 0
+    (:func:`~hcconfl.harmony_core.seeded_rng`), the only randomness.
     """
     greedy = greedy or GreedyParams()
     start = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     cache = HopTableCache(instance)
     close = _repair_and_close(cache, SAMPLE_MAX_OPEN)
     bias = init_bias(instance)

@@ -133,6 +133,14 @@ class HarmonyMemory:
         return self.vectors.mean(axis=0)
 
 
+def seeded_rng(seed: int) -> np.random.Generator:
+    """A solve's generator; ValueError unless ``seed`` is an integer >= 0."""
+    _check_integers(seed=seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def vector_ids(instance: Instance, vector: np.ndarray) -> list[int]:
     """The facility ids a 0/1 vector in facility order opens."""
     return [instance.facilities[i] for i in np.flatnonzero(vector)]
@@ -285,10 +293,11 @@ def harmony_solve(
     the root-open patterns in memory: every improvised vector is
     root-open, so each would transform into a row memory already holds.
     ``stats.iterations`` counts the improvisations run, 0 in that case.
+    ``seed`` is an integer >= 0 (:func:`seeded_rng`), the only randomness.
     """
     params = params or HarmonyParams()
     start = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     cache = cache_for(instance, cache)
 
     if transform is None:

@@ -68,7 +68,9 @@ def hop_bellman_ford(instance: Instance, source: int) -> HopDistanceTable:
 
     Level ``h`` scatter-minimizes level ``h - 1`` over every arc; where a
     cost strictly falls, ``pred`` is the smallest source among the arcs that
-    reach the new cost.
+    reach the new cost.  Costs are >= 0, so once no cost falls at a level,
+    every level above repeats it: the sweep stops there and copies it up,
+    which bounds the levels computed by ``num_nodes``.
     """
     (source,) = instance.core_nodes([source], "source")
     hops = instance.hop_limit
@@ -85,6 +87,9 @@ def hop_bellman_ford(instance: Instance, source: int) -> HopDistanceTable:
         won = (cand < prev[dst]) & (cand == cur[dst])
         fell = dst[won]
         pred[h] = pred[h - 1]
+        if not len(fell):  # no cost fell: every level above repeats this one
+            dist[h + 1 :], pred[h + 1 :] = cur, pred[h]
+            break
         pred[h, fell] = n + 1  # above every id, so the minimum is a source
         np.minimum.at(pred[h], fell, src[won])
     for arr in (dist, pred):

@@ -49,16 +49,24 @@ def test_python_m_runs_main_and_exits_with_its_code(capsys, monkeypatch):
     assert capsys.readouterr().out == GOLDEN_ORACLE
 
 
-def test_readme_ghs_example_prints_what_the_readme_shows(capsys, monkeypatch):
-    command = "hcconfl-bench --tiny tests/data/tiny1.txt --algo ghs --repeats 3 --zero-time"
+README_GHS_COMMAND = "hcconfl-bench --tiny tests/data/tiny1.txt --algo ghs --repeats 3 --zero-time"
+
+
+def readme_output_of(command: str) -> str | None:
+    """The stdout the README shows for ``command``: the block that follows
+    the command's block at once (None if there is no such block)."""
     readme = (ROOT / "README.md").read_text()
-    # the command's block is followed at once by the block of its stdout
     shown = re.search(re.escape(command) + r"\n```\n\n```\n(.*?)```", readme, re.S)
+    return None if shown is None else shown.group(1)
+
+
+def test_readme_ghs_example_prints_what_the_readme_shows(capsys, monkeypatch):
+    shown = readme_output_of(README_GHS_COMMAND)
     assert shown is not None
     monkeypatch.chdir(ROOT)
-    code, out, _ = run(capsys, *command.split()[1:])
+    code, out, _ = run(capsys, *README_GHS_COMMAND.split()[1:])
     assert code == 0
-    assert out == shown.group(1)
+    assert out == shown
 
 
 def test_max_open_reaches_ghs(capsys):
@@ -229,6 +237,8 @@ BAD_VALUES = {
     ("--algo", "oracle", "--hop", "0"): "--hop must be >= 1, got 0",
     ("--algo", "hybrid", "--samples", "0"): "--samples must be >= 1",
     ("--hmcr", "0"): "--hmcr must be in (0, 1]",
+    ("--seed", "-1"): "--seed must be >= 0, got -1",
+    ("--algo", "oracle", "--seed", "-1"): "--seed must be >= 0, got -1",
 }
 
 

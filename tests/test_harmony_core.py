@@ -1,6 +1,7 @@
 import logging
 import math
 import random
+import re
 from itertools import product
 
 import numpy as np
@@ -408,6 +409,38 @@ def test_hs_deterministic_per_seed(tiny1):
     assert [h for h in a.stats.incumbent_history] == [
         h for h in b.stats.incumbent_history
     ]
+
+
+SOLVERS = {"hs": hs_solve, "ghs": greedy_variants.ghs_solve, "hybrid": greedy_variants.hybrid_solve}
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (None, "seed must be an integer, got None"),
+        (True, "seed must be an integer, got True"),
+        (1.5, "seed must be an integer, got 1.5"),
+        (-1, "seed must be >= 0, got -1"),
+    ],
+)
+def test_a_seed_is_an_integer_at_least_zero(tiny1, solver, seed, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SOLVERS[solver](tiny1, seed=seed)
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_a_numpy_integer_seed_solves_as_its_value(solver):
+    inst = random_dense_instance(random.Random(0), facilities=12, customers=12)
+
+    def run(seed):
+        result = SOLVERS[solver](inst, seed=seed)
+        stats = result.stats
+        return (result.solution.total, result.solution.open_facilities, stats.evaluations,
+                stats.iterations, stats.incumbent_history, stats.counters)
+
+    assert run(np.int64(3)) == run(3)
+    assert run(0)[0] < math.inf  # 0 is a seed too
 
 
 def test_hs_loop_records_each_improvement():

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from hcconfl import HopTableCache, Instance, extract_path, hop_bellman_ford
+from hcconfl import HopTableCache, Instance, extract_path, hop_bellman_ford, hop_paths
 
 from corpus_util import (
     naive_cheapest_paths,
@@ -220,6 +220,39 @@ def test_tables_match_the_sorting_reference(corpus):
                 got, want = getattr(table, name), getattr(ref, name)
                 assert got.dtype == want.dtype, (inst.name, source, name)
                 assert np.array_equal(got, want), (inst.name, source, name)
+
+
+def test_the_sweep_stops_once_no_cost_falls(tiny1, monkeypatch):
+    deep = dataclasses.replace(tiny1, hop_limit=10**5)
+    n = tiny1.num_nodes
+    scatters = []  # the dtype of each array the sweep scatter-minimizes
+
+    class Minimum:
+        @staticmethod
+        def at(array, index, values):
+            scatters.append(array.dtype)
+            np.minimum.at(array, index, values)
+
+    class CountingNumpy:
+        minimum = Minimum
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    for source in range(1, n + 1):
+        scatters.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(hop_paths, "np", CountingNumpy())
+            table = hop_bellman_ford(deep, source)
+        assert 1 <= scatters.count(np.float64) <= n  # one per level computed
+        # the sorting reference has no early exit; past level n no cost falls
+        ref = reference_hop_bellman_ford(dataclasses.replace(tiny1, hop_limit=2 * n), source)
+        for name in ("dist", "pred"):
+            got, want = getattr(table, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.shape == (10**5 + 1, n + 1)
+            assert np.array_equal(got[: 2 * n + 1], want), (source, name)
+            assert (got[2 * n + 1 :] == want[-1]).all(), (source, name)
+            assert not got.flags.writeable
 
 
 def _numpy_walk(table, target, hop_budget):
