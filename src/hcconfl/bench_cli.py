@@ -31,6 +31,7 @@ from .harmony_core import HarmonyParams, hs_solve
 from .instance_model import (
     Instance,
     ParseError,
+    _check_count,
     merge_instances,
     parse_stp,
     parse_tiny,
@@ -123,7 +124,7 @@ def load_instance(args: argparse.Namespace) -> Instance:
     if args.tiny and (args.stp or args.uflp):
         raise ParseError("--tiny cannot be combined with --stp/--uflp")
     if args.tiny:
-        instance = parse_tiny(args.tiny.read_text(), name=args.tiny.stem)
+        instance = parse_tiny(args.tiny.read_text(), name=instance_label(args))
         if args.hop is not None:
             instance = replace(instance, hop_limit=args.hop)
         return instance
@@ -143,7 +144,8 @@ def _given(args: argparse.Namespace, *fields: str) -> dict:
 
 def _as_typed(args: argparse.Namespace, message: str) -> str:
     """``message`` with a leading params field renamed to the option given for
-    it: ``sample_count must be >= 1`` becomes ``--samples must be >= 1``."""
+    it: ``sample_count must be >= 1, got 0`` becomes ``--samples must be >= 1,
+    got 0``."""
     field, space, rest = message.partition(" ")
     if field in PARAMS and _given(args, field):
         return PARAMS[field][0] + space + rest
@@ -155,7 +157,7 @@ def harmony_params(args: argparse.Namespace) -> HarmonyParams:
     return replace(params, **_given(args, "hms", "hmcr_start", "max_no_improve"))
 
 
-def run_once(instance: Instance, label: str, args: argparse.Namespace, seed: int) -> RunRow:
+def run_once(instance: Instance, args: argparse.Namespace, seed: int) -> RunRow:
     cpu_start = time.process_time()
     if args.algo == "oracle":
         solution, iterations = exact_solve(instance), 0
@@ -172,15 +174,15 @@ def run_once(instance: Instance, label: str, args: argparse.Namespace, seed: int
     cpu = 0.0 if args.zero_time else time.process_time() - cpu_start
 
     if not solution.feasible:
-        raise RuntimeError(f"{label}: no feasible solution found")
+        raise RuntimeError(f"{instance.name}: no feasible solution found")
     problems = validate(instance, solution)
     if problems:
         raise RuntimeError(
-            f"{label}: solution violates {problems[0].constraint}: "
+            f"{instance.name}: solution violates {problems[0].constraint}: "
             f"{problems[0].message}"
         )
     return RunRow(
-        instance=label,
+        instance=instance.name,
         algo=args.algo,
         hop=instance.hop_limit,
         seed=str(seed),
@@ -206,21 +208,15 @@ def format_csv(rows: list[RunRow]) -> str:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.repeats < 1:
-            raise ValueError("--repeats must be >= 1")
-        if args.hop is not None and args.hop < 1:
-            raise ValueError(f"--hop must be >= 1, got {args.hop}")
-        if args.seed < 0:
-            raise ValueError(f"--seed must be >= 0, got {args.seed}")
+        _check_count("--repeats", args.repeats, 1)
+        if args.hop is not None:
+            _check_count("--hop", args.hop, 1)
+        _check_count("--seed", args.seed, 0)
         for field, (option, _, algos, _) in PARAMS.items():
             if _given(args, field) and args.algo not in algos:
                 raise ValueError(f"{option} does not apply to --algo {args.algo}")
         instance = load_instance(args)
-        label = instance_label(args)
-        rows = [
-            run_once(instance, label, args, seed=args.seed + i)
-            for i in range(args.repeats)
-        ]
+        rows = [run_once(instance, args, seed=args.seed + i) for i in range(args.repeats)]
         text = format_csv(rows)
         if args.out:
             args.out.write_text(text)

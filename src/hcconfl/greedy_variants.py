@@ -46,7 +46,7 @@ from .harmony_core import (
     seeded_rng,
 )
 from .hop_paths import HopTableCache
-from .instance_model import Instance, _check_integers
+from .instance_model import Instance, _check_count
 from .objective import Solution, as_open_set, evaluate, root_open_subsets, validate
 
 EXHAUSTIVE_BIT_LIMIT = 24
@@ -73,11 +73,10 @@ class GreedyParams:
     sample_count: int = 1500
 
     def __post_init__(self) -> None:
-        _check_integers(top_k=self.top_k, sample_count=self.sample_count)
-        if not 1 <= self.top_k <= EXHAUSTIVE_BIT_LIMIT:
-            raise ValueError(f"top_k must be in [1, {EXHAUSTIVE_BIT_LIMIT}]")
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
+        _check_count("top_k", self.top_k, 1)
+        if self.top_k > EXHAUSTIVE_BIT_LIMIT:
+            raise ValueError(f"top_k must be <= {EXHAUSTIVE_BIT_LIMIT}, got {self.top_k}")
+        _check_count("sample_count", self.sample_count, 1)
 
 
 class Closer:
@@ -274,13 +273,6 @@ def close_rows(closer: Closer, rows: np.ndarray, max_open: int) -> np.ndarray:
     return closed
 
 
-def _check_max_open(max_open: int) -> None:
-    """ValueError unless ``max_open`` is an integer of at least 1."""
-    _check_integers(max_open=max_open)
-    if max_open < 1:
-        raise ValueError("max_open must be >= 1")
-
-
 def greedy_close(
     instance: Instance, open_facilities, max_open: int = MAX_OPEN
 ) -> np.ndarray:
@@ -290,7 +282,7 @@ def greedy_close(
     as in :func:`evaluate`.  The :class:`Closer` is built on a fresh
     :class:`HopTableCache`.
     """
-    _check_max_open(max_open)
+    _check_count("max_open", max_open, 1)
     opened = as_open_set(instance, open_facilities) | {instance.root}
     row = np.zeros((1, len(instance.facilities)), dtype=np.uint8)
     row[0, [instance.facility_index[f] for f in opened]] = 1
@@ -316,7 +308,7 @@ def ghs_solve(
     seed: int = 1,
 ) -> SolveResult:
     """Harmony search that greedily closes facilities before evaluating."""
-    _check_max_open(max_open)
+    _check_count("max_open", max_open, 1)
     params = params or GHS_PARAMS
     cache = HopTableCache(instance)
     transform = _repair_and_close(cache, max_open)

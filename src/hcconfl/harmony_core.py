@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .hop_paths import HopTableCache, cache_for
-from .instance_model import Instance, _check_integers
+from .instance_model import Instance, _check_count
 from .objective import COST_TOL, Solution, evaluate, validate
 
 logger = logging.getLogger(__name__)
@@ -51,13 +51,10 @@ class HarmonyParams:
     max_no_improve: int = 1000
 
     def __post_init__(self) -> None:
-        _check_integers(hms=self.hms, max_no_improve=self.max_no_improve)
-        if self.hms < 2:
-            raise ValueError("hms must be >= 2")
+        _check_count("hms", self.hms, 2)
+        _check_count("max_no_improve", self.max_no_improve, 1)
         if not 0.0 < self.hmcr_start <= 1.0:
             raise ValueError("hmcr_start must be in (0, 1]")
-        if self.max_no_improve < 1:
-            raise ValueError("max_no_improve must be >= 1")
 
     def hmcr(self, iteration: int) -> float:
         ramp = (1.0 - self.hmcr_start) * iteration / HMCR_RAMP_ITERS
@@ -135,9 +132,7 @@ class HarmonyMemory:
 
 def seeded_rng(seed: int) -> np.random.Generator:
     """A solve's generator; ValueError unless ``seed`` is an integer >= 0."""
-    _check_integers(seed=seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    _check_count("seed", seed, 0)
     return np.random.default_rng(seed)
 
 

@@ -23,7 +23,10 @@ call: phase 1 keeps the best known connection to each missing facility in
 a heap, refreshed only from the nodes whose label the last insertion set
 or lowered; phase 2 prices every tree node for a facility from that
 facility's own table, since on an undirected graph the cheapest walk from
-``v`` to ``u`` is the reverse of one from ``u`` to ``v``.
+``v`` to ``u`` is the reverse of one from ``u`` to ``v``.  A table holds
+levels up to ``hop_paths.top_level`` only, ``min(hop_limit, num_nodes -
+1)``, and every level above repeats it: phase 1 reads a budget above it at
+the top level, and phase 2 caps each tree node's room there.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .hop_paths import HopTableCache, cache_for, extract_path
+from .hop_paths import HopTableCache, cache_for, extract_path, top_level
 from .instance_model import Instance
 
 
@@ -142,15 +145,15 @@ def nrbi_phase1(
     from a partial node ``u`` within its remaining hop budget to a missing
     facility ``v``.  ``best`` holds, per missing facility, the smallest
     (cost, u) seen so far, refreshed only from relabeled nodes, each of
-    which reads its table's ``dist_view`` at its budget's row once per
-    missing facility.  That is exact: a relabel only raises ``u``'s budget
-    and table rows never increase with the budget, so a stale entry never
-    beats the fresh one.
+    which reads its table's ``dist_view`` at its budget's row (the top
+    level at most) once per missing facility.  That is exact: a relabel
+    only raises ``u``'s budget and table rows never increase with the
+    budget, so a stale entry never beats the fresh one.
     Every improvement goes on a heap, and the pick is its least entry whose
     facility is missing: a superseded entry sorts after the one that
     replaced it, and a facility out of reach pushes nothing.
     """
-    hops, root = instance.hop_limit, instance.root
+    hops, root, top = instance.hop_limit, instance.root, top_level(instance)
     state = NrbiState(hops_from_root={root: 0})
     remaining = instance.core_nodes(open_facilities) - {root}
 
@@ -163,10 +166,11 @@ def nrbi_phase1(
             budget = hops - state.hops_from_root[u]
             if budget < 1:
                 continue
+            row = budget if budget < top else top
             dist = cache.table(u).dist_view
             cache.counts["phase1_reads"] += len(remaining)
             for v in remaining:
-                cost = dist[budget, v]
+                cost = dist[row, v]
                 if cost <= best[v][0] and (cost, u) < best[v]:  # most fail the float test
                     best[v] = (cost, u)
                     heapq.heappush(heap, (cost, u, v))
@@ -227,12 +231,14 @@ def nrbi_phase2(instance: Instance, state: NrbiState, cache: HopTableCache) -> S
     ``v``.  The chosen path is still read from ``u``'s table, so its
     tie-breaks are those of a walk from ``u``.
     """
-    hops = instance.hop_limit
+    hops, top = instance.hop_limit, top_level(instance)
+    shallow = hops - top  # a node this deep or less has top hops left or more
     depth = {instance.root: 0}  # its keys are the tree's nodes
     parent: dict[int, int] = {}
-    # (node, hops left below it, phase-1 label or, if it has none, depth) per
-    # tree node with a hop to spare: the others would read inf at budget 0
-    members = [(instance.root, hops, 0)]
+    # (node, hops left below it capped at the top level, phase-1 label or, if
+    # it has none, depth) per tree node with a hop to spare: the others would
+    # read inf at budget 0
+    members = [(instance.root, top, 0)]
 
     for v in reversed(state.insertion_epoch):
         if v in depth:
@@ -269,7 +275,8 @@ def nrbi_phase2(instance: Instance, state: NrbiState, cache: HopTableCache) -> S
             return _parent_tree(instance, state)
         _attach(depth, parent, pick)
         members.extend(
-            (x, hops - depth[x], state.hops_from_root.get(x, depth[x]))
+            (x, hops - depth[x] if depth[x] > shallow else top,
+             state.hops_from_root.get(x, depth[x]))
             for x in pick[1:]
             if depth[x] < hops
         )

@@ -3,7 +3,9 @@
 The central object is a per-source table ``dist[h][v]`` = cheapest cost of a
 walk from the source to ``v`` using at most ``h`` edges, computed by a
 Bellman-Ford sweep over hop levels, one scatter-minimum per level.  Rows are
-nonincreasing in ``h``.  A node's predecessor changes only at a level where
+nonincreasing in ``h``, and a table stops at level :func:`top_level`,
+``min(hop_limit, num_nodes - 1)``: no cost falls past it, so a budget above
+it reads it.  A node's predecessor changes only at a level where
 its cost strictly falls, so the chosen walk has the fewest edges among
 equal-cost walks from the source; among the arcs that reach that cost, the
 smallest predecessor id wins.  This makes extracted paths deterministic.
@@ -25,17 +27,20 @@ from functools import cached_property
 
 import numpy as np
 
-from .instance_model import Instance
+from .instance_model import Instance, _is_integer
 
 
 @dataclass(frozen=True)
 class HopDistanceTable:
     """Distances and predecessors from one source, per hop budget.
 
-    ``dist`` has shape (hop_limit + 1, num_nodes + 1); column 0 is unused so
-    node ids index directly.  ``pred[h][v]`` is the predecessor of ``v`` on
-    the chosen cheapest walk of at most ``h`` edges (0 = none); both carry
-    over from level ``h - 1`` unless the cost strictly falls at ``h``.
+    ``hop_limit`` is the table's top level, :func:`top_level` of its
+    instance, and ``dist`` has shape (hop_limit + 1, num_nodes + 1); column
+    0 is unused so node ids index directly.  A budget above the top level
+    reads the top level, which every level above it repeats.  ``pred[h][v]``
+    is the predecessor of ``v`` on the chosen cheapest walk of at most
+    ``h`` edges (0 = none); both carry over from level ``h - 1`` unless the
+    cost strictly falls at ``h``.
     ``dist_view`` and ``pred_view`` are read-only memoryviews of the two
     arrays, made once per table on first use and sharing their memory:
     ``dist_view[h, v]`` is one entry as a Python float (``pred_view``: int),
@@ -56,30 +61,49 @@ class HopDistanceTable:
         return memoryview(self.pred).toreadonly()
 
     def cost(self, node: int, hop_budget: int | None = None) -> float:
-        """Cheapest cost to ``node`` within ``hop_budget`` edges (inf if none)."""
+        """Cheapest cost to ``node`` within ``hop_budget`` edges (inf if none).
+
+        ValueError unless ``node`` is a core node.
+        """
+        self._check_target(node)
         h = self.hop_limit if hop_budget is None else min(hop_budget, self.hop_limit)
         if h < 0:
             return math.inf
         return self.dist_view[h, node]
 
+    def _check_target(self, node: object) -> None:
+        if not (_is_integer(node) and 1 <= node < self.dist.shape[1]):
+            raise ValueError(f"target {node} is not a core node")
+
+
+def top_level(instance: Instance) -> int:
+    """The highest hop level a table of ``instance`` holds.
+
+    That is ``min(hop_limit, num_nodes - 1)``: costs are >= 0, so a walk
+    of more than ``num_nodes - 1`` edges costs no less than the path it
+    contains, and no cost falls past that level; every level above repeats
+    it, ``dist`` and ``pred`` alike.
+    """
+    return min(instance.hop_limit, instance.num_nodes - 1)
+
 
 def hop_bellman_ford(instance: Instance, source: int) -> HopDistanceTable:
-    """Build one source's distance/predecessor table up to the hop limit.
+    """Build one source's distance/predecessor table up to :func:`top_level`.
 
     Level ``h`` scatter-minimizes level ``h - 1`` over every arc; where a
     cost strictly falls, ``pred`` is the smallest source among the arcs that
     reach the new cost.  Costs are >= 0, so once no cost falls at a level,
-    every level above repeats it: the sweep stops there and copies it up,
-    which bounds the levels computed by ``num_nodes``.
+    every level above repeats it: the sweep stops there and copies it up
+    to the top level.
     """
     (source,) = instance.core_nodes([source], "source")
-    hops = instance.hop_limit
+    top = top_level(instance)
     n = instance.num_nodes
-    dist = np.full((hops + 1, n + 1), np.inf)
-    pred = np.zeros((hops + 1, n + 1), dtype=np.int32)
+    dist = np.full((top + 1, n + 1), np.inf)
+    pred = np.zeros((top + 1, n + 1), dtype=np.int32)
     dist[0, source] = 0.0
     src, dst, wgt = instance.arcs
-    for h in range(1, hops + 1):
+    for h in range(1, top + 1):
         prev, cur = dist[h - 1], dist[h]
         cand = prev[src] + wgt
         cur[:] = prev
@@ -94,7 +118,7 @@ def hop_bellman_ford(instance: Instance, source: int) -> HopDistanceTable:
         np.minimum.at(pred[h], fell, src[won])
     for arr in (dist, pred):
         arr.setflags(write=False)
-    return HopDistanceTable(source, hops, dist, pred)
+    return HopDistanceTable(source, top, dist, pred)
 
 
 def extract_path(
@@ -102,11 +126,14 @@ def extract_path(
 ) -> list[int] | None:
     """Recover the chosen source->target node path within ``hop_budget``.
 
-    Returns None when the target is unreachable inside the budget.  The path
-    realizes ``table.cost(target, hop_budget)`` with the fewest edges among
-    equal-cost walks: ``pred`` is walked down from the budget level, and a
-    node's entry there is the one set where its cost last fell.
+    Returns None when the target is unreachable inside the budget, and
+    raises ValueError unless ``target`` is a core node.  The path realizes
+    ``table.cost(target, hop_budget)`` with the fewest edges among
+    equal-cost walks: ``pred`` is walked down from the budget level (the
+    top level at most), and a node's entry there is the one set where its
+    cost last fell.
     """
+    table._check_target(target)
     h = table.hop_limit if hop_budget is None else min(hop_budget, table.hop_limit)
     if h < 0 or not math.isfinite(table.dist_view[h, target]):
         return None
@@ -133,8 +160,9 @@ WORK_COUNTS = ("trees_reused", "phase1_rounds", "relabeled",
 class HopTableCache:
     """The per-solve memo of hop tables and of the tree of each served set.
 
-    Tables are built lazily, one per source, and every table reaches the
-    instance's hop limit.  ``root_paths`` reads the root's table once.
+    Tables are built lazily, one per source, and every table reaches
+    :func:`top_level`, which stands for every level up to the hop limit.
+    ``root_paths`` reads the root's table once.
     ``trees`` maps a packed served set (the root plus the facilities some
     customer picks) to its packed tree, or to None when it has none.
     ``counts`` holds one running total per ``WORK_COUNTS`` name:

@@ -19,6 +19,7 @@ Supported input formats:
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -58,11 +59,26 @@ def _is_integer(value: object) -> bool:
     return True
 
 
-def _check_integers(**values: object) -> None:
-    """ValueError naming the first of ``values`` that is no integer."""
-    for name, value in values.items():
-        if not _is_integer(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+def _is_cost(value: object) -> bool:
+    """Whether ``value`` is a finite real number >= 0; bools and strings are not.
+
+    The rule for the instance's edge and opening costs.
+    """
+    real = type(value) is float or not isinstance(value, bool) and isinstance(value, numbers.Real)
+    return real and value >= 0 and math.isfinite(value)
+
+
+def _check_count(name: str, value: object, low: int) -> None:
+    """ValueError unless ``value`` is an integer of at least ``low``.
+
+    The rule for every count of the package: the instance's sizes, the
+    solvers' knobs and seeds, and the CLI's.  The message names ``name``
+    and the value refused.
+    """
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,11 +107,8 @@ class Instance:
     hop_limit: int
 
     def __post_init__(self) -> None:
-        _check_integers(num_nodes=self.num_nodes, hop_limit=self.hop_limit)
-        if self.num_nodes < 1:
-            raise ValueError("instance needs at least one core node")
-        if self.hop_limit < 1:
-            raise ValueError(f"hop limit must be >= 1, got {self.hop_limit}")
+        _check_count("num_nodes", self.num_nodes, 1)
+        _check_count("hop_limit", self.hop_limit, 1)
         if len(set(self.facilities)) != len(self.facilities):
             raise ValueError("duplicate facility ids")
         self.core_nodes(self.facilities, "facility")
@@ -118,12 +131,12 @@ class Instance:
             if (u, v) in seen:
                 raise ValueError(f"duplicate edge ({u},{v})")
             seen.add((u, v))
-            if not (cost >= 0 and math.isfinite(cost)):
+            if not _is_cost(cost):
                 raise ValueError(f"edge ({u},{v}) has invalid cost {cost}")
         if set(self.opening_costs) != set(self.facilities):
             raise ValueError("opening costs must cover exactly the facilities")
         for f, cost in self.opening_costs.items():
-            if not (cost >= 0 and math.isfinite(cost)):
+            if not _is_cost(cost):
                 raise ValueError(f"facility {f} has invalid opening cost {cost}")
         mat = np.asarray(self.assignment_costs, dtype=np.float64)
         if mat.shape != (len(self.facilities), len(self.customers)):

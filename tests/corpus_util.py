@@ -573,9 +573,10 @@ def reference_phase1(instance: Instance, open_facilities):
     from each relabeled node's full table row; each round picks the
     smallest (cost, u, v) over the missing facilities with one
     ``np.lexsort``.  Returns the package's ``NrbiState``, with insertion
-    costs summed edge by edge from the path's first node.
+    costs summed edge by edge from the path's first node.  Tables come from
+    :func:`reference_hop_bellman_ford`, all ``hop_limit + 1`` levels of them.
     """
-    from hcconfl import NrbiState, TreeInfeasibleError, extract_path, hop_bellman_ford
+    from hcconfl import NrbiState, TreeInfeasibleError, extract_path
 
     hops = instance.hop_limit
     root = instance.root
@@ -593,7 +594,7 @@ def reference_phase1(instance: Instance, open_facilities):
             if budget < 1:
                 continue
             if u not in tables:
-                tables[u] = hop_bellman_ford(instance, u)
+                tables[u] = reference_hop_bellman_ford(instance, u)
             cost = tables[u].dist[budget]
             better = (cost < best_cost) | ((cost == best_cost) & (u < best_from))
             best_cost[better] = cost[better]
@@ -622,24 +623,26 @@ def reference_phase1(instance: Instance, open_facilities):
     return state
 
 
-def reference_nrbi(instance: Instance, open_facilities):
+def reference_nrbi(instance: Instance, open_facilities, tables: dict | None = None):
     """The two-phase tree heuristic as plain loops, for differential tests.
 
     Phase 1 rescans every partial node in every round; phase 2 prices every
     tree node for each facility one at a time.  Tie-breaks are those of
     ``hcconfl.nrbi``: cost, then the smallest node ids.
     Returns ``(edges, depth, parent, cost)`` and raises the package's
-    ``TreeInfeasibleError`` naming the same facility.
+    ``TreeInfeasibleError`` naming the same facility.  Tables come from
+    :func:`reference_hop_bellman_ford`, all ``hop_limit + 1`` levels of them;
+    ``tables``, when given, keeps them by source across calls on ``instance``.
     """
-    from hcconfl import TreeInfeasibleError, extract_path, hop_bellman_ford
+    from hcconfl import TreeInfeasibleError, extract_path
 
     hops = instance.hop_limit
     root = instance.root
-    tables: dict = {}
+    tables = {} if tables is None else tables
 
     def table(u: int):
         if u not in tables:
-            tables[u] = hop_bellman_ford(instance, u)
+            tables[u] = reference_hop_bellman_ford(instance, u)
         return tables[u]
 
     def edge(u: int, v: int) -> tuple[int, int]:

@@ -227,18 +227,19 @@ def test_a_bad_solution_exits_2(capsys, monkeypatch):
 
 # each bad value and the message it gets, which names the option as typed
 BAD_VALUES = {
-    ("--hms", "1"): "--hms must be >= 2",
+    ("--hms", "1"): "--hms must be >= 2, got 1",
     ("--algo", "hs", "--hmcr", "0"): "--hmcr must be in (0, 1]",
-    ("--max-no-improve", "0"): "--max-no-improve must be >= 1",
-    ("--algo", "hybrid", "--top-k", "30"): "--top-k must be in [1, 24]",
-    ("--algo", "hybrid", "--top-k", "0"): "--top-k must be in [1, 24]",
-    ("--algo", "hybrid", "--samples", "-3"): "--samples must be >= 1",
-    ("--max-open", "0"): "--max-open must be >= 1",
+    ("--max-no-improve", "0"): "--max-no-improve must be >= 1, got 0",
+    ("--algo", "hybrid", "--top-k", "30"): "--top-k must be <= 24, got 30",
+    ("--algo", "hybrid", "--top-k", "0"): "--top-k must be >= 1, got 0",
+    ("--algo", "hybrid", "--samples", "-3"): "--samples must be >= 1, got -3",
+    ("--max-open", "0"): "--max-open must be >= 1, got 0",
     ("--algo", "oracle", "--hop", "0"): "--hop must be >= 1, got 0",
-    ("--algo", "hybrid", "--samples", "0"): "--samples must be >= 1",
+    ("--algo", "hybrid", "--samples", "0"): "--samples must be >= 1, got 0",
     ("--hmcr", "0"): "--hmcr must be in (0, 1]",
     ("--seed", "-1"): "--seed must be >= 0, got -1",
     ("--algo", "oracle", "--seed", "-1"): "--seed must be >= 0, got -1",
+    ("--repeats", "0"): "--repeats must be >= 1, got 0",
 }
 
 

@@ -64,7 +64,7 @@ def test_greedy_close_fixture(tiny1):
 def test_greedy_close_respects_max_open(tiny1):
     vec = greedy_close(tiny1, {1, 2, 3}, max_open=1)
     assert list(vec) == [1, 0, 0]
-    with pytest.raises(ValueError, match="^max_open must be >= 1$"):
+    with pytest.raises(ValueError, match="^max_open must be >= 1, got 0$"):
         greedy_close(tiny1, {1, 2, 3}, max_open=0)
     for bad in (1.5, True):
         with pytest.raises(ValueError, match=f"^max_open must be an integer, got {bad}$"):

@@ -1,5 +1,6 @@
 import dataclasses
 import heapq
+import math
 import random
 from types import SimpleNamespace
 
@@ -20,6 +21,7 @@ from hcconfl.hcst_nrbi import NrbiState, _parent_tree, nrbi_phase1, nrbi_phase2
 from hcconfl.hop_paths import HopTableCache
 
 from corpus_util import (
+    naive_assignment,
     random_deep_instance,
     random_dense_instance,
     random_graph_instance,
@@ -27,6 +29,7 @@ from corpus_util import (
     reference_nrbi,
     reference_parent_tree,
     reference_phase1,
+    served_set,
     tree_is_valid,
 )
 
@@ -192,6 +195,65 @@ def test_matches_plain_loop_reference():
             infeasible += got[0] == "infeasible"
     assert checked >= 1000
     assert 0 < infeasible < checked / 2
+
+
+def test_hop_limits_past_the_top_level_match_the_plain_loop_reference(tiny1):
+    # a table holds levels up to num_nodes - 1 and nrbi reads a budget above
+    # it at that level; the reference reads whole tables of hop_limit + 1
+    # levels.  Trees, and evaluate's totals, must not tell the two apart.
+    rng = random.Random(8642)
+    bases = [tiny1] + [random_tiny_instance(rng, max_facilities=6) for _ in range(60)]
+    small = [inst for inst in bases[1:] if inst.num_nodes <= 4][:2]
+    checked = 0
+    for base in bases:
+        n = base.num_nodes
+        deep = (10**5,) if base is tiny1 or any(base is inst for inst in small) else ()
+        for hops in (n - 1, n, 2 * n, *deep):
+            if hops < 1:
+                continue
+            inst = dataclasses.replace(base, hop_limit=hops)
+            cache, tables = HopTableCache(inst), {}
+            others = [f for f in inst.facilities if f != inst.root]
+            for mask in range(1 << len(others)):
+                opens = {f for k, f in enumerate(others) if mask >> k & 1} | {inst.root}
+                want = _outcome(lambda: reference_nrbi(inst, opens, tables))
+                assert _outcome(lambda: nrbi(inst, opens, cache)) == want
+                served = served_set(inst, opens)
+                tree = _outcome(lambda: reference_nrbi(inst, served, tables))
+                if tree[0] == "infeasible":
+                    total = math.inf
+                else:
+                    assignment_cost = naive_assignment(inst, opens)[1]
+                    total = tree[3] + assignment_cost + sum(inst.opening_costs[f] for f in served)
+                assert evaluate(inst, opens, cache).total == total
+                checked += 1
+    assert len(small) == 2 and checked > 500
+
+
+def test_a_phase1_label_past_the_top_level_reads_the_top_level():
+    # 4 is the root.  Round 1 attaches 1 along 4-3-2-1 (labels 1, 2, 3); the
+    # zero-cost edges tie 1, 2 and 3 for facility 5 at cost 10, and the
+    # smallest id, 1, wins, so 5 is attached along 1-2-3-5 and labelled
+    # 3 + 3 = 6, above the top level num_nodes - 1 = 4.  Phase 2 then prices
+    # the root for 5 at budget 6, which must read level 4.
+    inst = Instance(
+        name="label-past-top",
+        num_nodes=5,
+        core_edges=((1, 2, 0.0), (2, 3, 0.0), (3, 4, 1.0), (3, 5, 10.0)),
+        facilities=(1, 4, 5),
+        root=4,
+        customers=(),
+        opening_costs={1: 0.0, 4: 0.0, 5: 0.0},
+        assignment_costs=np.zeros((3, 0)),
+        hop_limit=6,
+    )
+    cache = HopTableCache(inst)
+    state = nrbi_phase1(inst, {1, 5}, cache)
+    assert state.hops_from_root == {4: 0, 3: 1, 2: 2, 1: 3, 5: 6}
+    assert cache.table(5).hop_limit == 4
+    tree = nrbi(inst, {1, 5}, cache)
+    assert _outcome(lambda: tree) == _outcome(lambda: reference_nrbi(inst, {1, 5}))
+    assert tree.depth == {4: 0, 3: 1, 2: 2, 1: 3, 5: 2}
 
 
 def test_matches_reference_where_the_phase1_chain_wins(monkeypatch):

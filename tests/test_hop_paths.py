@@ -36,6 +36,19 @@ def test_fixture_table_values(tiny1):
     assert extract_path(table, 1, -1) is None
 
 
+@pytest.mark.parametrize("target", [-1, 0, 5, 2.0, True])
+def test_a_target_that_is_no_core_node_is_refused(tiny1, target):
+    # -1 used to read node 4's column, 0 the unused column and 5 past the end
+    table = hop_bellman_ford(tiny1, tiny1.root)
+    message = f"^target {re.escape(str(target))} is not a core node$"
+    with pytest.raises(ValueError, match=message):
+        table.cost(target)
+    with pytest.raises(ValueError, match=message):
+        extract_path(table, target)
+    with pytest.raises(ValueError, match=message):
+        extract_path(table, target, 1)
+
+
 def test_rows_are_nonincreasing(tiny1):
     table = hop_bellman_ford(dataclasses.replace(tiny1, hop_limit=4), 1)
     finite = np.nan_to_num(table.dist, posinf=1e18)
@@ -140,13 +153,13 @@ def test_min_hop_table_is_first_level_holding_the_value():
         table = hop_bellman_ford(inst, rng.randint(1, inst.num_nodes))
         for b in range(inst.hop_limit + 1):
             for v in range(1, inst.num_nodes + 1):
-                col = table.dist[: b + 1, v]
+                col = table.dist[: b + 1, v]  # a budget past the top level reads it
                 path = extract_path(table, v, b)
-                if not math.isfinite(col[b]):
+                if not math.isfinite(col[-1]):
                     assert path is None
                     continue
                 # the fewest edges that reach the budget's cost
-                assert len(path) - 1 == np.argmax(col == col[b])
+                assert len(path) - 1 == np.argmax(col == col[-1])
 
 
 def test_cached_tables_are_fresh_read_only_and_symmetric():
@@ -215,16 +228,38 @@ def test_tables_match_the_sorting_reference(corpus):
     for inst in HOP_CORPORA[corpus](rng):
         for source in range(1, inst.num_nodes + 1):
             table = hop_bellman_ford(inst, source)
-            ref = reference_hop_bellman_ford(inst, source)
+            ref = reference_hop_bellman_ford(inst, source)  # all hop_limit + 1 levels
+            top = min(inst.hop_limit, inst.num_nodes - 1)
+            assert table.hop_limit == top
             for name in ("dist", "pred"):
                 got, want = getattr(table, name), getattr(ref, name)
                 assert got.dtype == want.dtype, (inst.name, source, name)
-                assert np.array_equal(got, want), (inst.name, source, name)
+                assert np.array_equal(got, want[: top + 1]), (inst.name, source, name)
+                # the cap drops only levels that repeat the top one
+                assert (want[top + 1 :] == want[top]).all(), (inst.name, source, name)
 
 
-def test_the_sweep_stops_once_no_cost_falls(tiny1, monkeypatch):
-    deep = dataclasses.replace(tiny1, hop_limit=10**5)
-    n = tiny1.num_nodes
+def _star_instance(leaves: int, hop_limit: int) -> Instance:
+    """Node 1 joined to each of ``leaves`` other nodes; every node is a facility."""
+    nodes = range(1, leaves + 2)
+    return Instance(
+        name="star",
+        num_nodes=leaves + 1,
+        core_edges=tuple((1, v, float(v)) for v in nodes[1:]),
+        facilities=tuple(nodes),
+        root=1,
+        customers=(),
+        opening_costs=dict.fromkeys(nodes, 0.0),
+        assignment_costs=np.zeros((leaves + 1, 0)),
+        hop_limit=hop_limit,
+    )
+
+
+def test_the_sweep_stops_once_no_cost_falls(monkeypatch):
+    # every node of a star is within two hops of every other, far below the
+    # top level num_nodes - 1
+    star = _star_instance(29, 10**5)
+    n = star.num_nodes
     scatters = []  # the dtype of each array the sweep scatter-minimizes
 
     class Minimum:
@@ -243,16 +278,38 @@ def test_the_sweep_stops_once_no_cost_falls(tiny1, monkeypatch):
         scatters.clear()
         with monkeypatch.context() as patch:
             patch.setattr(hop_paths, "np", CountingNumpy())
-            table = hop_bellman_ford(deep, source)
-        assert 1 <= scatters.count(np.float64) <= n  # one per level computed
-        # the sorting reference has no early exit; past level n no cost falls
+            table = hop_bellman_ford(star, source)
+        # one per level computed: the level each node is first reached at,
+        # then the one where no cost falls
+        assert scatters.count(np.float64) == (2 if source == 1 else 3)
+        # the sorting reference has no early exit
+        ref = reference_hop_bellman_ford(dataclasses.replace(star, hop_limit=n - 1), source)
+        for name in ("dist", "pred"):
+            got, want = getattr(table, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.shape == (n, n + 1)
+            assert np.array_equal(got, want), (source, name)
+
+
+def test_a_table_holds_levels_up_to_num_nodes_minus_one(tiny1):
+    # at hop_limit 10**5 a 4-node graph's tables hold levels 0-3, not 100001
+    # rows: no cost falls past level 3, so every level above repeats it
+    deep = dataclasses.replace(tiny1, hop_limit=10**5)
+    n = tiny1.num_nodes
+    assert hop_paths.top_level(deep) == n - 1
+    assert hop_paths.top_level(tiny1) == tiny1.hop_limit == 2
+    for source in range(1, n + 1):
+        table = hop_bellman_ford(deep, source)
+        assert table.hop_limit == n - 1
         ref = reference_hop_bellman_ford(dataclasses.replace(tiny1, hop_limit=2 * n), source)
         for name in ("dist", "pred"):
             got, want = getattr(table, name), getattr(ref, name)
-            assert got.dtype == want.dtype and got.shape == (10**5 + 1, n + 1)
-            assert np.array_equal(got[: 2 * n + 1], want), (source, name)
-            assert (got[2 * n + 1 :] == want[-1]).all(), (source, name)
-            assert not got.flags.writeable
+            assert got.shape == (n, n + 1) and not got.flags.writeable
+            assert np.array_equal(got, want[:n]), (source, name)
+            assert (want[n:] == want[n - 1]).all(), (source, name)
+        for v in range(1, n + 1):
+            for budget in (n - 1, n, 2 * n, 10**5, None):
+                assert table.cost(v, budget) == ref.cost(v, budget)
+                assert extract_path(table, v, budget) == extract_path(ref, v, n - 1)
 
 
 def _numpy_walk(table, target, hop_budget):

@@ -195,7 +195,7 @@ PARSE_TINY_ERRORS = [
     ("e 1 2 2", "e 1 2 2\ne 2 1 2", "line 3: duplicate edge (2,1)"),
     ("f 2 3", "f 5 3", "missing assignment cost for (5, 'a')"),
     ("a 3 b 1", "", "missing assignment cost for (3, 'b')"),
-    ("4 3 2 2 1", "4 3 2 0 1", "hop limit must be >= 1, got 0"),
+    ("4 3 2 2 1", "4 3 2 0 1", "hop_limit must be >= 1, got 0"),
     ("4 3 2 2 1", "4 3 2 2 4", "root 4 is not a facility"),
     ("4 3 2 2 1", "4 3 2 2", "line 1: header needs 5 fields"),
     ("e 1 4 1", "e 1 4", "line 3: edge line needs 'e u v cost'"),
@@ -317,8 +317,8 @@ def _instance_kwargs(**changes) -> dict:
 @pytest.mark.parametrize(
     "changes, message",
     [
-        ({"num_nodes": 0}, "instance needs at least one core node"),
-        ({"hop_limit": 0}, "hop limit must be >= 1, got 0"),
+        ({"num_nodes": 0}, "num_nodes must be >= 1, got 0"),
+        ({"hop_limit": 0}, "hop_limit must be >= 1, got 0"),
         ({"facilities": (1, 2, 2)}, "duplicate facility ids"),
         ({"facilities": (1, 2, 5)}, "facility 5 is not a core node"),
         ({"facilities": (0, 1, 2)}, "facility 0 is not a core node"),
@@ -357,6 +357,11 @@ def _instance_kwargs(**changes) -> dict:
         ({"facilities": (1, 3, 2)}, "facilities must be listed in ascending id order"),
         # the id order is checked after the ids themselves
         ({"facilities": (3, 1, 5)}, "facility 5 is not a core node"),
+        # a cost is a real number: a string or a bool is not one
+        ({"core_edges": ((1, 2, "x"),) + EDGES[1:]}, "edge (1,2) has invalid cost x"),
+        ({"core_edges": ((1, 2, True),) + EDGES[1:]}, "edge (1,2) has invalid cost True"),
+        ({"opening_costs": {**OPENING, 1: "x"}}, "facility 1 has invalid opening cost x"),
+        ({"opening_costs": {**OPENING, 2: True}}, "facility 2 has invalid opening cost True"),
     ],
 )
 def test_instance_rejects_bad_input(changes, message):
