@@ -23,7 +23,6 @@ from .hcst_nrbi import NrbiState, SteinerTree, TreeInfeasibleError, nrbi
 from .hop_paths import HopDistanceTable, HopTableCache, extract_path, hop_bellman_ford
 from .instance_model import (
     Instance,
-    MergeError,
     ParseError,
     StpGraph,
     UflpData,
@@ -47,7 +46,6 @@ __all__ = [
     "HopDistanceTable",
     "HopTableCache",
     "Instance",
-    "MergeError",
     "NrbiState",
     "OracleLimitError",
     "ParseError",

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .hop_paths import HopTableCache, cache_for
-from .instance_model import Instance, _check_count
+from .instance_model import Instance, _check_count, _is_cost
 from .objective import COST_TOL, Solution, evaluate, validate
 
 logger = logging.getLogger(__name__)
@@ -53,8 +53,8 @@ class HarmonyParams:
     def __post_init__(self) -> None:
         _check_count("hms", self.hms, 2)
         _check_count("max_no_improve", self.max_no_improve, 1)
-        if not 0.0 < self.hmcr_start <= 1.0:
-            raise ValueError("hmcr_start must be in (0, 1]")
+        if not (_is_cost(self.hmcr_start) and 0.0 < self.hmcr_start <= 1.0):
+            raise ValueError(f"hmcr_start must be in (0, 1], got {self.hmcr_start!r}")
 
     def hmcr(self, iteration: int) -> float:
         ramp = (1.0 - self.hmcr_start) * iteration / HMCR_RAMP_ITERS

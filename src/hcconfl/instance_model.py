@@ -14,6 +14,12 @@ Supported input formats:
 * ``parse_uflp`` - OR-Library / UflLib facility location files (costs only),
 * ``parse_tiny`` - a small self-describing text format used for fixtures,
 * ``merge_instances`` - combine an STP graph with UFLP cost data.
+
+A reader refuses only text it cannot read, with a ``ParseError`` that names
+the line.  What the text says is checked in one place, ``Instance``: a bad
+edge, cost or id is refused when the instance is built, with a
+``ValueError`` that names the edge, facility or entry.  ``ParseError`` is a
+``ValueError`` too.
 """
 
 from __future__ import annotations
@@ -29,11 +35,8 @@ import numpy as np
 
 
 class ParseError(ValueError):
-    """Raised for malformed input files; message includes a line number."""
-
-
-class MergeError(ValueError):
-    """Raised when an STP graph and UFLP cost data cannot be combined."""
+    """Raised when a reader cannot read its text; the message names the line,
+    or what was being read when the text ran out."""
 
 
 def canon_edge(u: int, v: int) -> tuple[int, int]:
@@ -62,7 +65,8 @@ def _is_integer(value: object) -> bool:
 def _is_cost(value: object) -> bool:
     """Whether ``value`` is a finite real number >= 0; bools and strings are not.
 
-    The rule for the instance's edge and opening costs.
+    The rule for the instance's edge and opening costs, and the number
+    test for ``HarmonyParams.hmcr_start``.
     """
     real = type(value) is float or not isinstance(value, bool) and isinstance(value, numbers.Real)
     return real and value >= 0 and math.isfinite(value)
@@ -144,8 +148,13 @@ class Instance:
                 f"assignment matrix shape {mat.shape} does not match "
                 f"{len(self.facilities)} facilities x {len(self.customers)} customers"
             )
-        if mat.size and (not np.isfinite(mat).all() or (mat < 0).any()):
-            raise ValueError("assignment costs must be finite and >= 0")
+        bad = ~np.isfinite(mat) | (mat < 0)
+        if bad.any():
+            i, k = np.argwhere(bad)[0]  # the first in row-major order
+            raise ValueError(
+                f"assignment ({self.facilities[i]}, {self.customers[k]!r}) "
+                f"has invalid cost {mat[i, k]}"
+            )
         mat.setflags(write=False)
         object.__setattr__(self, "assignment_costs", mat)
         self._check_connected()
@@ -288,6 +297,16 @@ class _Tokens:
         except ValueError:
             raise self.error(f"expected integer {what}, got {tok!r}") from None
 
+    def next_count(self, what: str, low: int) -> int:
+        """The next token as a count of at least ``low`` (``_check_count``),
+        refused at its line."""
+        value = self.next_int(what)
+        try:
+            _check_count(what, value, low)
+        except ValueError as exc:
+            raise self.error(str(exc)) from None
+        return value
+
     def next_float(self, what: str) -> float:
         tok = self.next(what)
         try:
@@ -322,7 +341,11 @@ class _Tokens:
 
 @dataclass(frozen=True)
 class StpGraph:
-    """Raw parse of an OR-Library Steiner tree file (terminals dropped)."""
+    """Raw parse of an OR-Library Steiner tree file (terminals dropped).
+
+    ``edges`` are as read, each ``(smaller id, larger id, cost)``, sorted;
+    only the ``Instance`` that ``merge_instances`` builds checks them.
+    """
 
     num_nodes: int
     edges: tuple[tuple[int, int, float], ...]
@@ -334,36 +357,22 @@ def parse_stp(text: str) -> StpGraph:
     Layout: first the node and edge counts, then one ``u v cost`` line per
     edge, then the terminal count and terminal ids.  The terminal section is
     optional here and its content is ignored; the graph is what matters.
+
+    Counts below their floor and tokens that are no number raise
+    ParseError at their line.  The edges are not checked here: a self
+    loop, an edge to an unknown node, a duplicate or a negative cost is
+    refused by ``merge_instances``.
     """
     toks = _Tokens(text)
-    num_nodes = toks.next_int("node count")
-    num_edges = toks.next_int("edge count")
-    if num_nodes < 1:
-        raise toks.error("node count must be >= 1")
-    if num_edges < 0:
-        raise toks.error("edge count must be >= 0")
+    num_nodes = toks.next_count("node count", 1)
+    num_edges = toks.next_count("edge count", 0)
     edges: list[tuple[int, int, float]] = []
-    seen: set[tuple[int, int]] = set()
     for _ in range(num_edges):
         u = toks.next_int("edge endpoint")
         v = toks.next_int("edge endpoint")
-        cost = toks.next_float("edge cost")
-        if not (1 <= u <= num_nodes and 1 <= v <= num_nodes):
-            raise toks.error(f"edge ({u},{v}) out of node range")
-        if u == v:
-            raise toks.error(f"self loop on node {u}")
-        if cost < 0:
-            raise toks.error(f"negative edge cost {cost}")
-        key = canon_edge(u, v)
-        if key in seen:
-            raise toks.error(f"duplicate edge ({u},{v})")
-        seen.add(key)
-        edges.append((key[0], key[1], float(cost)))
+        edges.append((*canon_edge(u, v), toks.next_float("edge cost")))
     if not toks.exhausted():
-        num_terminals = toks.next_int("terminal count")
-        if num_terminals < 0:
-            raise toks.error("terminal count must be >= 0")
-        for _ in range(num_terminals):
+        for _ in range(toks.next_count("terminal count", 0)):
             t = toks.next_int("terminal id")
             if not (1 <= t <= num_nodes):
                 raise toks.error(f"terminal {t} out of range")
@@ -376,7 +385,11 @@ def parse_stp(text: str) -> StpGraph:
 
 @dataclass(frozen=True)
 class UflpData:
-    """Opening costs plus the dense facility x customer cost matrix."""
+    """Opening costs plus the dense facility x customer cost matrix.
+
+    Finite numbers as read; only the ``Instance`` that ``merge_instances``
+    builds checks their signs.
+    """
 
     opening: tuple[float, ...]
     costs: np.ndarray  # shape (num_facilities, num_customers)
@@ -400,15 +413,17 @@ def parse_uflp(text: str) -> UflpData:
       and demands are parsed and discarded.
     * UflLib: optional ``FILE: name`` line, ``m n 0`` header, then per
       facility a row ``index opening cost_1 .. cost_n``.
+
+    Counts below their floor, non-finite or non-numeric values and a
+    facility index out of turn raise ParseError at their line.  A negative
+    cost is not checked here; ``merge_instances`` refuses it.
     """
     toks = _Tokens(text)
     if toks.items and toks.items[0].startswith("FILE:"):
         _, toks.pos = toks.line_bounds(0)  # skip the whole FILE: line
     header = toks.pos
-    m = toks.next_int("facility count")
-    n = toks.next_int("customer count")
-    if m < 1 or n < 0:
-        raise toks.error("bad facility/customer counts", header)
+    m = toks.next_count("facility count", 1)
+    n = toks.next_count("customer count", 0)
     # UflLib pads the header line with a 0; classic files start a new line
     ufllib = (
         toks.items[toks.pos : toks.pos + 1] == ["0"]
@@ -433,8 +448,6 @@ def parse_uflp(text: str) -> UflpData:
         for k in range(n):
             costs[:, k] = toks.floats(column)[1:]  # the demand is discarded
     toks.expect_end()
-    if (opening < 0).any() or (costs < 0).any():
-        raise ParseError("negative cost in facility location file")
     return UflpData(opening=tuple(float(x) for x in opening), costs=costs)
 
 
@@ -448,14 +461,12 @@ def merge_instances(
 
     The first ``m`` node ids (ascending) become the facilities, the
     smallest-id facility becomes the root, and customers get fresh ids
-    ``c1..cn`` so the two id spaces stay disjoint.
+    ``c1..cn`` so the two id spaces stay disjoint.  The ``Instance``
+    checks what the readers read and raises ValueError on the first bad
+    edge, cost or id: more facilities than nodes gives ``facility 5 is not
+    a core node``.
     """
-    m = uflp.num_facilities
-    if m > stp.num_nodes:
-        raise MergeError(
-            f"{m} facilities but the core graph has only {stp.num_nodes} nodes"
-        )
-    facilities = tuple(range(1, m + 1))
+    facilities = tuple(range(1, uflp.num_facilities + 1))
     customers = tuple(f"c{k}" for k in range(1, uflp.num_customers + 1))
     return Instance(
         name=name,
@@ -496,7 +507,9 @@ def parse_tiny(text: str, name: str = "tiny") -> Instance:
     must be complete (every facility x customer pair exactly once).
     A malformed header or record, and a duplicate one, raise ParseError at
     its line; the checks on the whole file (counts, missing or unknown
-    pairs) and those ``Instance`` makes raise ParseError with no line.
+    pairs) raise ParseError with no line.  What ``Instance`` refuses (a
+    self loop, a negative cost, a root that is no facility) raises its own
+    ValueError, unwrapped.
     """
     header: list[int] | None = None
     # kind -> the fields before the cost, canonical for an edge -> the cost
@@ -552,20 +565,17 @@ def parse_tiny(text: str, name: str = "tiny") -> Instance:
     if len(assign) != len(pairs):
         raise ParseError(f"assignment for unknown pair {min(set(assign) - set(pairs))}")
     matrix = np.reshape([assign[pair] for pair in pairs], (len(facilities), len(customers)))
-    try:
-        return Instance(
-            name=name,
-            num_nodes=num_nodes,
-            core_edges=tuple(sorted((u, v, cost) for (u, v), cost in records["e"].items())),
-            facilities=facilities,
-            root=root,
-            customers=customers,
-            opening_costs=openings,
-            assignment_costs=matrix,
-            hop_limit=hop_limit,
-        )
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return Instance(
+        name=name,
+        num_nodes=num_nodes,
+        core_edges=tuple(sorted((u, v, cost) for (u, v), cost in records["e"].items())),
+        facilities=facilities,
+        root=root,
+        customers=customers,
+        opening_costs=openings,
+        assignment_costs=matrix,
+        hop_limit=hop_limit,
+    )
 
 
 def serialize_tiny(instance: Instance) -> str:

@@ -60,6 +60,16 @@ def readme_output_of(command: str) -> str | None:
     return None if shown is None else shown.group(1)
 
 
+def readme_uflp_text() -> str:
+    """The UFLP file the README shows with the tiny instance's costs."""
+    readme = (ROOT / "README.md").read_text()
+    return re.search(r"this UFLP file in the classic layout.*?```\n(.*?)```", readme, re.S).group(1)
+
+
+# the tiny fixture's graph with a self loop added; the Instance refuses it
+SELF_LOOP_STP = STP_TEXT.replace("4 4\n", "4 5\n") + "2 2 1\n"
+
+
 def test_readme_ghs_example_prints_what_the_readme_shows(capsys, monkeypatch):
     shown = readme_output_of(README_GHS_COMMAND)
     assert shown is not None
@@ -172,6 +182,14 @@ def test_stp_uflp_pair_golden_csv(capsys, orlib_pair):
     )
 
 
+def test_a_self_loop_in_the_stp_file_exits_2_naming_it(capsys, tmp_path):
+    stp, uflp = tmp_path / "loop.stp", tmp_path / "tiny.uflp"
+    stp.write_text(SELF_LOOP_STP)
+    uflp.write_text(readme_uflp_text())
+    code, out, err = run(capsys, "--stp", str(stp), "--uflp", str(uflp), "--hop", "2")
+    assert (code, out, err) == (2, "", "error: self loop on node 2\n")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -228,7 +246,7 @@ def test_a_bad_solution_exits_2(capsys, monkeypatch):
 # each bad value and the message it gets, which names the option as typed
 BAD_VALUES = {
     ("--hms", "1"): "--hms must be >= 2, got 1",
-    ("--algo", "hs", "--hmcr", "0"): "--hmcr must be in (0, 1]",
+    ("--algo", "hs", "--hmcr", "0"): "--hmcr must be in (0, 1], got 0.0",
     ("--max-no-improve", "0"): "--max-no-improve must be >= 1, got 0",
     ("--algo", "hybrid", "--top-k", "30"): "--top-k must be <= 24, got 30",
     ("--algo", "hybrid", "--top-k", "0"): "--top-k must be >= 1, got 0",
@@ -236,7 +254,7 @@ BAD_VALUES = {
     ("--max-open", "0"): "--max-open must be >= 1, got 0",
     ("--algo", "oracle", "--hop", "0"): "--hop must be >= 1, got 0",
     ("--algo", "hybrid", "--samples", "0"): "--samples must be >= 1, got 0",
-    ("--hmcr", "0"): "--hmcr must be in (0, 1]",
+    ("--hmcr", "0"): "--hmcr must be in (0, 1], got 0.0",
     ("--seed", "-1"): "--seed must be >= 0, got -1",
     ("--algo", "oracle", "--seed", "-1"): "--seed must be >= 0, got -1",
     ("--repeats", "0"): "--repeats must be >= 1, got 0",

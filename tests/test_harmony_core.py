@@ -579,6 +579,18 @@ def test_hs_matches_oracle_often():
     assert hits >= runs * 0.8
 
 
+@pytest.mark.parametrize("value", [True, "0.5", 0.0, math.nan, 1.5])
+def test_hmcr_start_is_a_real_number_in_0_1(value):
+    # True would run as 1.0, and "0.5" raised TypeError from its range test
+    message = f"hmcr_start must be in (0, 1], got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        HarmonyParams(hmcr_start=value)
+
+
+def test_hmcr_start_takes_a_numpy_float():
+    assert HarmonyParams(hmcr_start=np.float64(0.5)).hmcr(0) == 0.5
+
+
 def test_params_validate_their_ranges():
     with pytest.raises(ValueError, match="hms"):
         HarmonyParams(hms=1)

@@ -10,7 +10,6 @@ import pytest
 from hcconfl import (
     HcstOracle,
     Instance,
-    MergeError,
     ParseError,
     hop_bellman_ford,
     merge_instances,
@@ -61,19 +60,46 @@ def test_parse_stp_with_terminal_section():
     assert len(graph.edges) == 4
 
 
+def _with_fifth_edge(edge: str) -> str:
+    """``STP_TEXT`` with ``edge`` as a fifth edge line."""
+    return STP_TEXT.replace("4 4\n", "4 5\n", 1) + edge + "\n"
+
+
+NEGATIVE_OPENING = UFLP_BEASLEY.replace("0 3.0", "0 -3.0")
+NEGATIVE_ASSIGNMENT = UFLP_BEASLEY.replace("1 9.0 1.0", "1 9.0 -8.0")
+FIVE_FACILITIES = "5 1\n" + "0 1.0\n" * 5 + "1 " + "2.0 " * 5 + "\n"
+
+# STP and UFLP texts the readers read, and what the Instance that
+# merge_instances builds refuses in them
+MERGE_REFUSALS = [
+    (_with_fifth_edge("5 1 2"), UFLP_BEASLEY, "edge (1,5) references unknown node"),
+    (_with_fifth_edge("2 2 2"), UFLP_BEASLEY, "self loop on node 2"),
+    (_with_fifth_edge("2 1 3"), UFLP_BEASLEY, "duplicate edge (1,2)"),
+    (STP_TEXT.replace("3 4 1", "4 3 -1"), UFLP_BEASLEY, "edge (3,4) has invalid cost -1.0"),
+    (STP_TEXT, NEGATIVE_OPENING, "facility 2 has invalid opening cost -3.0"),
+    (STP_TEXT, NEGATIVE_ASSIGNMENT, "assignment (2, 'c1') has invalid cost -8.0"),
+    (STP_TEXT, FIVE_FACILITIES, "facility 5 is not a core node"),
+]
+
+
 @pytest.mark.parametrize(
-    "mutation, fragment",
-    [
-        ("1 5 2", "out of node range"),
-        ("2 2 2", "self loop"),
-        ("1 2 -1", "negative edge cost"),
-        ("2 1 3", "duplicate edge"),
-    ],
+    "stp, uflp, message", MERGE_REFUSALS, ids=[message for *_, message in MERGE_REFUSALS]
 )
-def test_parse_stp_rejects_bad_edges(mutation, fragment):
-    text = "4 5\n1 2 2\n1 4 1\n2 3 5\n3 4 1\n" + mutation + "\n"
-    with pytest.raises(ParseError, match=fragment):
-        parse_stp(text)
+def test_merge_refuses_what_the_instance_refuses(stp, uflp, message):
+    graph, costs = parse_stp(stp), parse_uflp(uflp)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as refused:
+        merge_instances(graph, costs, hop_limit=2)
+    assert refused.type is ValueError  # not a ParseError: the text was read
+
+
+def test_readers_return_what_they_read_unchecked():
+    # the readers check only that they can read the text; Instance checks
+    # what it says
+    graph = parse_stp("4 4\n2 2 2\n5 1 -1\n2 1 3\n1 2 3\n")
+    assert graph.edges == ((1, 2, 3.0), (1, 2, 3.0), (1, 5, -1.0), (2, 2, 2.0))
+    assert parse_uflp(NEGATIVE_OPENING).opening == (1.0, -3.0, 2.0)
+    assert parse_uflp(NEGATIVE_ASSIGNMENT).costs[1, 0] == -8.0
+    assert parse_uflp(FIVE_FACILITIES).num_facilities == 5
 
 
 def test_parse_stp_rejects_trailing_garbage():
@@ -98,21 +124,21 @@ def test_parse_stp_rejects_trailing_garbage():
         ),
         (parse_stp, "4 1\n1 2\ninf\n", "line 3: non-finite edge cost"),
         (parse_uflp, UFLP_BEASLEY.replace("3.0", "nan"), "line 3: non-finite opening cost"),
-        (parse_stp, "0 0\n", "line 1: node count must be >= 1"),
-        # the line of the edge count, the last token read
-        (parse_stp, "0\n\n0\n", "line 3: node count must be >= 1"),
-        # a negative count is refused at its own line, before what follows is read
-        (parse_stp, "1 -5\n", "line 1: edge count must be >= 0"),
-        (parse_stp, "2 -2\n1 2 3\n", "line 1: edge count must be >= 0"),
-        (parse_stp, STP_TEXT + "-3\n", "line 6: terminal count must be >= 0"),
-        (parse_stp, STP_TEXT + "-1\n2\n", "line 6: terminal count must be >= 0"),
+        (parse_stp, "0 0\n", "line 1: node count must be >= 1, got 0"),
+        # a count is refused at its own token, before the next one is read
+        (parse_stp, "0\n\n0\n", "line 1: node count must be >= 1, got 0"),
+        (parse_stp, "1 -5\n", "line 1: edge count must be >= 0, got -5"),
+        (parse_stp, "2 -2\n1 2 3\n", "line 1: edge count must be >= 0, got -2"),
+        (parse_stp, STP_TEXT + "-3\n", "line 6: terminal count must be >= 0, got -3"),
+        (parse_stp, STP_TEXT + "-1\n2\n", "line 6: terminal count must be >= 0, got -1"),
         (parse_stp, STP_TEXT + "1\n9\n", "line 7: terminal 9 out of range"),
         (parse_stp, STP_TEXT + "2\n1 0\n", "line 7: terminal 0 out of range"),
         (parse_stp, STP_TEXT + "1\nwhat\n", "line 7: expected integer terminal id, got 'what'"),
         (parse_stp, STP_TEXT + "1\n3 4\n", "line 7: trailing token '4'"),
-        (parse_uflp, "0 2\n", "line 1: bad facility/customer counts"),
-        # the line of the header's first token, after blank and FILE: lines
-        (parse_uflp, "\nFILE: x\n\n3\n-1 0\n", "line 4: bad facility/customer counts"),
+        (parse_uflp, "0 2\n", "line 1: facility count must be >= 1, got 0"),
+        (parse_uflp, "3 -2\n", "line 1: customer count must be >= 0, got -2"),
+        # each count at its own line, after blank and FILE: lines
+        (parse_uflp, "\nFILE: x\n\n3\n-1 0\n", "line 5: customer count must be >= 0, got -1"),
         (parse_uflp, UFLP_BEASLEY + "5\n", "line 7: trailing token '5'"),
         (parse_uflp, UFLP_UFLLIB + "\n\n x\n", "line 8: trailing token 'x'"),
         (
@@ -135,11 +161,6 @@ def test_parse_uflp_both_layouts_agree():
     assert a.costs.shape == (3, 2)
     # columns are customers: first customer costs 9/1/4
     assert list(a.costs[:, 0]) == [9.0, 1.0, 4.0]
-
-
-def test_parse_uflp_rejects_negative_cost():
-    with pytest.raises(ParseError):
-        parse_uflp(UFLP_BEASLEY.replace("7.0", "-7.0"))
 
 
 def test_parse_uflp_rejects_bad_facility_index():
@@ -171,8 +192,8 @@ def test_merge_ignores_stp_terminals():
 
 
 def test_merge_rejects_too_many_facilities():
-    uflp = parse_uflp("5 1\n" + "0 1.0\n" * 5 + "1 " + "2.0 " * 5 + "\n")
-    with pytest.raises(MergeError):
+    uflp = parse_uflp(FIVE_FACILITIES)
+    with pytest.raises(ValueError, match="^facility 5 is not a core node$"):
         merge_instances(parse_stp(STP_TEXT), uflp, hop_limit=2)
 
 
@@ -192,37 +213,40 @@ def test_parse_tiny_fixture(tiny1):
 
 
 PARSE_TINY_ERRORS = [
-    ("e 1 2 2", "e 1 2 2\ne 2 1 2", "line 3: duplicate edge (2,1)"),
-    ("f 2 3", "f 5 3", "missing assignment cost for (5, 'a')"),
-    ("a 3 b 1", "", "missing assignment cost for (3, 'b')"),
-    ("4 3 2 2 1", "4 3 2 0 1", "hop_limit must be >= 1, got 0"),
-    ("4 3 2 2 1", "4 3 2 2 4", "root 4 is not a facility"),
-    ("4 3 2 2 1", "4 3 2 2", "line 1: header needs 5 fields"),
-    ("e 1 4 1", "e 1 4", "line 3: edge line needs 'e u v cost'"),
-    ("e 1 4 1", "e 1 x 1", "line 3: bad edge line"),
-    ("f 2 3", "f 2", "line 7: facility line needs 'f id cost'"),
-    ("f 2 3", "f 2 x", "line 7: bad facility line"),
-    ("a 2 a 1", "a 2 a", "line 11: assignment line needs 'a facility customer cost'"),
-    ("a 2 a 1", "a 2 a one", "line 11: bad assignment line"),
-    ("f 3 2", "f 3 2\nf 2 5", "line 9: duplicate facility 2"),
-    ("a 3 b 1", "a 3 b 1\na 3 b 2", "line 15: duplicate assignment (3,b)"),
-    ("e 1 2 2", "x 1 2 2", "line 2: unknown record type 'x'"),
-    (None, "\n  \n", "line 1: empty file"),
-    ("4 3 2 2 1", "4 4 2 2 1", "header declares 4 facilities, file has 3"),
-    ("4 3 2 2 1", "4 3 3 2 1", "header declares 3 customers, file has 2"),
-    ("a 3 b 1", "a 3 b 1\na 4 a 1", "assignment for unknown pair (4, 'a')"),
+    ("e 1 2 2", "e 1 2 2\ne 2 1 2", ParseError, "line 3: duplicate edge (2,1)"),
+    ("f 2 3", "f 5 3", ParseError, "missing assignment cost for (5, 'a')"),
+    ("a 3 b 1", "", ParseError, "missing assignment cost for (3, 'b')"),
+    ("4 3 2 2 1", "4 3 2 0 1", ValueError, "hop_limit must be >= 1, got 0"),
+    ("4 3 2 2 1", "4 3 2 2 4", ValueError, "root 4 is not a facility"),
+    ("4 3 2 2 1", "4 3 2 2", ParseError, "line 1: header needs 5 fields"),
+    ("e 1 4 1", "e 1 4", ParseError, "line 3: edge line needs 'e u v cost'"),
+    ("e 1 4 1", "e 1 x 1", ParseError, "line 3: bad edge line"),
+    ("f 2 3", "f 2", ParseError, "line 7: facility line needs 'f id cost'"),
+    ("f 2 3", "f 2 x", ParseError, "line 7: bad facility line"),
+    ("a 2 a 1", "a 2 a", ParseError, "line 11: assignment line needs 'a facility customer cost'"),
+    ("a 2 a 1", "a 2 a one", ParseError, "line 11: bad assignment line"),
+    ("f 3 2", "f 3 2\nf 2 5", ParseError, "line 9: duplicate facility 2"),
+    ("a 3 b 1", "a 3 b 1\na 3 b 2", ParseError, "line 15: duplicate assignment (3,b)"),
+    ("e 1 2 2", "x 1 2 2", ParseError, "line 2: unknown record type 'x'"),
+    (None, "\n  \n", ParseError, "line 1: empty file"),
+    ("4 3 2 2 1", "4 4 2 2 1", ParseError, "header declares 4 facilities, file has 3"),
+    ("4 3 2 2 1", "4 3 3 2 1", ParseError, "header declares 3 customers, file has 2"),
+    ("a 3 b 1", "a 3 b 1\na 4 a 1", ParseError, "assignment for unknown pair (4, 'a')"),
 ]
 
 
 @pytest.mark.parametrize(
-    "needle, replacement, message",
+    "needle, replacement, error, message",
     PARSE_TINY_ERRORS,
-    ids=[f"{needle}-{replacement}" for needle, replacement, _ in PARSE_TINY_ERRORS],
+    ids=[f"{needle}-{replacement}" for needle, replacement, *_ in PARSE_TINY_ERRORS],
 )
-def test_parse_tiny_rejects_bad_input(tiny1_text, needle, replacement, message):
+def test_parse_tiny_rejects_bad_input(tiny1_text, needle, replacement, error, message):
     text = replacement if needle is None else tiny1_text.replace(needle, replacement)
-    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as refused:
         parse_tiny(text)
+    # ParseError for text the reader cannot read; the Instance's own
+    # ValueError, unwrapped, for what it refuses
+    assert refused.type is error
 
 
 def test_parse_tiny_without_customers_or_facilities():
@@ -230,8 +254,9 @@ def test_parse_tiny_without_customers_or_facilities():
     inst = parse_tiny(header_only + "f 1 1\nf 2 3\nf 3 2\n")
     assert inst.customers == ()
     assert inst.assignment_costs.shape == (3, 0)
-    with pytest.raises(ParseError, match="^root 1 is not a facility$"):
+    with pytest.raises(ValueError, match="^root 1 is not a facility$") as refused:
         parse_tiny(header_only.replace("4 3 0 2 1", "4 0 0 2 1"))
+    assert refused.type is ValueError
 
 
 def _one_facility_graph(num_nodes, edges) -> Instance:
@@ -340,8 +365,8 @@ def _instance_kwargs(**changes) -> dict:
             {"assignment_costs": np.zeros((3, 1))},
             "assignment matrix shape (3, 1) does not match 3 facilities x 2 customers",
         ),
-        ({"assignment_costs": np.full((3, 2), -1.0)}, "assignment costs must be finite and >= 0"),
-        ({"assignment_costs": np.full((3, 2), np.nan)}, "assignment costs must be finite and >= 0"),
+        ({"assignment_costs": np.full((3, 2), -1.0)}, "assignment (1, 'a') has invalid cost -1.0"),
+        ({"assignment_costs": np.full((3, 2), np.nan)}, "assignment (1, 'a') has invalid cost nan"),
         ({"core_edges": EDGES + ((1, 2.5, 1.0),)}, "edge (1,2.5) references unknown node"),
         ({"hop_limit": 2.5}, "hop_limit must be an integer, got 2.5"),
         ({"hop_limit": 2.0}, "hop_limit must be an integer, got 2.0"),

@@ -18,6 +18,9 @@ import pytest
 from hcconfl import HopTableCache, bench_cli, parse_tiny
 from hcconfl.objective import CostBreakdown
 
+from test_bench_cli import readme_uflp_text
+from test_instance_model import UFLP_BEASLEY
+
 ROOT = Path(__file__).parent.parent
 
 
@@ -74,6 +77,11 @@ def test_readme_algo_table_lists_the_options_each_algo_reads():
         for name in algo.choices
     }
     assert shown == read
+
+
+def test_readme_uflp_file_holds_the_tiny_instances_costs():
+    # test_merge_instances_matches_tiny_fixture merges UFLP_BEASLEY into tiny1
+    assert readme_uflp_text() == UFLP_BEASLEY
 
 
 def test_readme_counters_sentence_names_every_counter_in_order():
