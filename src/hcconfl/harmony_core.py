@@ -16,6 +16,7 @@ open-set type of the package.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from itertools import islice, product
@@ -68,7 +69,8 @@ class RunStats:
     ``iterations`` counts the improvisations the harmony loop ran, 0 when
     the fill already held every transformed pattern (``hybrid_solve``
     counts its enumerated subsets); ``evaluations`` counts the ``evaluate``
-    calls, each one priced whether its tree was built or reused.
+    calls, that is every candidate handed to ``evaluate``, screened or
+    priced.
     ``counters`` holds :meth:`HopTableCache.counters` of the solve's cache
     as the solve ends: ``tables_built``, then the ``hop_paths.WORK_COUNTS``
     totals.  They are the cache's totals, not the solve's: a cache handed
@@ -288,6 +290,8 @@ def harmony_solve(
     the root-open patterns in memory: every improvised vector is
     root-open, so each would transform into a row memory already holds.
     ``stats.iterations`` counts the improvisations run, 0 in that case.
+    The loop hands ``evaluate`` the memory's worst total as the cutoff, so
+    a candidate that cannot enter the memory is screened, with no tree.
     ``seed`` is an integer >= 0 (:func:`seeded_rng`), the only randomness.
     """
     params = params or HarmonyParams()
@@ -301,9 +305,9 @@ def harmony_solve(
 
     stats = RunStats()
 
-    def evaluator(vector: np.ndarray) -> Solution:
+    def evaluator(vector: np.ndarray, cutoff: float = math.inf) -> Solution:
         stats.evaluations += 1
-        return evaluate(instance, vector_ids(instance, vector), cache)
+        return evaluate(instance, vector_ids(instance, vector), cache, cutoff)
 
     static_bias = init_bias(instance)
     memory, evaluated, covered = _fill_memory(
@@ -320,7 +324,9 @@ def harmony_solve(
         vector = transform(improvise(rng, memory, bias, params.hmcr(iteration))[None])[0]
         improved = False
         if not memory.contains(vector):
-            solution = evaluator(vector)
+            # a set at or above the worst row changes neither the memory nor
+            # the incumbent, which is never COST_TOL above the best row
+            solution = evaluator(vector, memory.worst_total)
             if solution.total < memory.worst_total:
                 memory.replace_worst(vector, solution.total)
                 bias = update_bias(static_bias, memory)

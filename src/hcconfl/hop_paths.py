@@ -151,10 +151,12 @@ def extract_path(
 
 
 # the work a HopTableCache counts: served sets whose tree was built before,
-# then nrbi's phase-1 picks, nodes relabeled and table entries read, and the
-# tree nodes phase 2 priced its facilities against and the fresh paths it read
+# then nrbi's phase-1 picks, nodes relabeled and table entries read, the
+# tree nodes phase 2 priced its facilities against and the fresh paths it
+# read, and the open sets priced without a tree because they cannot beat
+# their cutoff
 WORK_COUNTS = ("trees_reused", "phase1_rounds", "relabeled",
-               "phase1_reads", "phase2_reads", "fresh_paths")
+               "phase1_reads", "phase2_reads", "fresh_paths", "screened")
 
 
 class HopTableCache:
@@ -162,7 +164,8 @@ class HopTableCache:
 
     Tables are built lazily, one per source, and every table reaches
     :func:`top_level`, which stands for every level up to the hop limit.
-    ``root_paths`` reads the root's table once.
+    ``root_paths`` reads the root's table once, and ``cheapest_edges``
+    the edges once; both bound the cost of a tree from below.
     ``trees`` maps a packed served set (the root plus the facilities some
     customer picks) to its packed tree, or to None when it has none.
     ``counts`` holds one running total per ``WORK_COUNTS`` name:
@@ -194,6 +197,23 @@ class HopTableCache:
         paths = table.dist[table.hop_limit, np.asarray(self.instance.facilities)]
         paths.setflags(write=False)
         return paths
+
+    @cached_property
+    def cheapest_edges(self) -> np.ndarray:
+        """Cost of the cheapest edge at each facility, in
+        ``Instance.facilities`` order, 0 for the root; read-only.
+
+        A tree's non-root nodes each have their own parent edge, so a tree
+        costs at least the sum of its facilities' entries.
+        """
+        instance = self.instance
+        _, dst, wgt = instance.arcs
+        cheapest = np.full(instance.num_nodes + 1, np.inf)
+        np.minimum.at(cheapest, dst, wgt)
+        edges = cheapest[np.asarray(instance.facilities)]
+        edges[instance.facility_index[instance.root]] = 0.0
+        edges.setflags(write=False)
+        return edges
 
 
 def cache_for(instance: Instance, cache: HopTableCache | None) -> HopTableCache:

@@ -6,8 +6,10 @@ facility, closes facilities that serve nobody (root excepted), dropping
 their opening cost, and only then asks for a hop-feasible tree over the
 root and the facilities left.  ``evaluate`` hands it ``nrbi``'s tree and
 the exact oracle its own; ``price`` is the one place an open set becomes
-a cost.  A solve's :class:`HopTableCache` keeps the tree of every served
-set ``evaluate`` has asked for, packed as bytes, so ``nrbi`` runs once per
+a cost.  Given a cutoff, ``price`` asks for no tree when the assignment
+and opening costs plus a lower bound on the tree already reach past it.
+A solve's :class:`HopTableCache` keeps the tree of every served set
+``evaluate`` has asked for, packed as bytes, so ``nrbi`` runs once per
 distinct served set and a repeat is rebuilt from the packed copy.
 
 ``validate`` checks a finished solution against the underlying integer
@@ -31,6 +33,12 @@ from .hop_paths import HopTableCache, cache_for
 from .instance_model import Instance, _is_integer
 
 COST_TOL = 1e-9
+# A set is screened only when its lower bound passes the cutoff by more
+# than this share of the cutoff.  The bound and the total add the same
+# non-negative costs in other orders, so they can part in the last bits,
+# by an amount that grows with the totals; an absolute tolerance such as
+# COST_TOL falls below one unit in the last place once totals pass 10^7.
+SCREEN_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -46,7 +54,11 @@ class CostBreakdown:
 
 @dataclass(frozen=True)
 class Solution:
-    """Final state of one evaluated open set; no ``breakdown`` means infeasible."""
+    """Final state of one evaluated open set.
+
+    No ``breakdown`` means the set is infeasible, or was screened under a
+    cutoff it cannot beat (:func:`evaluate`); either way it totals inf.
+    """
 
     open_facilities: frozenset[int]
     tree: SteinerTree | None
@@ -126,6 +138,7 @@ def evaluate(
     instance: Instance,
     open_facilities: Iterable[int],
     cache: HopTableCache | None = None,
+    cutoff: float = math.inf,
 ) -> Solution:
     """Evaluate an open set (the root is added); an infeasible one totals inf.
 
@@ -134,10 +147,22 @@ def evaluate(
     that the tree, or its absence, comes from ``cache.trees``, so every
     call returns an equal solution.  Without a cache, a fresh one is used
     and dropped, so nothing is kept.
+
+    A set whose total cannot fall below ``cutoff`` may be screened: it
+    comes back with no tree and no breakdown, totalling inf, adds one to
+    ``cache.counts["screened"]`` and writes nothing to ``cache.trees``.
+    Its tree is bounded below by its farthest facility's
+    ``cache.root_paths`` entry and by the sum of its facilities'
+    ``cache.cheapest_edges``.  A set that is not screened comes back as it
+    would with no cutoff, and the default cutoff screens nothing.
     """
     opened = as_open_set(instance, open_facilities)
     opened.add(instance.root)
     cache = cache_for(instance, cache)
+
+    def tree_bound(served: set[int]) -> float:
+        rows = [instance.facility_index[f] for f in served]
+        return max(cache.root_paths[rows].max(), cache.cheapest_edges[rows].sum())
 
     def tree_for(served: set[int]) -> SteinerTree | None:
         key = _packed(instance, sorted(served))
@@ -152,29 +177,46 @@ def evaluate(
         cache.trees[key] = None if tree is None else _pack_tree(instance, tree)
         return tree
 
-    return price(instance, opened, tree_for)
+    solution = price(instance, opened, tree_for, cutoff, tree_bound)
+    if solution is None:
+        cache.counts["screened"] += 1
+        return Solution(frozenset(opened), None, {}, None)
+    return solution
 
 
 def price(
-    instance: Instance, opened: set[int], tree_for: Callable[[set[int]], SteinerTree | None]
-) -> Solution:
+    instance: Instance,
+    opened: set[int],
+    tree_for: Callable[[set[int]], SteinerTree | None],
+    cutoff: float = math.inf,
+    tree_bound: Callable[[set[int]], float] | None = None,
+) -> Solution | None:
     """The solution of open set ``opened`` (root included).
 
     Each customer goes to its cheapest open facility, ties to the smallest
     id, and facilities that serve nobody close (the root excepted).  Then
     ``tree_for`` gives the tree over the root and the facilities that
     serve someone; None means the open set is infeasible.
+
+    With a finite ``cutoff``, ``tree_bound`` gives a lower bound on the
+    cost of that tree.  When the assignment and opening costs plus the
+    bound pass ``cutoff`` by more than ``SCREEN_RTOL`` of it, no tree is
+    asked for and None comes back: the set's total is at least ``cutoff``.
     """
     fac_ids = sorted(opened)
     sub = instance.assignment_costs[[instance.facility_index[f] for f in fac_ids]]
     choice = np.argmin(sub, axis=0)  # first minimum = smallest facility id
     assignment = dict(zip(instance.customers, (fac_ids[k] for k in choice.tolist())))
     served = set(assignment.values()) | {instance.root}
+    assignment_cost = float(sub[choice, np.arange(len(instance.customers))].sum())
+    opening_cost = float(sum(instance.opening_costs[f] for f in sorted(served)))
+    if cutoff < math.inf:
+        lower = assignment_cost + opening_cost + tree_bound(served)
+        if lower > cutoff + SCREEN_RTOL * abs(cutoff):
+            return None
     tree = tree_for(served)
     if tree is None:
         return Solution(frozenset(opened), None, {}, None)
-    assignment_cost = float(sub[choice, np.arange(len(instance.customers))].sum())
-    opening_cost = float(sum(instance.opening_costs[f] for f in sorted(served)))
     return Solution(
         open_facilities=frozenset(served),
         tree=tree,

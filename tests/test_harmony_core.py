@@ -31,7 +31,7 @@ from hcconfl.harmony_core import (
     vector_ids,
 )
 
-from hcconfl import greedy_variants, harmony_core, hcst_nrbi, hop_paths
+from hcconfl import greedy_variants, harmony_core, hcst_nrbi, hop_paths, objective
 
 from corpus_util import (
     golden_cases,
@@ -39,7 +39,6 @@ from corpus_util import (
     random_dense_instance,
     random_tiny_instance,
     reference_fill_memory,
-    served_set,
 )
 
 GOLDEN_INSTANCES, _ = golden_cases()
@@ -463,20 +462,29 @@ def test_counters_read_the_solves_cache(solver, monkeypatch):
     inst = random_deep_instance(
         random.Random(0), nodes=40, edges=50, facilities=12, customers=10, hop_limit=3
     )
-    priced: list[frozenset[int]] = []
+    cutoffs: list[float] = []  # per candidate handed to evaluate
+    asked: list[frozenset[int]] = []  # per served set price asked a tree for
     built = []
     relabeled: list[int] = []  # per phase-1 round
     paths = []  # every extract_path call of nrbi, in either phase
     phase1_reads: list[int] = []  # per node whose row phase 1 reads
     tree_sizes: list[int] = []  # per facility phase 2 visits
-    real_evaluate, real_build = harmony_core.evaluate, hop_paths.hop_bellman_ford
+    real_evaluate, real_price = harmony_core.evaluate, objective.price
+    real_build = hop_paths.hop_bellman_ford
     real_insert, real_extract = hcst_nrbi._insert_phase1_path, hcst_nrbi.extract_path
     real_chain = hcst_nrbi._parent_chain
 
-    def recording(instance, open_facilities, cache=None):
+    def recording(instance, open_facilities, cache=None, cutoff=math.inf):
+        cutoffs.append(cutoff)
+        return real_evaluate(instance, open_facilities, cache, cutoff)
+
+    def pricing(instance, opened, tree_for, *screen):
         # the tree memo is keyed by the served set, not the requested one
-        priced.append(served_set(instance, open_facilities))
-        return real_evaluate(instance, open_facilities, cache)
+        def asking(served):
+            asked.append(frozenset(served))
+            return tree_for(served)
+
+        return real_price(instance, opened, asking, *screen)
 
     def building(instance, source):
         built.append(source)
@@ -507,6 +515,7 @@ def test_counters_read_the_solves_cache(solver, monkeypatch):
 
     for module in (harmony_core, greedy_variants):
         monkeypatch.setattr(module, "evaluate", recording)
+    monkeypatch.setattr(objective, "price", pricing)
     monkeypatch.setattr(hop_paths, "hop_bellman_ford", building)
     monkeypatch.setattr(hcst_nrbi, "_insert_phase1_path", inserting)
     monkeypatch.setattr(hcst_nrbi, "extract_path", extracting)
@@ -520,8 +529,10 @@ def test_counters_read_the_solves_cache(solver, monkeypatch):
     else:
         greedy = GreedyParams(top_k=6, sample_count=60)
         stats = greedy_variants.hybrid_solve(inst, greedy, seed=3).stats
-    assert stats.evaluations == len(priced)
-    reused = len(priced) - len(set(priced))
+    assert stats.evaluations == len(cutoffs)
+    # a screened candidate asks for no tree, so the memo neither answers nor
+    # keeps one for it
+    reused = len(asked) - len(set(asked))
     # phase 1 reads one path a round; phase 2 reads the rest
     assert stats.counters == {
         "tables_built": len(built),
@@ -531,11 +542,20 @@ def test_counters_read_the_solves_cache(solver, monkeypatch):
         "phase1_reads": sum(phase1_reads),
         "phase2_reads": sum(tree_sizes),
         "fresh_paths": len(paths) - len(relabeled),
+        "screened": len(cutoffs) - len(asked),
     }
+    if solver == "hybrid":
+        # the hybrid keeps every subset's total, so it screens nothing
+        assert set(cutoffs) == {math.inf} and stats.counters["screened"] == 0
+    else:
+        # the fill keeps every row it prices; the loop passes the worst row
+        assert stats.counters["screened"] > 0
     if solver == "hs":
-        # 30 of the 75 requested sets repeat; 15 more close onto a served set
-        # priced before
-        assert stats.counters["trees_reused"] == 45
+        # 30 of the 75 requested sets repeat and 15 more close onto a served
+        # set seen before; 29 of those 45 are screened, and so are 9 served
+        # sets seen for the first time, so the memo answers 16
+        assert stats.counters["trees_reused"] == 16
+        assert stats.counters["screened"] == 29 + 9
 
 
 def test_counters_are_the_totals_of_a_cache_handed_to_the_solve():

@@ -358,3 +358,12 @@ def test_views_read_what_the_arrays_hold():
                     assert got_path is None or all(type(x) is int for x in got_path)
                     checked += 1
     assert checked > 20000
+
+
+def test_cheapest_edges_hold_each_facilitys_cheapest_edge(tiny1):
+    # tiny1's edges: 1-2 (2), 1-4 (1), 2-3 (5), 3-4 (1); facilities 1-3, root 1
+    cache = HopTableCache(tiny1)
+    assert cache.cheapest_edges.tolist() == [0.0, 2.0, 1.0]
+    assert cache.root_paths.tolist() == [0.0, 2.0, 2.0]
+    assert not cache.cheapest_edges.flags.writeable
+    assert cache.cheapest_edges is cache.cheapest_edges

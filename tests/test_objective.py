@@ -10,6 +10,7 @@ from hcconfl import (
     GreedyParams,
     HarmonyParams,
     HopTableCache,
+    Instance,
     Solution,
     SteinerTree,
     Violation,
@@ -220,9 +221,9 @@ def test_a_shared_cache_prices_every_hs_open_set_as_a_fresh_cache(monkeypatch):
     traced = []
     real = harmony_core.evaluate
 
-    def recording(instance, open_facilities, cache=None):
+    def recording(instance, open_facilities, cache=None, cutoff=math.inf):
         traced.append(list(open_facilities))
-        return real(instance, open_facilities, cache)
+        return real(instance, open_facilities, cache, cutoff)
 
     monkeypatch.setattr(harmony_core, "evaluate", recording)
     hs_solve(inst, HarmonyParams(hms=10, max_no_improve=60), seed=3)
@@ -274,6 +275,7 @@ def test_nrbi_runs_once_per_distinct_open_set(tiny1, monkeypatch):
         "phase1_reads": 2 + 1 + 1,
         "phase2_reads": 1 + 3 + 1,
         "fresh_paths": 0,
+        "screened": 0,
     }
 
 
@@ -325,9 +327,9 @@ def test_nrbi_is_asked_for_the_served_set_alone(solver, tiny1, monkeypatch):
     requested: list[frozenset[int]] = []
     real_evaluate, real_nrbi = objective.evaluate, objective.nrbi
 
-    def requesting(instance, open_facilities, cache=None):
+    def requesting(instance, open_facilities, cache=None, cutoff=math.inf):
         requested.append(frozenset(open_facilities))
-        return real_evaluate(instance, open_facilities, cache)
+        return real_evaluate(instance, open_facilities, cache, cutoff)
 
     def building(instance, opened, cache=None):
         asked.append((requested[-1], frozenset(opened)))
@@ -358,6 +360,139 @@ def test_evaluate_without_a_cache_keeps_nothing(tiny1, monkeypatch):
     (first, one), (second, other) = calls
     assert first == second == {1, 3}
     assert one is not other  # each call prices on a cache of its own
+
+
+# -- the screen under a cutoff ------------------------------------------------
+
+
+def _non_integer(inst, rng):
+    """``inst`` with every edge, opening and assignment cost redrawn from [0.1, 10]."""
+
+    def draw():
+        return rng.uniform(0.1, 10.0)
+
+    return dataclasses.replace(
+        inst,
+        core_edges=tuple((u, v, draw()) for u, v, _ in inst.core_edges),
+        opening_costs={f: draw() for f in inst.facilities},
+        assignment_costs=np.array([[draw() for _ in inst.customers] for _ in inst.facilities]),
+    )
+
+
+def _has_no_tree(sol, inst, ids):
+    """``sol`` is the requested set with no tree, assignment or breakdown."""
+    return _exactly(sol) == _exactly(
+        Solution(frozenset({inst.root, *ids}), None, {}, None)
+    )
+
+
+def test_a_screened_set_cannot_beat_its_cutoff_and_the_rest_price_as_uncut():
+    rng = random.Random(2024)
+    screened = kept = 0
+    for _ in range(120):
+        inst = _non_integer(random_tiny_instance(rng, max_facilities=6), rng)
+        others = [f for f in inst.facilities if f != inst.root]
+        cache = HopTableCache(inst)
+        for _ in range(4):
+            ids = [f for f in others if rng.random() < 0.5]
+            uncut = evaluate(inst, ids)
+            near = uncut.total if uncut.feasible else 100.0
+            # -1 screens every set before any tree of it is kept; around the
+            # total, a bound equal to the tree's cost meets it, summed in
+            # another order
+            cutoffs = [-1.0, 0.0, near * rng.uniform(0.3, 1.2), near,
+                       math.nextafter(near, 0.0), math.nextafter(near, math.inf),
+                       near * (1 - 1e-12), near * (1 + 1e-12), math.inf]
+            for cutoff in cutoffs:
+                trees = dict(cache.trees)
+                before = cache.counts["screened"]
+                sol = evaluate(inst, ids, cache, cutoff)
+                if cache.counts["screened"] > before:
+                    screened += 1
+                    assert cutoff < math.inf
+                    assert uncut.total >= cutoff
+                    assert _has_no_tree(sol, inst, ids)
+                    assert cache.trees == trees  # it writes nothing
+                else:
+                    kept += 1
+                    assert _exactly(sol) == _exactly(uncut)
+    assert screened > 0 and kept > 0
+
+
+def test_the_screen_on_tiny1(tiny1):
+    cache = HopTableCache(tiny1)
+    # the root alone needs no tree: assignment 9 + 8 and opening 1
+    assert evaluate(tiny1, [], cache, 18.0).total == 18.0
+    assert _has_no_tree(evaluate(tiny1, [], cache, 17.9), tiny1, [])
+    # {1, 2, 3} totals 12 with a tree of 4; its bound is assignment 2,
+    # opening 6 and max(root path 2, cheapest edges 2 + 1) = 11
+    assert evaluate(tiny1, [2, 3], cache, 11.0).total == 12.0
+    assert _has_no_tree(evaluate(tiny1, [2, 3], cache, 10.9), tiny1, [2, 3])
+    assert cache.counters()["screened"] == 2
+    assert len(cache.trees) == 2
+
+
+def test_a_set_served_through_an_out_of_reach_facility_is_screened(tiny1):
+    # within one hop the root does not reach facility 3, which serves b
+    one_hop = dataclasses.replace(tiny1, hop_limit=1)
+    cache = HopTableCache(one_hop)
+    assert _has_no_tree(evaluate(one_hop, [3], cache, 1e300), one_hop, [3])
+    assert cache.trees == {} and cache.counts["screened"] == 1
+    # with no cutoff it is priced, and has no tree
+    assert _has_no_tree(evaluate(one_hop, [3], cache), one_hop, [3])
+    assert cache.trees == {objective._packed(one_hop, [1, 3]): None}
+    assert cache.counts["screened"] == 1
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**40], ids=["unit", "2^40"])
+def test_the_screen_allows_for_the_order_of_its_sums(scale):
+    # one customer served by facility 2 over the edge 1-2, whose cost is the
+    # bound: the bound adds the tree last and the total adds it first, and
+    # here that puts the bound two units in the last place above the total.
+    # A power of two scales every sum exactly; at 2^40 one unit is about
+    # 0.004, far above COST_TOL
+    inst = Instance(
+        name="ulp",
+        num_nodes=2,
+        core_edges=((1, 2, scale * 9.874431830894336),),
+        facilities=(1, 2),
+        root=1,
+        customers=("c",),
+        opening_costs={1: scale * 8.68411746870004, 2: scale * 0.31706225777445285},
+        assignment_costs=scale * np.array([[100.0], [9.935786168013895]]),
+        hop_limit=1,
+    )
+    uncut = evaluate(inst, [2])
+    parts = uncut.breakdown
+    bound = parts.assignment_cost + parts.opening_cost + parts.tree_cost
+    above = math.nextafter(uncut.total, math.inf)
+    assert bound > above  # the bound alone would screen the set
+    cache = HopTableCache(inst)
+    assert _exactly(evaluate(inst, [2], cache, above)) == _exactly(uncut)
+    assert cache.counts["screened"] == 0
+
+
+@pytest.mark.parametrize("solve", [hs_solve, ghs_solve])
+def test_the_screen_changes_no_solve(solve, monkeypatch):
+    inst = _deep_instance()
+    params = HarmonyParams(hms=10, max_no_improve=60)
+
+    def run():
+        result = solve(inst, params, seed=3)
+        stats = result.stats
+        return (_exactly(result.solution), stats.evaluations, stats.iterations,
+                stats.incumbent_history), stats.counters
+
+    screened, counters = run()
+    real = harmony_core.evaluate
+    monkeypatch.setattr(
+        harmony_core,
+        "evaluate",
+        lambda instance, ids, cache=None, cutoff=math.inf: real(instance, ids, cache),
+    )
+    uncut, uncut_counters = run()
+    assert screened == uncut
+    assert counters["screened"] > 0 and uncut_counters["screened"] == 0
 
 
 # -- validator ---------------------------------------------------------------
